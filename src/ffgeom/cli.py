@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import constructions, counting, fourier, oracle, sweep
 from .field import PrimeField
-from .varieties import PointSet, enum_paraboloid, random_subset
+from .varieties import PointSet, enum_paraboloid, enum_plane, random_subset
 
 DEFAULT_VERIFY_PAIRS = "2:3,2:7,2:11,2:19,6:3"
 
@@ -111,6 +111,10 @@ def cmd_extension_ratio(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    needed = ["lines", "per_line"] if args.kind == "lines" else ["k"]
+    missing = [f"--{name.replace('_', '-')}" for name in needed if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"--kind {args.kind} needs {' and '.join(missing)}")
     field = PrimeField(args.p)
     try:
         if args.kind == "lines":
@@ -119,12 +123,7 @@ def cmd_construct(args) -> int:
                 "lines", field, E, num_lines=args.lines, points_per_line=args.per_line
             )
         else:
-            builders = {
-                "even2mod4": constructions.construct_even_2mod4,
-                "even0mod4": constructions.construct_even_0mod4,
-                "odd3mod4": constructions.construct_odd_3mod4,
-            }
-            E = builders[args.kind](field, args.d, args.k, args.seed)
+            E = constructions.BUILDERS[args.kind](field, args.d, args.k, args.seed)
             report = constructions.construction_report(args.kind, field, E, k=args.k)
     except (ValueError, constructions.FrameSearchError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -144,11 +143,11 @@ def cmd_construct(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         config = sweep.parse_config(args.config)
+        if args.threads is not None:
+            config = dataclasses.replace(config, threads=args.threads)
     except sweep.ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    if args.threads is not None:
-        config = dataclasses.replace(config, threads=args.threads)
     rows = sweep.run_sweep(config)
     fmt = args.format or config.format
     out = args.out or config.out
@@ -177,12 +176,10 @@ def cmd_mpprp(args) -> int:
             reports = sweep.planar_triangle_sweep(
                 primes, exponent=args.exponent, trials=args.trials, seed=args.seed
             )
+        elif args.p is None or args.size is None:
+            raise ValueError("mpprp-check needs --primes, or --p and --size")
         else:
-            field = PrimeField(args.p)
-            grid = PointSet.build(
-                field, 2, ((a, b) for a in range(args.p) for b in range(args.p))
-            )
-            X = random_subset(grid, args.size, args.seed)
+            X = random_subset(enum_plane(PrimeField(args.p)), args.size, args.seed)
             reports = [sweep.planar_triangle_check(X)]
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -255,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("construct", help="build and verify an extremal set")
     sp.add_argument(
-        "--kind", required=True, choices=["even2mod4", "even0mod4", "odd3mod4", "lines"]
+        "--kind", required=True, choices=[*constructions.BUILDERS, "lines"]
     )
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--d", type=int, default=3)

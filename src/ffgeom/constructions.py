@@ -32,27 +32,11 @@ class ConstructionError(RuntimeError):
 
 
 def rank_mod_p(vectors, p: int) -> int:
-    rows = [list(v) for v in vectors]
+    rows = list(vectors)
     if not rows:
         return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [c * inv % p for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    dim = len(rows[0])
+    return dim - len(kernel_basis(rows, p, dim))
 
 
 def kernel_basis(constraints, p: int, dim: int) -> list[tuple[int, ...]]:
@@ -318,6 +302,13 @@ def construct_even_0mod4(field: PrimeField, d: int, k: int, seed: int = 0) -> Po
     return E
 
 
+BUILDERS = {
+    "even2mod4": construct_even_2mod4,
+    "even0mod4": construct_even_0mod4,
+    "odd3mod4": construct_odd_3mod4,
+}
+
+
 def isotropic_lines_set(
     field: PrimeField, num_lines: int, points_per_line: int, seed: int = 0
 ) -> PointSet:
@@ -364,7 +355,7 @@ def construction_report(
         "size": len(E),
         "prod_size": len(prods),
     }
-    if kind in {"even2mod4", "odd3mod4", "even0mod4"}:
+    if kind in BUILDERS:
         A = mult_subgroup(field, k)
         plus, minus = _ap_a2(field, A.elements), _am_a2(field, A.elements)
         report["k"] = k

@@ -18,6 +18,23 @@ Conventions, fixed once for the whole package:
 * degenerate_pairs counts ordered pairs (x, y), diagonal included, with
   ||x-y|| = 0.
 
+Every count of one set comes from `profile(E)`. It streams the Gram matrix
+x.y mod p in row blocks (`_gram_blocks`, the only place a Gram matrix is
+formed; `dot_histogram` shares it for E x F). One pass takes the product
+histogram (prod and M), per-apex dot histograms (D), per-apex distance
+histograms (isosceles total, zero equal sides, degenerate pairs) and the
+pairs i < j at distance zero and at base distance zero.
+
+What remains are sums over those zero pairs (y, z) of pair agreements, the
+number of apexes x whose columns agree: dist(x, y) = dist(x, z) gives c_base
+(isosceles triples with zero base), both distances zero gives c_both (all
+sides zero), and x.y = x.z, that is x.(y - z) = 0, gives the triples that D*
+removes from D. A diagonal pair agrees at every apex, so the n diagonal
+pairs add n^2 to c_base and to the D* correction and the degenerate-pair
+count to c_both; (i, j) and (j, i) agree alike, so a second pass, run only
+when off-diagonal zero pairs exist, gathers each pair once with i < j. No
+n x n array is allocated.
+
 Counts are returned as Python ints (arbitrary precision); numpy int64 is
 used only for intermediates whose ranges stay well inside 63 bits at the
 supported set sizes.
@@ -25,7 +42,7 @@ supported set sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,8 +55,9 @@ from .varieties import (
     restrict_nonzero_base,
 )
 
-# Pairwise kernels materialize an |X|^2 matrix; guard against accidents.
-PAIR_MATRIX_CAP = 100_000_000
+# Byte budget for the zero-pair index lists, which reach |X|^2 / 2 pairs on
+# a fully degenerate set; everything else takes O(block * (|X| + p)) memory.
+ZERO_PAIR_BYTE_CAP = 800_000_000
 
 _ROW_BLOCK = 512
 
@@ -47,6 +65,20 @@ _ROW_BLOCK = 512
 def _require_compatible(a: PointSet, b: PointSet) -> None:
     if a.field != b.field or a.dim != b.dim:
         raise ValueError("point sets must share field and dimension")
+
+
+def _gram_blocks(A: np.ndarray, B: np.ndarray, p: int):
+    """Yield (lo, (A[lo:hi] @ B.T) % p) over consecutive row blocks of A."""
+    bt = B.T
+    for lo in range(0, len(A), _ROW_BLOCK):
+        yield lo, (A[lo : lo + _ROW_BLOCK] @ bt) % p
+
+
+def _row_histograms(block: np.ndarray, p: int) -> np.ndarray:
+    """(rows, p) array: the histogram of each row's values."""
+    rows = block.shape[0]
+    offsets = block + p * np.arange(rows, dtype=np.int64)[:, None]
+    return np.bincount(offsets.ravel(), minlength=p * rows).reshape(rows, p)
 
 
 @dataclass(frozen=True)
@@ -60,6 +92,11 @@ class DotHistogram:
     def total(self) -> int:
         return sum(self.counts)
 
+    @property
+    def energy(self) -> int:
+        """sum_t r(t)^2, which is M when F = E."""
+        return sum(c * c for c in self.counts)
+
     def as_dict(self) -> dict[int, int]:
         return {t: c for t, c in enumerate(self.counts) if c}
 
@@ -69,11 +106,8 @@ def dot_histogram(E: PointSet, F: PointSet | None = None) -> DotHistogram:
     _require_compatible(E, F)
     p = E.field.p
     counts = np.zeros(p, dtype=np.int64)
-    if len(E) and len(F):
-        ft = F.array.T
-        for lo in range(0, len(E), _ROW_BLOCK):
-            block = (E.array[lo : lo + _ROW_BLOCK] @ ft) % p
-            counts += np.bincount(block.ravel(), minlength=p)
+    for _, gram in _gram_blocks(E.array, F.array, p):
+        counts += np.bincount(gram.ravel(), minlength=p)
     return DotHistogram(E.field, tuple(int(c) for c in counts))
 
 
@@ -84,30 +118,120 @@ def product_set(E: PointSet, F: PointSet | None = None) -> set[int]:
 
 def count_M(E: PointSet) -> int:
     """Ordered quadruples (x, y, w, z) in E^4 with x.y = w.z."""
-    return sum(c * c for c in dot_histogram(E).counts)
+    return dot_histogram(E).energy
 
 
-def _per_apex_square_sums(dots_block: np.ndarray, p: int) -> tuple[int, np.ndarray]:
-    """For each row: histogram the values, return (sum of squared bin sizes
-    over all rows, per-row count of zeros)."""
-    rows = dots_block.shape[0]
-    offsets = dots_block + p * np.arange(rows, dtype=np.int64)[:, None]
-    hist = np.bincount(offsets.ravel(), minlength=p * rows).reshape(rows, p)
-    return int((hist * hist).sum()), hist[:, 0].copy()
+@dataclass(frozen=True)
+class TriangleCounts:
+    """Ordered-triple isosceles counts; see the module docstring taxonomy."""
+
+    t_nde: int
+    t_de: int
+    t_star: int
+    degenerate_pairs: int
+    t_nde_raw: int
+    t_zero_triples: int
+
+    @property
+    def isosceles_total(self) -> int:
+        return self.t_nde + self.t_de
+
+    def as_dict(self) -> dict[str, int]:
+        return {**asdict(self), "isosceles_total": self.isosceles_total}
+
+
+@dataclass(frozen=True)
+class Profile:
+    """Every count of one point set, from one pass over its pairs."""
+
+    dots: DotHistogram
+    D: int
+    D_star: int
+    triangles: TriangleCounts
+
+
+def _pair_blocks(arr: np.ndarray, p: int):
+    """Yield (lo, gram, dist) over row blocks, dist[x, y] = ||x - y||."""
+    nrm = (arr * arr).sum(axis=1) % p
+    for lo, gram in _gram_blocks(arr, arr, p):
+        yield lo, gram, (nrm[lo : lo + len(gram), None] + nrm - 2 * gram) % p
+
+
+def _upper_zeros(lo: int, block: np.ndarray) -> np.ndarray:
+    """(2, k) array of the pairs i < j with block[i - lo, j] == 0."""
+    pairs = np.array(np.nonzero(block == 0))
+    pairs[0] += lo
+    return pairs[:, pairs[0] < pairs[1]]
+
+
+def _column_pairs(block: np.ndarray, pairs: np.ndarray):
+    """Yield the columns of block at both ends of each pair, in chunks."""
+    for lo in range(0, pairs.shape[1], _ROW_BLOCK):
+        ii, jj = pairs[:, lo : lo + _ROW_BLOCK]
+        yield block[:, ii], block[:, jj]
+
+
+def profile(E: PointSet) -> Profile:
+    """prod, M, D, D* and every triangle count of E in O(|E|^2) time.
+
+    D* measures the base ||ybar - zbar|| on a paraboloid (there ybar.zbar =
+    y.z - y_d z_d and ||ybar|| = y_d) and all coordinates elsewhere.
+    """
+    p, n, arr = E.field.p, len(E), E.array
+    last = arr[:, -1] if on_paraboloid(E) else None
+    dots = np.zeros(p, dtype=np.int64)
+    d_total = total_iso = eq_zero_sides = degenerate = 0
+    empty = np.zeros((2, 0), dtype=np.intp)
+    dist_found, base_found = [empty], [empty]
+    for lo, gram, dist in _pair_blocks(arr, p):
+        hist = _row_histograms(gram, p)
+        dots += hist.sum(axis=0)
+        d_total += int((hist * hist).sum())
+        hist = _row_histograms(dist, p)
+        total_iso += int((hist * hist).sum())
+        zeros = hist[:, 0]
+        eq_zero_sides += int((zeros * zeros).sum())
+        degenerate += int(zeros.sum())
+        dist_found.append(_upper_zeros(lo, dist))
+        if last is not None:
+            y_d = last[lo : lo + len(gram), None]
+            base_found.append(_upper_zeros(lo, (y_d + last - 2 * (gram - y_d * last)) % p))
+        if sum(f.nbytes for f in dist_found + base_found) > ZERO_PAIR_BYTE_CAP:
+            raise ResourceLimitError(f"zero pairs of {n} points exceed {ZERO_PAIR_BYTE_CAP} bytes")
+
+    dist_pairs = np.concatenate(dist_found, axis=1)
+    base_pairs = dist_pairs if last is None else np.concatenate(base_found, axis=1)
+    off_base = off_both = off_star = 0
+    if dist_pairs.size or base_pairs.size:
+        for _, gram, dist in _pair_blocks(arr, p):
+            for a, b in _column_pairs(dist, dist_pairs):
+                off_base += int((a == b).sum())
+                off_both += int(((a == 0) & (b == 0)).sum())
+            for a, b in _column_pairs(gram, base_pairs):
+                off_star += int((a == b).sum())
+
+    c_base = n * n + 2 * off_base
+    c_both = degenerate + 2 * off_both
+    t_de = eq_zero_sides + c_base - c_both
+    triangles = TriangleCounts(
+        t_nde=total_iso - t_de,
+        t_de=t_de,
+        t_star=total_iso - c_base,
+        degenerate_pairs=degenerate,
+        t_nde_raw=total_iso - eq_zero_sides,
+        t_zero_triples=c_both,
+    )
+    return Profile(
+        dots=DotHistogram(E.field, tuple(int(c) for c in dots)),
+        D=d_total,
+        D_star=d_total - n * n - 2 * off_star,
+        triangles=triangles,
+    )
 
 
 def count_D(E: PointSet) -> int:
     """Ordered triples (x, y, z) in E^3 with x.y = x.z."""
-    if not len(E):
-        return 0
-    p = E.field.p
-    et = E.array.T
-    total = 0
-    for lo in range(0, len(E), _ROW_BLOCK):
-        block = (E.array[lo : lo + _ROW_BLOCK] @ et) % p
-        sq, _ = _per_apex_square_sums(block, p)
-        total += sq
-    return total
+    return profile(E).D
 
 
 def count_D_star(E: PointSet, allow_ambient_base: bool = False) -> int:
@@ -117,38 +241,14 @@ def count_D_star(E: PointSet, allow_ambient_base: bool = False) -> int:
     For sets on a paraboloid the base is the first dim-1 coordinates; with
     allow_ambient_base=True non-paraboloid sets use all coordinates.
     """
-    if on_paraboloid(E):
-        base = E.array[:, :-1]
-    elif allow_ambient_base:
-        base = E.array
-    else:
+    if not allow_ambient_base and not on_paraboloid(E):
         raise ValueError("count_D_star requires a point set on a paraboloid")
-    n = len(E)
-    if not n:
-        return 0
-    p = E.field.p
-    d_total = count_D(E)
-    pairs_i, pairs_j = _zero_distance_pairs(base, p)
-    diffs = (E.array[pairs_i] - E.array[pairs_j]) % p
-    uniq, mult = np.unique(diffs, axis=0, return_counts=True)
-    correction = 0
-    et = E.array
-    for w, m in zip(uniq, mult):
-        zeros = int(((et @ w) % p == 0).sum())
-        correction += int(m) * zeros
-    return d_total - correction
+    return profile(E).D_star
 
 
-def _zero_distance_pairs(arr: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), diagonal included, with ||arr_i - arr_j|| = 0."""
-    n = arr.shape[0]
-    if n * n > PAIR_MATRIX_CAP:
-        raise ResourceLimitError(f"pairwise kernel on {n} points exceeds cap")
-    gram = (arr @ arr.T) % p
-    nrm = np.diag(gram)
-    dist = (nrm[:, None] + nrm[None, :] - 2 * gram) % p
-    ii, jj = np.nonzero(dist == 0)
-    return ii, jj
+def isosceles_counts(X: PointSet) -> TriangleCounts:
+    """All triangle counts of X in O(|X|^2) via per-apex distance histograms."""
+    return profile(X).triangles
 
 
 def apex(field: PrimeField, x: tuple[int, ...]) -> tuple[int, ...]:
@@ -185,6 +285,12 @@ def reduction_equiv(
     return lhs, rhs
 
 
+def _equal_pairs(keys: np.ndarray) -> int:
+    """Ordered pairs (y, z) with keys[y] == keys[z]."""
+    counts = np.unique(keys, return_counts=True)[1]
+    return int((counts * counts).sum())
+
+
 def scan_reduction_identity(E: PointSet) -> tuple[int, int]:
     """Check the reduction over all triples (x, y, z) in E^3 with apex x
     restricted to nonzero base norm. Returns (triples checked, mismatches)."""
@@ -202,83 +308,10 @@ def scan_reduction_identity(E: PointSet) -> tuple[int, int]:
         dx = (arr @ np.array(x, dtype=np.int64)) % p
         anrm = int((a * a).sum() % p)
         adist = (anrm - 2 * (ybar @ a) + ynrm) % p
-        lhs = dx[:, None] == dx[None, :]
-        rhs = adist[:, None] == adist[None, :]
-        checked += lhs.size
-        mismatches += int((lhs != rhs).sum())
+        # pairs where exactly one side holds: |lhs| + |rhs| - 2 |lhs and rhs|
+        checked += len(E) ** 2
+        mismatches += _equal_pairs(dx) + _equal_pairs(adist) - 2 * _equal_pairs(dx * p + adist)
     return checked, mismatches
-
-
-@dataclass(frozen=True)
-class TriangleCounts:
-    """Ordered-triple isosceles counts; see the module docstring taxonomy."""
-
-    t_nde: int
-    t_de: int
-    t_star: int
-    degenerate_pairs: int
-    t_nde_raw: int
-    t_zero_triples: int
-
-    @property
-    def isosceles_total(self) -> int:
-        return self.t_nde + self.t_de
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "t_nde": self.t_nde,
-            "t_de": self.t_de,
-            "t_star": self.t_star,
-            "degenerate_pairs": self.degenerate_pairs,
-            "t_nde_raw": self.t_nde_raw,
-            "t_zero_triples": self.t_zero_triples,
-            "isosceles_total": self.isosceles_total,
-        }
-
-
-def isosceles_counts(X: PointSet) -> TriangleCounts:
-    """All triangle counts of X in O(|X|^2) via per-apex distance histograms."""
-    n = len(X)
-    if n == 0:
-        return TriangleCounts(0, 0, 0, 0, 0, 0)
-    p = X.field.p
-    arr = X.array
-    if n * n > PAIR_MATRIX_CAP:
-        raise ResourceLimitError(f"triangle kernel on {n} points exceeds cap")
-    gram = (arr @ arr.T) % p
-    nrm = np.diag(gram)
-    dist = (nrm[:, None] + nrm[None, :] - 2 * gram) % p
-
-    total_iso = 0
-    eq_zero_sides = 0
-    for lo in range(0, n, _ROW_BLOCK):
-        sq, zeros = _per_apex_square_sums(dist[lo : lo + _ROW_BLOCK], p)
-        total_iso += sq
-        eq_zero_sides += int((zeros * zeros).sum())
-
-    ii, jj = np.nonzero(dist == 0)
-    degenerate_pairs = len(ii)
-
-    # Base-zero corrections: for each ordered pair (y, z) at distance zero,
-    # count apexes x equidistant from (resp. at distance zero from) both.
-    c_base = 0
-    c_both = 0
-    chunk = max(1, 2_000_000 // max(n, 1))
-    for lo in range(0, len(ii), chunk):
-        ci = dist[:, ii[lo : lo + chunk]]
-        cj = dist[:, jj[lo : lo + chunk]]
-        c_base += int((ci == cj).sum())
-        c_both += int(((ci == 0) & (cj == 0)).sum())
-
-    t_de = eq_zero_sides + c_base - c_both
-    return TriangleCounts(
-        t_nde=total_iso - t_de,
-        t_de=t_de,
-        t_star=total_iso - c_base,
-        degenerate_pairs=degenerate_pairs,
-        t_nde_raw=total_iso - eq_zero_sides,
-        t_zero_triples=c_both,
-    )
 
 
 @dataclass(frozen=True)
@@ -308,10 +341,8 @@ def inequality_chain(E: PointSet) -> InequalityReport:
     """Verify |prod(E)| * M >= |E|^4, M <= |E| * D, and (for paraboloid sets)
     that D of the base-restricted set is at most the isosceles-triple total
     of the apex-union-base projection."""
-    prod_size = len(product_set(E))
-    m_value = count_M(E)
-    d_value = count_D(E)
-    n = len(E)
+    counts = counts_json(E)
+    n, prod_size, m_value, d_value = (counts[k] for k in ("set_size", "prod_size", "M", "D"))
     report = dict(
         size=n,
         prod_size=prod_size,
@@ -323,11 +354,7 @@ def inequality_chain(E: PointSet) -> InequalityReport:
     if on_paraboloid(E) and E.dim >= 2:
         Er = restrict_nonzero_base(E)
         d_r = count_D(Er)
-        if len(Er):
-            X = bar_projection(Er).union(apex_set(Er))
-            iso = isosceles_counts(X).isosceles_total
-        else:
-            iso = 0
+        iso = isosceles_counts(bar_projection(Er).union(apex_set(Er))).isosceles_total
         report.update(
             restricted_size=len(Er),
             restricted_d=d_r,
@@ -368,16 +395,16 @@ def triangle_bound_report(X: PointSet, constant: float = 100.0) -> TriangleBound
 
 def counts_json(E: PointSet) -> dict:
     """The fixed-key JSON rendering of every count for one point set."""
-    tri = isosceles_counts(E)
-    d_star = count_D_star(E) if on_paraboloid(E) else count_D_star(E, allow_ambient_base=True)
+    pr = profile(E)
+    tri = pr.triangles
     return {
         "p": E.field.p,
         "d": E.dim,
         "set_size": len(E),
-        "prod_size": len(product_set(E)),
-        "D": count_D(E),
-        "D_star": d_star,
-        "M": count_M(E),
+        "prod_size": len(pr.dots.as_dict()),
+        "D": pr.D,
+        "D_star": pr.D_star,
+        "M": pr.dots.energy,
         "t_nde": tri.t_nde,
         "t_de": tri.t_de,
         "t_star": tri.t_star,

@@ -10,7 +10,6 @@ across threads; every method is a pure function of its arguments.
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 
 import numpy as np
@@ -58,7 +57,6 @@ class PrimeField:
         if p == 2:
             raise ValueError("modulus must be an odd prime")
         self.p = p
-        self.residue_class_mod_4 = p % 4
         self._primitive_root: int | None = None
         self._sqrt_table: list[tuple[int, ...]] | None = None
         self._chi_table: np.ndarray | None = None
@@ -74,18 +72,6 @@ class PrimeField:
 
     # -- scalar arithmetic ---------------------------------------------------
 
-    def element(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
     def neg(self, a: int) -> int:
         return (-a) % self.p
 
@@ -94,9 +80,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a % self.p, e, self.p)
 
     # -- quadratic residues --------------------------------------------------
 
@@ -196,13 +179,3 @@ class PrimeField:
 def field(p: int) -> PrimeField:
     """Shared PrimeField instances keyed by modulus."""
     return PrimeField(p)
-
-
-def phase_is_unit(z: complex, tol: float = 1e-12) -> bool:
-    """Whether z sits on the unit circle to within tol."""
-    return abs(z.real * z.real + z.imag * z.imag - 1.0) < tol
-
-
-def unit_phase(angle_numer: int, p: int) -> complex:
-    """exp(2*pi*i*angle_numer/p) without a table, for one-off use."""
-    return cmath.exp(2j * cmath.pi * (angle_numer % p) / p)

@@ -240,6 +240,8 @@ def extension_ratio_stats(
             continue
         vals = rng.standard_normal(len(V)) + 1j * rng.standard_normal(len(V))
         ratios.append(extension_ratio(SurfaceFunction(V, vals), r_exp))
+    if not ratios:
+        raise ValueError(f"every sampled sphere in F_{field.p}^{n} is empty")
     return {
         "p": field.p,
         "n": n,
@@ -297,12 +299,6 @@ def degenerate_pairs_fourier(X: PointSet, method: str = "closed") -> float:
     s0 = zero_sphere_hat_table(X.field, n, method)
     val = ((np.abs(table.flat) ** 2) * s0).sum() * float(p) ** (2 * n)
     return float(val.real)
-
-
-def gauss_row_sum(field: PrimeField, t: int) -> complex:
-    """sum_{r != 0} chi(r t): p-1 at t = 0 and -1 otherwise."""
-    idx = np.arange(1, field.p) * (t % field.p) % field.p
-    return complex(field.chi_table[idx].sum())
 
 
 def verify_report(field: PrimeField, n: int, seed: int = 0) -> dict:

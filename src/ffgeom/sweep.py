@@ -16,19 +16,13 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
 from . import constructions, counting
 from .field import PrimeField, is_prime
-from .varieties import enum_paraboloid, on_paraboloid, random_subset
-
-# Threshold exponent alpha(d) = (d^2 - 1) / (2d) probed by the sweeps; 4/3
-# at d = 3. The planar non-degenerate triangle bound kicks in at 5/4.
-def threshold_exponent(d: int) -> float:
-    return (d * d - 1) / (2 * d)
-
+from .varieties import enum_paraboloid, enum_plane, random_subset
 
 # Default primes for product-ratio sweeps: ratios stabilize by here while
 # cells stay seconds-scale. All are 3 mod 4.
@@ -82,6 +76,14 @@ class SweepConfig:
     cap: int | None = None
     timing: bool = False
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigError("trials must be >= 1")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"unknown output format {self.format!r}")
+
 
 _FAMILY_KEYS = {
     "random_paraboloid_subset": {"kind", "alpha"},
@@ -104,10 +106,13 @@ _CONFIG_KEYS = {
 
 
 def _parse_alpha(value) -> float:
-    if isinstance(value, str):
-        num, _, den = value.partition("/")
-        return float(num) / float(den) if den else float(num)
-    return float(value)
+    try:
+        if isinstance(value, str):
+            num, _, den = value.partition("/")
+            return float(num) / float(den) if den else float(num)
+        return float(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ConfigError(f"alpha {value!r} is not a number or a fraction a/b") from None
 
 
 def parse_family(doc: dict, max_dim: int) -> Family:
@@ -128,7 +133,7 @@ def parse_family(doc: dict, max_dim: int) -> Family:
         return Family(kind, alpha=alpha)
     if kind == "construction":
         name = doc.get("construction")
-        if name not in {"even2mod4", "even0mod4", "odd3mod4"}:
+        if name not in constructions.BUILDERS:
             raise ConfigError(f"unknown construction {name!r}")
         if ("k" in doc) == ("k_rule" in doc):
             raise ConfigError("construction family needs exactly one of 'k' or 'k_rule'")
@@ -164,15 +169,12 @@ def parse_config(source) -> SweepConfig:
     dims = tuple(int(d) for d in doc["dims"])
     if any(d < 2 for d in dims):
         raise ConfigError("dims must all be >= 2")
-    trials = int(doc.get("trials", 1))
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
     families = tuple(parse_family(f, max(dims)) for f in doc["families"])
     return SweepConfig(
         primes=primes,
         dims=dims,
         families=families,
-        trials=trials,
+        trials=int(doc.get("trials", 1)),
         seed=int(doc.get("seed", 0)),
         threads=int(doc.get("threads", 1)),
         out=doc.get("out"),
@@ -180,27 +182,6 @@ def parse_config(source) -> SweepConfig:
         cap=doc.get("cap"),
         timing=bool(doc.get("timing", False)),
     )
-
-
-CSV_COLUMNS = [
-    "p",
-    "d",
-    "family",
-    "trial",
-    "set_size",
-    "prod_size",
-    "prod_ratio",
-    "D",
-    "D_star",
-    "M",
-    "t_nde",
-    "t_de",
-    "t_star",
-    "degenerate_pairs",
-    "runtime_ms",
-    "seed",
-    "error",
-]
 
 
 @dataclass(frozen=True)
@@ -224,25 +205,11 @@ class SweepRow:
     error: str = ""
 
     def as_record(self) -> dict:
-        return {
-            "p": self.p,
-            "d": self.d,
-            "family": self.family,
-            "trial": self.trial,
-            "set_size": self.set_size,
-            "prod_size": self.prod_size,
-            "prod_ratio": float(f"{self.prod_ratio:.9g}"),
-            "D": self.D,
-            "D_star": self.D_star,
-            "M": self.M,
-            "t_nde": self.t_nde,
-            "t_de": self.t_de,
-            "t_star": self.t_star,
-            "degenerate_pairs": self.degenerate_pairs,
-            "runtime_ms": float(f"{self.runtime_ms:.9g}"),
-            "seed": self.seed,
-            "error": self.error,
-        }
+        """Fields in column order, floats rounded to 9 significant digits."""
+        return {k: float(f"{v:.9g}") if isinstance(v, float) else v for k, v in asdict(self).items()}
+
+
+CSV_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
 @lru_cache(maxsize=8)
@@ -269,12 +236,7 @@ def build_cell_set(field: PrimeField, d: int, family: Family, seed: int, cap: in
         return random_subset(P, size, seed)
     if family.kind == "construction":
         k = _resolve_k(family, p)
-        builders = {
-            "even2mod4": constructions.construct_even_2mod4,
-            "even0mod4": constructions.construct_even_0mod4,
-            "odd3mod4": constructions.construct_odd_3mod4,
-        }
-        return builders[family.construction](field, d, k, seed)
+        return constructions.BUILDERS[family.construction](field, d, k, seed)
     if d != 2:
         raise ValueError("lines family applies only to d = 2 cells")
     return constructions.isotropic_lines_set(field, family.num_lines, family.points_per_line, seed)
@@ -284,24 +246,9 @@ def run_cell(p: int, d: int, family: Family, trial: int, seed: int, cap, timing:
     row = SweepRow(p=p, d=d, family=family.label(), trial=trial, seed=seed)
     t0 = time.perf_counter() if timing else 0.0
     try:
-        field = PrimeField(p)
-        E = build_cell_set(field, d, family, seed, cap)
-        prod = counting.product_set(E)
-        tri = counting.isosceles_counts(E)
-        d_star = counting.count_D_star(E, allow_ambient_base=not on_paraboloid(E))
-        row = replace(
-            row,
-            set_size=len(E),
-            prod_size=len(prod),
-            prod_ratio=len(prod) / p,
-            D=counting.count_D(E),
-            D_star=d_star,
-            M=counting.count_M(E),
-            t_nde=tri.t_nde,
-            t_de=tri.t_de,
-            t_star=tri.t_star,
-            degenerate_pairs=tri.degenerate_pairs,
-        )
+        counts = counting.counts_json(build_cell_set(PrimeField(p), d, family, seed, cap))
+        del counts["p"], counts["d"]
+        row = replace(row, prod_ratio=counts["prod_size"] / p, **counts)
     except Exception as e:  # failures are recorded in-row, never abort a sweep
         row = replace(row, error=f"{type(e).__name__}: {e}")
     if timing:
@@ -425,14 +372,9 @@ def planar_triangle_sweep(
     primes, exponent: float = 1.25, trials: int = 1, seed: int = 0, constant: float = 100.0
 ) -> list[PlanarTriangleReport]:
     """Random subsets of F_p^2 of size ceil(p^exponent) across a prime list."""
-    from .varieties import PointSet
-
     reports = []
     for idx, p in enumerate(primes):
-        field = PrimeField(p)
-        grid = PointSet.build(
-            field, 2, ((a, b) for a in range(p) for b in range(p))
-        )
+        grid = enum_plane(PrimeField(p))
         for trial in range(trials):
             size = min(math.ceil(p**exponent), len(grid))
             X = random_subset(grid, size, derive_seed(seed, idx * 1000 + trial))

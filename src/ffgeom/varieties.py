@@ -97,9 +97,7 @@ class PointSet:
             raise ValueError(f"malformed header {lines[0]!r}, expected 'p d count'")
         p, dim, count = (int(x) for x in head)
         fld = PrimeField(p)
-        pts = []
-        for ln in lines[1 : count + 1]:
-            pts.append(tuple(int(x) for x in ln.split()))
+        pts = [tuple(int(x) for x in ln.split()) for ln in lines[1:] if ln.strip()]
         if len(pts) != count:
             raise ValueError(f"expected {count} points, found {len(pts)}")
         ps = PointSet.build(fld, dim, pts)
@@ -128,6 +126,12 @@ def enum_paraboloid(field: PrimeField, d: int, cap: int | None = None) -> PointS
     norms = (base * base).sum(axis=1) % p
     pts = np.concatenate([base, norms[:, None]], axis=1)
     return PointSet.build(field, d, map(tuple, pts.tolist()))
+
+
+def enum_plane(field: PrimeField) -> PointSet:
+    """All p^2 points of F_p^2."""
+    p = field.p
+    return PointSet.build(field, 2, ((a, b) for a in range(p) for b in range(p)))
 
 
 def enum_sphere(field: PrimeField, n: int, r: int, cap: int | None = None) -> PointSet:

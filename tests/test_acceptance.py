@@ -13,7 +13,7 @@ import pytest
 
 from ffgeom import counting, constructions, fourier, oracle, sweep
 from ffgeom.field import PrimeField
-from ffgeom.varieties import PointSet, enum_paraboloid, random_subset, restrict_nonzero_base
+from ffgeom.varieties import enum_paraboloid, enum_plane, random_subset, restrict_nonzero_base
 
 
 def announce(num: int, ok: bool, detail: str) -> None:
@@ -24,7 +24,7 @@ def announce(num: int, ok: bool, detail: str) -> None:
 
 
 def plane(p):
-    return PointSet.build(PrimeField(p), 2, ((a, b) for a in range(p) for b in range(p)))
+    return enum_plane(PrimeField(p))
 
 
 def test_01_zero_sphere_exactness():

@@ -1,11 +1,21 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from ffgeom import counting, oracle
+from ffgeom.constructions import isotropic_lines_set
 from ffgeom.field import PrimeField
-from ffgeom.varieties import PointSet, enum_paraboloid, random_subset, restrict_nonzero_base
+from ffgeom.varieties import (
+    PointSet,
+    ResourceLimitError,
+    enum_paraboloid,
+    enum_plane,
+    on_paraboloid,
+    random_subset,
+    restrict_nonzero_base,
+)
 
 
 def rand_paraboloid_subset(p, d, size, seed):
@@ -14,9 +24,7 @@ def rand_paraboloid_subset(p, d, size, seed):
 
 
 def rand_plane_subset(p, size, seed):
-    f = PrimeField(p)
-    grid = PointSet.build(f, 2, ((a, b) for a in range(p) for b in range(p)))
-    return random_subset(grid, size, seed)
+    return random_subset(enum_plane(PrimeField(p)), size, seed)
 
 
 def test_product_set_example():
@@ -244,3 +252,96 @@ def test_counts_json_fixed_keys():
     ]
     json.dumps(doc)
     assert doc["set_size"] == 12 and doc["p"] == 7
+
+
+# -- profile at small row blocks and beyond the oracle caps ------------------
+
+
+def test_small_row_blocks_match_oracles(monkeypatch):
+    # 7-row blocks: sets of 30-60 points cross many block edges in both the
+    # first pass and the zero-pair pass.
+    monkeypatch.setattr(counting, "_ROW_BLOCK", 7)
+    for rep in oracle.run_battery(seed=4, instances=12):
+        assert rep.match, rep.line()
+    rng = random.Random(43)
+    crossed = 0
+    for p in (13, 17, 29):
+        for sample in (rand_plane_subset, lambda p, n, s: rand_paraboloid_subset(p, 3, n, s)):
+            E = sample(p, rng.randint(30, 60), rng.randrange(2**32))
+            F = rand_plane_subset(p, rng.randint(30, 60), rng.randrange(2**32)) if E.dim == 2 else E
+            doc = counting.counts_json(E)
+            tri = oracle.oracle_triangles(E)
+            assert counting.isosceles_counts(E).as_dict() == tri
+            assert doc["D"] == oracle.oracle_D(E)
+            assert doc["D_star"] == oracle.oracle_D_star(E, allow_ambient_base=True)
+            assert doc["prod_size"] == len(oracle.oracle_product(E))
+            assert counting.product_set(E, F) == oracle.oracle_product(E, F)
+            crossed += tri["degenerate_pairs"] > len(E)
+    assert crossed  # some sets had off-diagonal zero pairs
+
+
+def test_zero_pair_byte_cap(monkeypatch):
+    X = isotropic_lines_set(PrimeField(13), 2, 5, seed=0)  # 20 pairs at distance zero
+    monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", 16 * 19)
+    with pytest.raises(ResourceLimitError, match="bytes"):
+        counting.profile(X)
+    monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", 16 * 20)
+    assert counting.profile(X).triangles.t_zero_triples >= 2 * 5**3
+
+
+def _translate(E, shift):
+    return PointSet.build(E.field, E.dim, (tuple(a + b for a, b in zip(x, shift)) for x in E))
+
+
+def _base_isometry(E, perm, signs):
+    """Permute and negate the base coordinates (all of them off a paraboloid)."""
+    k = len(perm)
+    return PointSet.build(
+        E.field,
+        E.dim,
+        (tuple(signs[i] * x[perm[i]] for i in range(k)) + x[k:] for x in E),
+    )
+
+
+@pytest.fixture(scope="module", params=["paraboloid", "lines"])
+def large_set(request):
+    """Sets of more than 1100 points over p = 1 mod 4: three default row
+    blocks, with off-diagonal pairs at distance zero."""
+    if request.param == "paraboloid":
+        E = rand_paraboloid_subset(37, 3, 1100, seed=5)
+    else:
+        E = isotropic_lines_set(PrimeField(101), 12, 95, seed=2)
+    return E, counting.profile(E)
+
+
+def test_large_set_identities(large_set):
+    E, pr = large_set
+    n, p, tri = len(E), E.field.p, pr.triangles
+    assert n >= 1100 and tri.degenerate_pairs > n
+    arr = E.array
+    nrm = (arr * arr).sum(axis=1) % p
+    dist = (nrm[:, None] + nrm - 2 * (arr @ arr.T)) % p
+    iso = sum(int((np.bincount(row, minlength=p) ** 2).sum()) for row in dist)
+    assert tri.t_nde + tri.t_de == iso
+    assert tri.t_nde <= tri.t_star
+    assert pr.D_star <= pr.D
+
+
+def test_large_set_translation_invariance(large_set):
+    E, pr = large_set
+    rng = random.Random(47)
+    shift = [rng.randrange(E.field.p) for _ in range(E.dim)]
+    assert counting.isosceles_counts(_translate(E, shift)) == pr.triangles
+
+
+def test_large_set_base_isometry_invariance(large_set):
+    E, pr = large_set
+    k = E.dim - 1 if on_paraboloid(E) else E.dim
+    rng = random.Random(53)
+    perm = rng.sample(range(k), k)
+    signs = [rng.choice([1, -1]) for _ in range(k)]
+    signs[0] = -1
+    moved = _base_isometry(E, perm, signs)
+    assert moved != E
+    # equal dot histograms carry |prod| and M along
+    assert counting.profile(moved) == pr

@@ -5,11 +5,11 @@ import pytest
 
 from ffgeom import counting, fourier, oracle
 from ffgeom.field import PrimeField
-from ffgeom.varieties import PointSet, enum_sphere, random_subset
+from ffgeom.varieties import PointSet, enum_plane, enum_sphere, random_subset
 
 
 def plane(p):
-    return PointSet.build(PrimeField(p), 2, ((a, b) for a in range(p) for b in range(p)))
+    return enum_plane(PrimeField(p))
 
 
 def rand_plane_subset(p, size, seed):
@@ -71,15 +71,6 @@ def test_zero_sphere_formula_hypotheses():
         fourier.zero_sphere_hat(PrimeField(7), 3, (0, 0, 0))  # n odd
     # the direct route has no hypotheses
     fourier.zero_sphere_hat_direct(PrimeField(13), 2, (0, 0))
-
-
-@pytest.mark.parametrize("p", [3, 7, 11, 19, 31])
-def test_gauss_row_sum(p):
-    f = PrimeField(p)
-    for t in range(p):
-        s = fourier.gauss_row_sum(f, t)
-        assert round(s.real) == (p - 1 if t == 0 else -1)
-        assert abs(s.imag) < 1e-9
 
 
 def test_surface_transform_constants():

@@ -4,7 +4,7 @@ import pytest
 
 from ffgeom import cli, sweep
 from ffgeom.field import PrimeField
-from ffgeom.varieties import PointSet, random_subset
+from ffgeom.varieties import PointSet, enum_plane, random_subset
 
 MINIMAL = {
     "primes": [7],
@@ -44,6 +44,14 @@ def test_config_validation():
         )
     with pytest.raises(sweep.ConfigError, match="malformed"):
         sweep.parse_config("{not json")
+    for alpha in ("4/0", "four", "1/x", None):
+        family = {"kind": "random_paraboloid_subset", "alpha": alpha}
+        with pytest.raises(sweep.ConfigError, match="alpha"):
+            sweep.parse_config({**MINIMAL, "families": [family]})
+    with pytest.raises(sweep.ConfigError, match="threads"):
+        sweep.parse_config({**MINIMAL, "threads": 0})
+    with pytest.raises(sweep.ConfigError, match="format"):
+        sweep.parse_config({**MINIMAL, "format": "xml"})
 
 
 def test_trials_get_distinct_seeds_and_rerun_identical():
@@ -161,9 +169,7 @@ def test_planar_triangle_check_hypotheses():
     X = PointSet.build(f, 2, [(0, 0), (1, 2)])
     with pytest.raises(ValueError, match="3 mod 4"):
         sweep.planar_triangle_check(X)
-    f11 = PrimeField(11)
-    grid = PointSet.build(f11, 2, ((a, b) for a in range(11) for b in range(11)))
-    big = random_subset(grid, 30, seed=0)  # 30^3 > 11^4
+    big = random_subset(enum_plane(PrimeField(11)), 30, seed=0)  # 30^3 > 11^4
     with pytest.raises(ValueError, match="hypothesis"):
         sweep.planar_triangle_check(big)
 
@@ -247,3 +253,44 @@ def test_cli_triangles_random(capsys):
     assert cli.main(["triangles", "--random-paraboloid", "7", "3", "10", "--seed", "4"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["set_size"] == 10
+
+
+# -- inputs rejected at parse time ----------------------------------------
+
+
+def _never_run(config):
+    raise AssertionError("the sweep ran before its config was checked")
+
+
+@pytest.mark.parametrize(
+    "doc, flags",
+    [
+        ({"format": "xml"}, []),
+        ({"families": [{"kind": "random_paraboloid_subset", "alpha": "4/0"}]}, []),
+        ({"threads": -1}, []),
+        ({}, ["--threads", "0"]),
+    ],
+)
+def test_cli_sweep_bad_values_exit_2_before_running(tmp_path, capsys, monkeypatch, doc, flags):
+    monkeypatch.setattr(sweep, "run_sweep", _never_run)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**MINIMAL, **doc}))
+    assert cli.main([*flags, "sweep", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["construct", "--kind", "odd3mod4", "--p", "7"], "--k"),
+        (["construct", "--kind", "lines", "--p", "13", "--lines", "2"], "--per-line"),
+        (["mpprp-check", "--p", "11"], "--size"),
+        # 3 is a nonsquare mod 7, so every sampled one-dimensional sphere is empty
+        (["extension-ratio", "--p", "7", "--n", "1", "--radius", "3", "--trials", "2"], "empty"),
+    ],
+)
+def test_cli_unusable_arguments_exit_2(capsys, argv, missing):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and missing in err and err.count("\n") == 1

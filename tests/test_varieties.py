@@ -140,3 +140,6 @@ def test_from_text_rejects_malformed():
         PointSet.from_text("7 2\n0 0\n")
     with pytest.raises(ValueError):
         PointSet.from_text("7 2 2\n0 0\n")
+    with pytest.raises(ValueError, match="expected 1 points, found 2"):
+        PointSet.from_text("7 2 1\n1 2\n3 4\n")
+    assert len(PointSet.from_text("7 2 2\n1 2\n3 4\n\n")) == 2
