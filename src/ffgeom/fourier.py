@@ -10,8 +10,12 @@ transform, the degenerate-pair identity, the per-apex spectral bound) is
 derived for this convention and pinned by exact-agreement tests against
 direct counts.
 
-Tables are dense over all p^n frequencies; sums use numpy's pairwise
-summation, which keeps the verified identities within 1e-9 at desk scale.
+Tables are dense over all p^n frequencies, computed as n-dimensional DFTs
+of a function scattered on the (p,)*n grid (pocketfft handles prime
+lengths). `np.fft.fftn` sums against exp(-2 pi i m.x/p) = chi(-m.x), so
+Xhat = fftn(1_X) * p^(-n); `np.fft.ifftn` sums against chi(+m.x) and
+divides by p^n. The cost is O(p^n log p^n) whatever the number of points,
+so the enumeration cap bounds the table's p^n entries.
 """
 
 from __future__ import annotations
@@ -22,9 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .field import PrimeField
-from .varieties import DEFAULT_ENUM_CAP, PointSet, ResourceLimitError, enum_sphere
-
-_FREQ_BLOCK = 1 << 16
+from .varieties import PointSet, _check_cap, enum_sphere
 
 
 @lru_cache(maxsize=32)
@@ -52,12 +54,11 @@ def _zero_sphere(p: int, n: int) -> PointSet:
     return enum_sphere(PrimeField(p), n, 0)
 
 
-def _check_work(field: PrimeField, n: int, points: int, cap: int | None) -> None:
-    limit = DEFAULT_ENUM_CAP if cap is None else cap
-    if field.p**n * max(points, 1) > limit:
-        raise ResourceLimitError(
-            f"dense transform work p^n*|X| = {field.p**n * max(points, 1)} exceeds cap {limit}"
-        )
+def _grid(V: PointSet, values) -> np.ndarray:
+    """`values` scattered at the points of V on the (p,)*n grid, zero elsewhere."""
+    grid = np.zeros((V.field.p,) * V.dim, dtype=np.complex128)
+    grid[tuple(V.array.T)] = values
+    return grid
 
 
 @dataclass(frozen=True)
@@ -100,18 +101,9 @@ class SurfaceFunction:
 
 def fourier_indicator(X: PointSet, cap: int | None = None) -> SpectralTable:
     """Xhat(m) = p^(-n) sum_{x in X} chi(-m.x) over all p^n frequencies."""
-    fld, n, p = X.field, X.dim, X.field.p
-    _check_work(fld, n, len(X), cap)
-    freqs = _freq_array(p, n)
-    out = np.zeros(len(freqs), dtype=np.complex128)
-    if len(X):
-        chi = fld.chi_table
-        xt = X.array.T
-        for lo in range(0, len(freqs), _FREQ_BLOCK):
-            dots = (freqs[lo : lo + _FREQ_BLOCK] @ xt) % p
-            out[lo : lo + _FREQ_BLOCK] = chi[(p - dots) % p].sum(axis=1)
-    out *= float(p) ** (-n)
-    return SpectralTable(fld, n, out.reshape((p,) * n))
+    p, n = X.field.p, X.dim
+    _check_cap(p**n, cap)
+    return SpectralTable(X.field, n, np.fft.fftn(_grid(X, 1.0)) * float(p) ** (-n))
 
 
 def plancherel_error(table: SpectralTable, X: PointSet) -> float:
@@ -165,15 +157,7 @@ def zero_sphere_hat_table(field: PrimeField, n: int, method: str = "closed") -> 
         out[0] += 1.0 / p
         return out
     if method == "direct":
-        S0 = _zero_sphere(p, n)
-        freqs = _freq_array(p, n)
-        out = np.zeros(len(freqs), dtype=np.complex128)
-        chi = field.chi_table
-        st = S0.array.T
-        for lo in range(0, len(freqs), _FREQ_BLOCK):
-            dots = (freqs[lo : lo + _FREQ_BLOCK] @ st) % p
-            out[lo : lo + _FREQ_BLOCK] = chi[dots].sum(axis=1)
-        return out * float(p) ** (-n)
+        return np.fft.ifftn(_grid(_zero_sphere(p, n), 1.0)).reshape(-1)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -192,17 +176,10 @@ def inverse_surface_transform(f: SurfaceFunction, cap: int | None = None) -> Spe
     V = f.variety
     if not len(V):
         raise ValueError("empty variety")
-    fld, p, n = V.field, V.field.p, V.dim
-    _check_work(fld, n, len(V), cap)
-    freqs = _freq_array(p, n)
-    chi = fld.chi_table
-    vt = V.array.T
-    out = np.zeros(len(freqs), dtype=np.complex128)
-    for lo in range(0, len(freqs), _FREQ_BLOCK):
-        dots = (freqs[lo : lo + _FREQ_BLOCK] @ vt) % p
-        out[lo : lo + _FREQ_BLOCK] = chi[dots] @ f.values
-    out /= len(V)
-    return SpectralTable(fld, n, out.reshape((p,) * n))
+    p, n = V.field.p, V.dim
+    _check_cap(p**n, cap)
+    out = np.fft.ifftn(_grid(V, f.values)) * (float(p) ** n / len(V))
+    return SpectralTable(V.field, n, out)
 
 
 def extension_ratio(f: SurfaceFunction, r_exp: float, cap: int | None = None) -> float:

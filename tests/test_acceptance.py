@@ -207,7 +207,9 @@ def test_10_planar_triangle_bound():
     )
     worst = max(r.ratio for r in reports)
     ok = all(r.ok for r in reports)
-    detail = ", ".join(f"p={r.p}: ratio {r.ratio:.3f}" for r in reports)
+    detail = "; ".join(
+        f"p={r.p}: ratio {r.ratio:.3f}, excess/bound {r.excess / r.min_bound:+.3f}" for r in reports
+    )
     announce(10, ok, f"planar triangle bound ({detail}); worst ratio {worst:.3f} <= 100")
 
 

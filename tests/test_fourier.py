@@ -5,11 +5,15 @@ import pytest
 
 from ffgeom import counting, fourier, oracle
 from ffgeom.field import PrimeField
-from ffgeom.varieties import PointSet, enum_plane, enum_sphere, random_subset
+from ffgeom.varieties import PointSet, ResourceLimitError, enum_plane, enum_sphere, random_subset
 
 
 def plane(p):
     return enum_plane(PrimeField(p))
+
+
+def space(p, n):
+    return PointSet.build(PrimeField(p), n, fourier._freq_array(p, n).tolist())
 
 
 def rand_plane_subset(p, size, seed):
@@ -27,10 +31,7 @@ def test_origin_indicator_table():
 def test_plancherel_random_sets():
     rng = random.Random(3)
     for p, n in [(7, 2), (11, 2), (23, 2), (5, 3)]:
-        f = PrimeField(p)
-        full = PointSet.build(
-            f, n, (tuple(v) for v in fourier._freq_array(p, n).tolist())
-        )
+        full = space(p, n)
         X = random_subset(full, rng.randint(1, min(40, len(full))), rng.randrange(2**32))
         assert fourier.plancherel_error(fourier.fourier_indicator(X), X) < 1e-9
 
@@ -41,6 +42,22 @@ def test_inversion_recovers_indicator():
     for pt in [(0, 0), (1, 3), (6, 6)] + list(X.points[:4]):
         expect = 1.0 if pt in X else 0.0
         assert abs(fourier.invert_to_indicator(t, pt) - expect) < 1e-9
+
+
+def test_indicator_sign_and_scale_against_definition():
+    # an asymmetric set: Xhat(-m) = conj(Xhat(m)) differs from Xhat(m)
+    p = 101
+    f = PrimeField(p)
+    X = rand_plane_subset(p, 3000, seed=8)
+    t = fourier.fourier_indicator(X)
+    rng = random.Random(9)
+    asymmetric = False
+    for _ in range(16):
+        m = (rng.randrange(p), rng.randrange(p))
+        literal = sum(f.chi(-f.dot(m, x)) for x in X.points) / p**2
+        assert abs(t[m] - literal) < 1e-9
+        asymmetric |= abs(t[m] - t[(-m[0], -m[1])]) > 1e-6
+    assert asymmetric
 
 
 def test_fourier_matches_oracle():
@@ -87,6 +104,22 @@ def test_surface_transform_constants():
     S0 = enum_sphere(f3, 2, 0)
     t0 = fourier.inverse_surface_transform(fourier.SurfaceFunction.constant(S0))
     assert np.allclose(t0.flat, 1.0)
+
+
+def test_surface_transform_sign_and_scale_against_definition():
+    p = 31
+    f = PrimeField(p)
+    V = enum_sphere(f, 2, 5)
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal(len(V)) + 1j * rng.standard_normal(len(V))
+    table = fourier.inverse_surface_transform(fourier.SurfaceFunction(V, vals))
+    asymmetric = False
+    for _ in range(16):
+        c = tuple(int(v) for v in rng.integers(0, p, 2))
+        literal = sum(f.chi(f.dot(c, x)) * v for x, v in zip(V.points, vals)) / len(V)
+        assert abs(table[c] - literal) < 1e-9
+        asymmetric |= abs(table[c] - table[(-c[0], -c[1])]) > 1e-6
+    assert asymmetric
 
 
 def test_extension_ratio_point_mass_closed_form():
@@ -196,7 +229,21 @@ def test_degenerate_pairs_closed_form_hypotheses():
     )
 
 
+@pytest.mark.parametrize("p,n,size,method", [(31, 3, 1200, "direct"), (3, 6, 400, "closed")])
+def test_degenerate_pairs_beyond_oracle_caps(p, n, size, method):
+    X = random_subset(space(p, n), size, seed=7)
+    direct = counting.profile(X).triangles.degenerate_pairs
+    assert direct > 10 * size  # far more than the diagonal pairs
+    assert abs(fourier.degenerate_pairs_fourier(X, method) - direct) <= 1e-6
+
+
 def test_work_cap():
     X = rand_plane_subset(11, 30, seed=4)
     with pytest.raises(Exception):
         fourier.fourier_indicator(X, cap=100)
+    S = enum_sphere(PrimeField(7), 2, 1)
+    with pytest.raises(ResourceLimitError):
+        fourier.inverse_surface_transform(fourier.SurfaceFunction.constant(S), cap=48)
+    # the cap bounds the p^n table entries, not p^n * |X| (here 1.59e8 > 1e8)
+    Y = random_subset(space(43, 3), 2000, seed=4)
+    assert fourier.plancherel_error(fourier.fourier_indicator(Y), Y) < 1e-9
