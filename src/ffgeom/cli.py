@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a verification or assertion fails, 2 on
-usage or config errors.
+usage or config errors and on inputs beyond a resource cap.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import constructions, counting, fourier, oracle, sweep
 from .field import PrimeField
-from .varieties import PointSet, enum_paraboloid, enum_plane, random_subset
+from .varieties import PointSet, ResourceLimitError, enum_paraboloid, enum_plane, random_subset
 
 DEFAULT_VERIFY_PAIRS = "2:3,2:7,2:11,2:19,6:3"
 
@@ -87,7 +87,7 @@ def cmd_fourier_verify(args) -> int:
     worst = 0.0
     for item in args.pairs.split(","):
         n, p = (int(x) for x in item.split(":"))
-        rep = fourier.verify_report(PrimeField(p), n, seed=args.seed)
+        rep = fourier.verify_report(PrimeField(p), n, seed=args.seed, cap=args.cap)
         worst = max(worst, rep["max_abs_err"], rep["plancherel_err"])
         lines.append(
             f"{rep['n']:>3} {rep['p']:>5} {rep['max_abs_err']:>14.3e} {rep['plancherel_err']:>16.3e}"
@@ -105,6 +105,7 @@ def cmd_extension_ratio(args) -> int:
         trials=args.trials,
         seed=args.seed,
         radius=args.radius,
+        cap=args.cap,
     )
     _emit(json.dumps(stats, indent=2) + "\n", args.out)
     return 0
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
             setattr(args, key, value)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, ResourceLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -25,15 +25,29 @@ histogram (prod and M), per-apex dot histograms (D), per-apex distance
 histograms (isosceles total, zero equal sides, degenerate pairs) and the
 pairs i < j at distance zero and at base distance zero.
 
-What remains are sums over those zero pairs (y, z) of pair agreements, the
-number of apexes x whose columns agree: dist(x, y) = dist(x, z) gives c_base
-(isosceles triples with zero base), both distances zero gives c_both (all
-sides zero), and x.y = x.z, that is x.(y - z) = 0, gives the triples that D*
-removes from D. A diagonal pair agrees at every apex, so the n diagonal
-pairs add n^2 to c_base and to the D* correction and the degenerate-pair
-count to c_both; (i, j) and (j, i) agree alike, so a second pass, run only
-when off-diagonal zero pairs exist, gathers each pair once with i < j. No
-n x n array is allocated.
+What remains are sums over those zero pairs (y, z), i < j, each counted
+twice for (y, z) and (z, y), plus the n diagonal pairs. With w = y - z:
+
+* c_base (isosceles triples with zero base): dist(x, y) = dist(x, z) iff
+  2 x.w = ||y|| - ||z||. Writing w = t u with u's first nonzero coordinate
+  1 (the projective class of w), the agreeing apexes are those with
+  x.u = (||y|| - ||z||) / (2t).
+* D* removes the triples with x.y = x.z over the base-zero pairs, that is
+  x.u = 0: the same lookup with target 0, u the class of the full y - z.
+* So one histogram of x.u per distinct class u answers every pair. Both
+  pair lists share one class table (grouped with a lexsort), and the
+  histograms are built in blocks of _ROW_BLOCK classes. In the plane there
+  are at most 2 classes, the slope +-i lines; in high dimension the class
+  count can approach the pair count and takes the same path.
+* c_both (all three sides zero) is trace(Z^3) for the zero-distance matrix
+  Z, diagonal included: n + 6m + 6T, with m the zero pairs i < j and T the
+  triangles of their graph, counted from forward wedges checked against the
+  sorted edge keys.
+
+A diagonal pair agrees at every apex, so the diagonal adds n^2 to c_base and
+to the D* correction. The Gram matrix is formed once per row block and no
+n x n array is allocated; the zero-pair lists and their per-pair arrays are
+held within ZERO_PAIR_BYTE_CAP.
 
 Counts are returned as Python ints (arbitrary precision); numpy int64 is
 used only for intermediates whose ranges stay well inside 63 bits at the
@@ -55,11 +69,13 @@ from .varieties import (
     restrict_nonzero_base,
 )
 
-# Byte budget for the zero-pair index lists, which reach |X|^2 / 2 pairs on
-# a fully degenerate set; everything else takes O(block * (|X| + p)) memory.
+# Byte budget for the zero-pair lists and their per-pair class arrays
+# (`_pair_bytes` each), which reach |X|^2 / 2 pairs on a fully degenerate
+# set; everything else takes O(block * (|X| + p)) memory.
 ZERO_PAIR_BYTE_CAP = 800_000_000
 
 _ROW_BLOCK = 512
+_WEDGE_BLOCK = 1 << 16
 
 
 def _require_compatible(a: PointSet, b: PointSet) -> None:
@@ -148,13 +164,11 @@ class Profile:
     D: int
     D_star: int
     triangles: TriangleCounts
-
-
-def _pair_blocks(arr: np.ndarray, p: int):
-    """Yield (lo, gram, dist) over row blocks, dist[x, y] = ||x - y||."""
-    nrm = (arr * arr).sum(axis=1) % p
-    for lo, gram in _gram_blocks(arr, arr, p):
-        yield lo, gram, (nrm[lo : lo + len(gram), None] + nrm - 2 * gram) % p
+    # work counters: pairs i < j at distance zero and at base distance zero,
+    # and the distinct projective classes of their differences y - z
+    zero_pairs: int
+    base_zero_pairs: int
+    isotropic_classes: int
 
 
 def _upper_zeros(lo: int, block: np.ndarray) -> np.ndarray:
@@ -164,11 +178,89 @@ def _upper_zeros(lo: int, block: np.ndarray) -> np.ndarray:
     return pairs[:, pairs[0] < pairs[1]]
 
 
-def _column_pairs(block: np.ndarray, pairs: np.ndarray):
-    """Yield the columns of block at both ends of each pair, in chunks."""
-    for lo in range(0, pairs.shape[1], _ROW_BLOCK):
-        ii, jj = pairs[:, lo : lo + _ROW_BLOCK]
-        yield block[:, ii], block[:, jj]
+def _pair_bytes(dim: int) -> int:
+    """Bytes `profile` holds per zero pair at its peak: the pair's two
+    indices, its class row u of dim words, and at most six more words of
+    leading-coordinate inverse, target, class index and sort scratch."""
+    return 8 * (dim + 8)
+
+
+def _row_classes(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, cls): the distinct rows of u in lexicographic order, and the
+    index in classes of each row of u."""
+    order = np.lexsort(u.T[::-1])
+    new = np.zeros(len(u), dtype=bool)
+    new[:1] = True
+    for col in u.T:
+        c = col[order]
+        new[1:] |= c[1:] != c[:-1]
+    ids = np.cumsum(new) - 1
+    cls = np.empty_like(order)
+    cls[order] = ids
+    return u[order[new]], cls
+
+
+def _class_agreements(arr, nrm, p, pairs, k, base_from):
+    """(off_base, off_star, classes) over zero pairs (y, z) = pairs[:, e].
+
+    off_base sums, over the distance-zero pairs e < k, the apexes x with
+    x.u = (||y|| - ||z||) / (2t); off_star sums, over the base-zero pairs
+    e >= base_from, the x with x.u = 0, where y - z = t u and u is the
+    class of y - z (module docstring). The dels keep the peak per pair
+    within `_pair_bytes`.
+    """
+    i, j = pairs
+    u = arr[i]
+    for lo in range(0, len(u), _ROW_BLOCK):
+        u[lo : lo + _ROW_BLOCK] -= arr[j[lo : lo + _ROW_BLOCK]]
+    u %= p
+    lead = u[np.arange(len(u)), (u != 0).argmax(axis=1)]
+    leads = np.unique(lead)
+    inv = np.array([pow(int(t), -1, p) for t in leads], dtype=np.int64)
+    inv = inv[np.searchsorted(leads, lead)]
+    del lead
+    u *= inv[:, None]
+    u %= p
+    target = (nrm[i[:k]] - nrm[j[:k]]) * inv[:k] % p * ((p + 1) // 2) % p
+    del inv
+    classes, cls = _row_classes(u)
+    base_counts = np.bincount(cls[base_from:], minlength=len(classes))
+    # (class, target) of each distance-zero pair as one sorted flat index, so
+    # the pairs of a block of classes form one span
+    flat = np.sort(cls[:k] * p + target)
+    off_base = off_star = 0
+    for c0 in range(0, len(classes), _ROW_BLOCK):
+        c1 = c0 + _ROW_BLOCK
+        hist = _row_histograms((classes[c0:c1] @ arr.T) % p, p)
+        a, b = np.searchsorted(flat, [c0 * p, c1 * p])
+        off_base += int(hist.ravel()[flat[a:b] - c0 * p].sum())
+        off_star += int(hist[:, 0] @ base_counts[c0:c1])
+    return off_base, off_star, len(classes)
+
+
+def _triangles(i: np.ndarray, j: np.ndarray, n: int) -> int:
+    """Triangles of the graph whose edges i < j are listed in increasing
+    order of the key i * n + j.
+
+    Edge (i, j) and each later edge (i, k) of its row form a forward wedge,
+    a triangle when (j, k) is an edge; the wedges are checked against the
+    sorted keys in chunks of about _WEDGE_BLOCK.
+    """
+    keys = i * n + j
+    m = len(keys)
+    fan = np.searchsorted(i, i, side="right") - np.arange(m) - 1
+    ends = np.cumsum(fan)
+    found = lo = 0
+    while lo < m:
+        hi = max(int(np.searchsorted(ends, ends[lo] - fan[lo] + _WEDGE_BLOCK, side="right")), lo + 1)
+        f = fan[lo:hi]
+        first = np.repeat(np.arange(lo, hi), f)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(f) - f, f)
+        closing = j[first] * n + j[second]
+        at = np.searchsorted(keys, closing)
+        found += int((keys[np.minimum(at, m - 1)] == closing).sum())
+        lo = hi
+    return found
 
 
 def profile(E: PointSet) -> Profile:
@@ -179,14 +271,17 @@ def profile(E: PointSet) -> Profile:
     """
     p, n, arr = E.field.p, len(E), E.array
     last = arr[:, -1] if on_paraboloid(E) else None
+    nrm = (arr * arr).sum(axis=1) % p
+    pair_bytes = _pair_bytes(E.dim)
     dots = np.zeros(p, dtype=np.int64)
     d_total = total_iso = eq_zero_sides = degenerate = 0
     empty = np.zeros((2, 0), dtype=np.intp)
     dist_found, base_found = [empty], [empty]
-    for lo, gram, dist in _pair_blocks(arr, p):
+    for lo, gram in _gram_blocks(arr, arr, p):
         hist = _row_histograms(gram, p)
         dots += hist.sum(axis=0)
         d_total += int((hist * hist).sum())
+        dist = (nrm[lo : lo + len(gram), None] + nrm - 2 * gram) % p
         hist = _row_histograms(dist, p)
         total_iso += int((hist * hist).sum())
         zeros = hist[:, 0]
@@ -196,22 +291,22 @@ def profile(E: PointSet) -> Profile:
         if last is not None:
             y_d = last[lo : lo + len(gram), None]
             base_found.append(_upper_zeros(lo, (y_d + last - 2 * (gram - y_d * last)) % p))
-        if sum(f.nbytes for f in dist_found + base_found) > ZERO_PAIR_BYTE_CAP:
+        if sum(f.shape[1] for f in dist_found + base_found) * pair_bytes > ZERO_PAIR_BYTE_CAP:
             raise ResourceLimitError(f"zero pairs of {n} points exceed {ZERO_PAIR_BYTE_CAP} bytes")
 
-    dist_pairs = np.concatenate(dist_found, axis=1)
-    base_pairs = dist_pairs if last is None else np.concatenate(base_found, axis=1)
-    off_base = off_both = off_star = 0
-    if dist_pairs.size or base_pairs.size:
-        for _, gram, dist in _pair_blocks(arr, p):
-            for a, b in _column_pairs(dist, dist_pairs):
-                off_base += int((a == b).sum())
-                off_both += int(((a == 0) & (b == 0)).sum())
-            for a, b in _column_pairs(gram, base_pairs):
-                off_star += int((a == b).sum())
+    m = sum(f.shape[1] for f in dist_found)
+    # distance-zero pairs first, then base-zero pairs (the same pairs off a
+    # paraboloid, where the base is all coordinates)
+    pairs = np.concatenate(dist_found + base_found, axis=1)
+    del dist_found, base_found
+    base_from = 0 if last is None else m
+    off_base = off_star = classes = zero_triangles = 0
+    if pairs.size:
+        off_base, off_star, classes = _class_agreements(arr, nrm, p, pairs, m, base_from)
+        zero_triangles = _triangles(*pairs[:, :m], n)
 
     c_base = n * n + 2 * off_base
-    c_both = degenerate + 2 * off_both
+    c_both = n + 6 * m + 6 * zero_triangles
     t_de = eq_zero_sides + c_base - c_both
     triangles = TriangleCounts(
         t_nde=total_iso - t_de,
@@ -226,6 +321,9 @@ def profile(E: PointSet) -> Profile:
         D=d_total,
         D_star=d_total - n * n - 2 * off_star,
         triangles=triangles,
+        zero_pairs=m,
+        base_zero_pairs=pairs.shape[1] - base_from,
+        isotropic_classes=classes,
     )
 
 

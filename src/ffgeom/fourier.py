@@ -200,6 +200,7 @@ def extension_ratio_stats(
     trials: int = 200,
     seed: int = 0,
     radius: int | None = None,
+    cap: int | None = None,
 ) -> dict:
     """Max and mean extension ratio over random complex-gaussian surface
     functions on spheres of nonzero radius (random radius per trial unless
@@ -211,12 +212,12 @@ def extension_ratio_stats(
         r = radius if radius is not None else int(rng.integers(1, field.p))
         V = spheres.get(r)
         if V is None:
-            V = enum_sphere(field, n, r)
+            V = enum_sphere(field, n, r, cap)
             spheres[r] = V
         if not len(V):
             continue
         vals = rng.standard_normal(len(V)) + 1j * rng.standard_normal(len(V))
-        ratios.append(extension_ratio(SurfaceFunction(V, vals), r_exp))
+        ratios.append(extension_ratio(SurfaceFunction(V, vals), r_exp, cap))
     if not ratios:
         raise ValueError(f"every sampled sphere in F_{field.p}^{n} is empty")
     return {
@@ -278,15 +279,17 @@ def degenerate_pairs_fourier(X: PointSet, method: str = "closed") -> float:
     return float(val.real)
 
 
-def verify_report(field: PrimeField, n: int, seed: int = 0) -> dict:
-    """One row of the fourier-verify table for a (n, p) pair."""
+def verify_report(field: PrimeField, n: int, seed: int = 0, cap: int | None = None) -> dict:
+    """One row of the fourier-verify table for a (n, p) pair; the work is
+    O(p^n), so the cap bounds p^n before anything is built."""
     import random
 
     from .varieties import random_subset
 
+    p = field.p
+    _check_cap(p**n, cap)
     max_err = zero_sphere_max_error(field, n)
     rng = random.Random(seed)
-    p = field.p
     size = min(p**n, 4 * p)
     full = PointSet.build(field, n, _freq_array(p, n).tolist())
     X = random_subset(full, size, seed=rng.randrange(2**32))

@@ -1,11 +1,12 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ffgeom import counting, oracle
-from ffgeom.constructions import isotropic_lines_set
+from ffgeom.constructions import construct_odd_3mod4, isotropic_lines_set
 from ffgeom.field import PrimeField
 from ffgeom.varieties import (
     PointSet,
@@ -258,13 +259,15 @@ def test_counts_json_fixed_keys():
 
 
 def test_small_row_blocks_match_oracles(monkeypatch):
-    # 7-row blocks: sets of 30-60 points cross many block edges in both the
-    # first pass and the zero-pair pass.
+    # 7-row blocks: sets of 30-60 points cross many block edges in the Gram
+    # pass and, with more than 7 classes, in the class histograms; 5-wedge
+    # chunks split the triangle count of the zero-distance graph.
     monkeypatch.setattr(counting, "_ROW_BLOCK", 7)
+    monkeypatch.setattr(counting, "_WEDGE_BLOCK", 5)
     for rep in oracle.run_battery(seed=4, instances=12):
         assert rep.match, rep.line()
     rng = random.Random(43)
-    crossed = 0
+    crossed = classes_crossed = 0
     for p in (13, 17, 29):
         for sample in (rand_plane_subset, lambda p, n, s: rand_paraboloid_subset(p, 3, n, s)):
             E = sample(p, rng.randint(30, 60), rng.randrange(2**32))
@@ -277,16 +280,135 @@ def test_small_row_blocks_match_oracles(monkeypatch):
             assert doc["prod_size"] == len(oracle.oracle_product(E))
             assert counting.product_set(E, F) == oracle.oracle_product(E, F)
             crossed += tri["degenerate_pairs"] > len(E)
+            classes_crossed += counting.profile(E).isotropic_classes > 7
     assert crossed  # some sets had off-diagonal zero pairs
+    assert classes_crossed  # and some had more than one block of classes
 
 
 def test_zero_pair_byte_cap(monkeypatch):
     X = isotropic_lines_set(PrimeField(13), 2, 5, seed=0)  # 20 pairs at distance zero
-    monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", 16 * 19)
-    with pytest.raises(ResourceLimitError, match="bytes"):
-        counting.profile(X)
-    monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", 16 * 20)
+    budget = 20 * counting._pair_bytes(2)
+    # the index lists alone (16 bytes a pair) no longer fit: the class rows,
+    # targets and sort arrays count too
+    for cap in (16 * 20, budget - 1):
+        monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", cap)
+        with pytest.raises(ResourceLimitError, match="bytes"):
+            counting.profile(X)
+    monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", budget)
     assert counting.profile(X).triangles.t_zero_triples >= 2 * 5**3
+
+
+@pytest.mark.parametrize("kind", ["lines", "odd3mod4"])
+def test_zero_pair_budget_bounds_traced_peak(monkeypatch, kind):
+    """The bytes profile allocates stay within _pair_bytes per table row.
+
+    8-row blocks and 1024-wedge chunks make the per-pair arrays dominate the
+    O(block * (n + p)) rest, so an array of a word per pair that escaped the
+    budget would show.
+    """
+    if kind == "lines":
+        E = isotropic_lines_set(PrimeField(149), 2, 149, seed=0)  # 22 201 pairs
+    else:
+        E = construct_odd_3mod4(PrimeField(11), 7, 5, seed=0)  # 72 600 rows
+    monkeypatch.setattr(counting, "_ROW_BLOCK", 8)
+    monkeypatch.setattr(counting, "_WEDGE_BLOCK", 1024)
+    counting.profile(E)  # lazy set-up (E.array, numpy's first calls) outside the trace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pr = counting.profile(E)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # class-table rows: the distance-zero pairs, plus the base-zero pairs on a
+    # paraboloid (off one they are the same pairs)
+    rows = pr.zero_pairs + (pr.base_zero_pairs if on_paraboloid(E) else 0)
+    assert rows > 50 * len(E)
+    assert peak <= rows * counting._pair_bytes(E.dim)
+
+
+# -- the class corrections against a dense reference beyond the oracle caps ---
+
+
+def _dense_profile(E):
+    """Every Profile field from n x n gram/dist matrices: c_both as
+    trace(Z^3), c_base and D*'s correction as column agreements."""
+    p, n, arr = E.field.p, len(E), E.array
+    gram = (arr @ arr.T) % p
+    nrm = np.diag(gram)
+    dist = (nrm[:, None] + nrm - 2 * gram) % p
+    base = arr[:, :-1] if on_paraboloid(E) else arr
+    bn = (base * base).sum(axis=1) % p
+    base_dist = (bn[:, None] + bn - 2 * (base @ base.T)) % p
+
+    def square_sums(m):
+        return sum(int((np.bincount(row, minlength=p) ** 2).sum()) for row in m)
+
+    zero = dist == 0
+    z = zero.astype(np.float64)
+    c_both = int(round(float(((z @ z) * z.T).sum())))
+    c_base = sum(int((dist[:, zero[y]] == dist[:, [y]]).sum()) for y in range(n))
+    star_fix = sum(int((gram[:, base_dist[y] == 0] == gram[:, [y]]).sum()) for y in range(n))
+    zeros_per_row = zero.sum(axis=1)
+    total_iso, eq_zero = square_sums(dist), int((zeros_per_row**2).sum())
+    t_de = eq_zero + c_base - c_both
+    D = square_sums(gram)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    i, j = np.nonzero((zero | (base_dist == 0)) & upper)
+    w = (arr[i] - arr[j]) % p
+    lead = w[np.arange(len(w)), (w != 0).argmax(axis=1)]
+    u = w * np.array([pow(int(t), -1, p) for t in lead], dtype=np.int64)[:, None] % p
+    return counting.Profile(
+        dots=counting.DotHistogram(E.field, tuple(int(c) for c in np.bincount(gram.ravel(), minlength=p))),
+        D=D,
+        D_star=D - star_fix,
+        triangles=counting.TriangleCounts(
+            t_nde=total_iso - t_de,
+            t_de=t_de,
+            t_star=total_iso - c_base,
+            degenerate_pairs=int(zeros_per_row.sum()),
+            t_nde_raw=total_iso - eq_zero,
+            t_zero_triples=c_both,
+        ),
+        zero_pairs=int((zero & upper).sum()),
+        base_zero_pairs=int(((base_dist == 0) & upper).sum()),
+        isotropic_classes=len(np.unique(u, axis=0)),
+    )
+
+
+@pytest.fixture(scope="module", params=["odd3mod4", "paraboloid"])
+def dense_case(request):
+    """The p = 11, d = 7, k = 5 construction (605 points; its zero graph is
+    a union of cliques) and 1500 points of the p = 401 paraboloid (more
+    classes than one block holds)."""
+    if request.param == "odd3mod4":
+        E = construct_odd_3mod4(PrimeField(11), 7, 5, seed=0)
+    else:
+        E = rand_paraboloid_subset(401, 3, 1500, seed=3)
+    return E, _dense_profile(E)
+
+
+def test_profile_matches_dense_reference(dense_case, monkeypatch):
+    E, ref = dense_case
+    assert ref.zero_pairs > len(E) and ref.triangles.t_zero_triples > len(E)
+    if E.dim == 3:
+        assert ref.isotropic_classes > counting._ROW_BLOCK
+    assert counting.profile(E) == ref
+    # wedge chunks of a single edge's fan and of a few fans
+    for chunk in (1, 100):
+        monkeypatch.setattr(counting, "_WEDGE_BLOCK", chunk)
+        assert counting.profile(E) == ref
+
+
+def test_planar_isotropic_classes():
+    # the obstruction in the plane: over p = 1 mod 4 the zero-distance
+    # differences lie on the two slope +-i lines; over p = 3 mod 4 the only
+    # isotropic vector is 0
+    pr = counting.profile(rand_plane_subset(101, 1500, seed=6))
+    assert pr.zero_pairs > 0 and pr.isotropic_classes == 2
+    assert pr.base_zero_pairs == pr.zero_pairs
+    pr = counting.profile(rand_plane_subset(103, 1500, seed=6))
+    assert pr.zero_pairs == pr.base_zero_pairs == pr.isotropic_classes == 0
 
 
 def _translate(E, shift):

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ffgeom import cli, sweep
+from ffgeom import cli, counting, sweep
+from ffgeom.constructions import isotropic_lines_set
 from ffgeom.field import PrimeField
 from ffgeom.varieties import PointSet, enum_plane, random_subset
 
@@ -294,3 +295,28 @@ def test_cli_unusable_arguments_exit_2(capsys, argv, missing):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and missing in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--cap", "10", "count", "--full-paraboloid", "7", "3"],
+        ["--cap", "10", "fourier-verify", "--pairs", "2:7"],
+        ["--cap", "10", "extension-ratio", "--p", "43"],
+        # the sphere (86 <= 100) passes; the 43^2-entry surface transform does not
+        ["--cap", "100", "extension-ratio", "--p", "43", "--trials", "3"],
+    ],
+)
+def test_cli_cap_exceeded_exit_2(capsys, argv):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds cap" in err and err.count("\n") == 1
+
+
+def test_cli_zero_pair_byte_cap_exit_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "lines.txt"
+    isotropic_lines_set(PrimeField(13), 2, 5, seed=0).save(path)
+    monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", 100)
+    assert cli.main(["count", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bytes" in err and err.count("\n") == 1
