@@ -185,18 +185,8 @@ def cmd_mpprp(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    rows = [
-        {
-            "p": r.p,
-            "size": r.size,
-            "t_star": r.t_star,
-            "excess": r.excess,
-            "min_bound": r.min_bound,
-            "ratio": r.ratio,
-            "ok": r.ok,
-        }
-        for r in reports
-    ]
+    keys = ("p", "size", "t_star", "excess", "min_bound", "ratio", "ok")
+    rows = [{k: getattr(r, k) for k in keys} for r in reports]
     _emit(json.dumps(rows, indent=2) + "\n", args.out)
     return 0 if all(r.ok for r in reports) else 1
 

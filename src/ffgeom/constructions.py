@@ -13,9 +13,11 @@ import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .counting import product_set
 from .field import PrimeField
-from .varieties import PointSet, on_paraboloid
+from .varieties import PointSet, _space, on_paraboloid
 
 FRAME_EXHAUSTIVE_LIMIT = 1_000_000
 
@@ -200,14 +202,10 @@ def _extend_frame(field, dim, vectors, rng, budget):
 
 
 def span_points(field: PrimeField, vectors, dim: int) -> list[tuple[int, ...]]:
-    """All linear combinations of the given (independent) vectors."""
-    p = field.p
-    if not vectors:
-        return [(0,) * dim]
-    out = []
-    for coeffs in itertools.product(range(p), repeat=len(vectors)):
-        out.append(_combine(coeffs, vectors, p))
-    return out
+    """All linear combinations of the given (independent) vectors, with the
+    coefficient tuples in lexicographic order."""
+    basis = np.array(vectors, dtype=np.int64).reshape(len(vectors), dim)
+    return list(map(tuple, (_space(field.p, len(basis)) @ basis % field.p).tolist()))
 
 
 # -- the constructions -----------------------------------------------------
@@ -262,10 +260,8 @@ def construct_odd_3mod4(field: PrimeField, d: int, k: int, seed: int = 0) -> Poi
 
 
 def _frame_span(field, ambient_dim, count, seed):
-    if count == 0:
-        return [()] if ambient_dim == 0 else [(0,) * ambient_dim]
-    frame = isotropic_frame(field, ambient_dim, count, seed)
-    return span_points(field, list(frame.vectors), ambient_dim)
+    frame = isotropic_frame(field, ambient_dim, count, seed).vectors if count else ()
+    return span_points(field, frame, ambient_dim)
 
 
 def construct_even_0mod4(field: PrimeField, d: int, k: int, seed: int = 0) -> PointSet:
@@ -290,13 +286,10 @@ def construct_even_0mod4(field: PrimeField, d: int, k: int, seed: int = 0) -> Po
         small = isotropic_frame(field, d - 2, m, seed)
         embedded = [u + (0, 0) for u in small.vectors]
     IsotropicFrame(field, d, tuple(embedded) + (v_last,)).verify()
-    W = span_points(field, embedded, d)
-    pts = []
-    for w in W:
-        for a in sorted(A.elements):
-            x = tuple((wc + a * vc) % p for wc, vc in zip(w, v_last))
-            pts.append(x[:-1] + ((-(x[-1] * x[-1])) % p,))
-    E = PointSet.build(field, d, pts)
+    # w + a v_last for w in the span and a in A, last coordinate -x_d^2
+    x = (np.array(span_points(field, embedded, d))[:, None] + np.outer(sorted(A.elements), v_last)) % p
+    x[..., -1] = -x[..., -1] ** 2 % p
+    E = PointSet.build(field, d, x.reshape(-1, d))
     allowed = _ap_a2(field, A.elements) | _am_a2(field, A.elements)
     _verify(E, k * p**m, allowed, "even_0mod4")
     return E
@@ -326,11 +319,9 @@ def isotropic_lines_set(
     i = field.sqrt_minus_one()
     rng = random.Random(seed)
     offsets = sorted(rng.sample(range(p), num_lines))
-    pts = []
-    for c in offsets:
-        for x in sorted(rng.sample(range(p), points_per_line)):
-            pts.append((x, (i * x + c) % p))
-    E = PointSet.build(field, 2, pts)
+    xs = np.array([sorted(rng.sample(range(p), points_per_line)) for _ in offsets])
+    ys = (i * xs + np.array(offsets)[:, None]) % p  # row c: the line y = i x + c
+    E = PointSet.build(field, 2, np.column_stack([xs.ravel(), ys.ravel()]))
     if len(E) != num_lines * points_per_line:
         raise ConstructionError("lines construction produced overlapping points")
     return E

@@ -23,7 +23,10 @@ x.y mod p in row blocks (`_gram_blocks`, the only place a Gram matrix is
 formed; `dot_histogram` shares it for E x F). One pass takes the product
 histogram (prod and M), per-apex dot histograms (D), per-apex distance
 histograms (isosceles total, zero equal sides, degenerate pairs) and the
-pairs i < j at distance zero and at base distance zero.
+pairs i < j at distance zero and at base distance zero. Each scan runs only
+where its sum of m squares is isotropic: m >= 3, or m = 2 and p = 1 mod 4
+(Chevalley-Warning; -1 is a square). So over p = 3 mod 4 there is no base
+scan on a paraboloid in F_p^3 and no scan at all in the plane.
 
 What remains are sums over those zero pairs (y, z), i < j, each counted
 twice for (y, z) and (z, y), plus the n diagonal pairs. With w = y - z:
@@ -95,6 +98,13 @@ def _row_histograms(block: np.ndarray, p: int) -> np.ndarray:
     rows = block.shape[0]
     offsets = block + p * np.arange(rows, dtype=np.int64)[:, None]
     return np.bincount(offsets.ravel(), minlength=p * rows).reshape(rows, p)
+
+
+def _inverses(a: np.ndarray, p: int) -> np.ndarray:
+    """The inverse mod p of each (nonzero) entry of a."""
+    vals = np.unique(a)
+    inv = np.array([pow(int(t), -1, p) for t in vals], dtype=np.int64)
+    return inv[np.searchsorted(vals, a)]
 
 
 @dataclass(frozen=True)
@@ -172,10 +182,12 @@ class Profile:
 
 
 def _upper_zeros(lo: int, block: np.ndarray) -> np.ndarray:
-    """(2, k) array of the pairs i < j with block[i - lo, j] == 0."""
-    pairs = np.array(np.nonzero(block == 0))
-    pairs[0] += lo
-    return pairs[:, pairs[0] < pairs[1]]
+    """(2, k) array of the pairs i < j with block[i - lo, j] == 0, in
+    row-major order; only the columns j >= lo can hold such a pair."""
+    right = block[:, lo:]
+    i, j = np.divmod(np.flatnonzero(right == 0), right.shape[1])
+    upper = i < j
+    return np.stack([i[upper], j[upper]]) + lo
 
 
 def _pair_bytes(dim: int) -> int:
@@ -214,11 +226,7 @@ def _class_agreements(arr, nrm, p, pairs, k, base_from):
     for lo in range(0, len(u), _ROW_BLOCK):
         u[lo : lo + _ROW_BLOCK] -= arr[j[lo : lo + _ROW_BLOCK]]
     u %= p
-    lead = u[np.arange(len(u)), (u != 0).argmax(axis=1)]
-    leads = np.unique(lead)
-    inv = np.array([pow(int(t), -1, p) for t in leads], dtype=np.int64)
-    inv = inv[np.searchsorted(leads, lead)]
-    del lead
+    inv = _inverses(u[np.arange(len(u)), (u != 0).argmax(axis=1)], p)
     u *= inv[:, None]
     u %= p
     target = (nrm[i[:k]] - nrm[j[:k]]) * inv[:k] % p * ((p + 1) // 2) % p
@@ -271,6 +279,9 @@ def profile(E: PointSet) -> Profile:
     """
     p, n, arr = E.field.p, len(E), E.array
     last = arr[:, -1] if on_paraboloid(E) else None
+    # off an isotropic form no two distinct points are at zero (base) distance
+    scan_dist = E.field.isotropic(E.dim)
+    scan_base = last is not None and E.field.isotropic(E.dim - 1)
     nrm = (arr * arr).sum(axis=1) % p
     pair_bytes = _pair_bytes(E.dim)
     dots = np.zeros(p, dtype=np.int64)
@@ -287,8 +298,9 @@ def profile(E: PointSet) -> Profile:
         zeros = hist[:, 0]
         eq_zero_sides += int((zeros * zeros).sum())
         degenerate += int(zeros.sum())
-        dist_found.append(_upper_zeros(lo, dist))
-        if last is not None:
+        if scan_dist:
+            dist_found.append(_upper_zeros(lo, dist))
+        if scan_base:
             y_d = last[lo : lo + len(gram), None]
             base_found.append(_upper_zeros(lo, (y_d + last - 2 * (gram - y_d * last)) % p))
         if sum(f.shape[1] for f in dist_found + base_found) * pair_bytes > ZERO_PAIR_BYTE_CAP:
@@ -351,17 +363,21 @@ def isosceles_counts(X: PointSet) -> TriangleCounts:
 
 def apex(field: PrimeField, x: tuple[int, ...]) -> tuple[int, ...]:
     """Map a paraboloid point to -xbar / (2 ||xbar||) one dimension down."""
-    xbar = x[:-1]
-    nb = field.norm(xbar)
-    if nb == 0:
+    return tuple(_apexes(np.array([x], dtype=np.int64), field.p)[0].tolist())
+
+
+def _apexes(arr: np.ndarray, p: int) -> np.ndarray:
+    """`apex` of every row of arr, as an array one column narrower."""
+    base = arr[:, :-1]
+    nb = (base * base).sum(axis=1) % p
+    if not nb.all():
         raise ValueError("apex undefined: base norm is zero")
-    scale = field.neg(field.inv(2 * nb))
-    return tuple(c * scale % field.p for c in xbar)
+    return base * (p - _inverses(2 * nb % p, p))[:, None] % p
 
 
 def apex_set(E: PointSet) -> PointSet:
     """Apply the apex map to every point (all must have nonzero base norm)."""
-    return PointSet.build(E.field, E.dim - 1, (apex(E.field, x) for x in E.points))
+    return PointSet.build(E.field, E.dim - 1, _apexes(E.array, E.field.p))
 
 
 def reduction_equiv(
@@ -392,24 +408,18 @@ def _equal_pairs(keys: np.ndarray) -> int:
 def scan_reduction_identity(E: PointSet) -> tuple[int, int]:
     """Check the reduction over all triples (x, y, z) in E^3 with apex x
     restricted to nonzero base norm. Returns (triples checked, mismatches)."""
-    fld = E.field
-    p = fld.p
-    arr = E.array
+    p, arr = E.field.p, E.array
     ybar = arr[:, :-1]
     ynrm = (ybar * ybar).sum(axis=1) % p
-    checked = 0
+    apexes = arr[ynrm != 0]
     mismatches = 0
-    for x in E.points:
-        if fld.norm(x[:-1]) == 0:
-            continue
-        a = np.array(apex(fld, x), dtype=np.int64)
-        dx = (arr @ np.array(x, dtype=np.int64)) % p
+    for x, a in zip(apexes, _apexes(apexes, p)):
+        dx = (arr @ x) % p
         anrm = int((a * a).sum() % p)
         adist = (anrm - 2 * (ybar @ a) + ynrm) % p
         # pairs where exactly one side holds: |lhs| + |rhs| - 2 |lhs and rhs|
-        checked += len(E) ** 2
         mismatches += _equal_pairs(dx) + _equal_pairs(adist) - 2 * _equal_pairs(dx * p + adist)
-    return checked, mismatches
+    return len(apexes) * len(E) ** 2, mismatches
 
 
 @dataclass(frozen=True)

@@ -70,17 +70,6 @@ class PrimeField:
     def __hash__(self) -> int:
         return hash(("PrimeField", self.p))
 
-    # -- scalar arithmetic ---------------------------------------------------
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return pow(a, self.p - 2, self.p)
-
     # -- quadratic residues --------------------------------------------------
 
     def legendre(self, a: int) -> int:
@@ -130,6 +119,10 @@ class PrimeField:
             b = pow(c, 1 << (m - i - 1), p)
             m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
         return r
+
+    def isotropic(self, m: int) -> bool:
+        """Whether a sum of m squares vanishes at a nonzero vector of F_p^m."""
+        return m >= 3 or (m == 2 and self.p % 4 == 1)
 
     def sqrt_minus_one(self) -> int | None:
         """The smaller square root of -1, or None when p = 3 mod 4."""

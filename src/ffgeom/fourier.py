@@ -20,33 +20,30 @@ so the enumeration cap bounds the table's p^n entries.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .field import PrimeField
-from .varieties import PointSet, _check_cap, enum_sphere
-
-
-@lru_cache(maxsize=32)
-def _freq_array(p: int, n: int) -> np.ndarray:
-    """All p^n frequency vectors in lexicographic order, shape (p^n, n)."""
-    arr = np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T.copy()
-    arr.setflags(write=False)
-    return arr
+from .varieties import PointSet, _check_cap, _space, enum_sphere
 
 
 @lru_cache(maxsize=32)
 def _freq_norms(p: int, n: int) -> np.ndarray:
-    arr = _freq_array(p, n)
-    out = (arr * arr).sum(axis=1) % p
+    """||m|| of every frequency m in lexicographic order, by outer sums."""
+    sq = np.arange(p, dtype=np.int64) ** 2 % p
+    out = sq
+    for _ in range(n - 1):
+        out = np.add.outer(out, sq) % p
+    out = out.reshape(-1)
     out.setflags(write=False)
     return out
 
 
 def all_frequencies(field: PrimeField, n: int) -> list[tuple[int, ...]]:
-    return [tuple(row) for row in _freq_array(field.p, n).tolist()]
+    return [tuple(row) for row in _space(field.p, n).tolist()]
 
 
 @lru_cache(maxsize=32)
@@ -115,7 +112,7 @@ def plancherel_error(table: SpectralTable, X: PointSet) -> float:
 def invert_to_indicator(table: SpectralTable, x) -> complex:
     """sum_m Xhat(m) chi(m.x); equals 1_X(x) for indicator tables."""
     p = table.field.p
-    freqs = _freq_array(p, table.n)
+    freqs = _space(p, table.n)
     dots = (freqs @ np.array(x, dtype=np.int64)) % p
     return complex((table.flat * table.field.chi_table[dots]).sum())
 
@@ -163,9 +160,9 @@ def zero_sphere_hat_table(field: PrimeField, n: int, method: str = "closed") -> 
 
 def zero_sphere_max_error(field: PrimeField, n: int) -> float:
     """Max absolute gap between the closed form and direct enumeration."""
-    closed = zero_sphere_hat_table(field, n, "closed")
-    direct = zero_sphere_hat_table(field, n, "direct")
-    return float(np.abs(closed - direct).max())
+    gap = zero_sphere_hat_table(field, n, "direct")
+    gap -= zero_sphere_hat_table(field, n, "closed")
+    return float(np.abs(gap).max())
 
 
 # -- surface measures and extension ratios --------------------------------
@@ -237,7 +234,7 @@ def spectral_sphere_sum(table: SpectralTable, y, r: int) -> complex:
     """sum over frequencies m of norm r of Xhat(m) chi(y.m)."""
     p = table.field.p
     mask = _freq_norms(p, table.n) == (r % p)
-    freqs = _freq_array(p, table.n)[mask]
+    freqs = _space(p, table.n)[mask]
     dots = (freqs @ np.array(y, dtype=np.int64)) % p
     return complex((table.flat[mask] * table.field.chi_table[dots]).sum())
 
@@ -258,7 +255,7 @@ def spectral_apex_bound(X: PointSet, y) -> tuple[int, float]:
 
     table = fourier_indicator(X)
     norms = _freq_norms(p, n)
-    dots = (_freq_array(p, n) @ yv) % p
+    dots = (_space(p, n) @ yv) % p
     weighted = table.flat * X.field.chi_table[dots]
     sums_re = np.bincount(norms, weights=weighted.real, minlength=p)
     sums_im = np.bincount(norms, weights=weighted.imag, minlength=p)
@@ -279,19 +276,21 @@ def degenerate_pairs_fourier(X: PointSet, method: str = "closed") -> float:
     return float(val.real)
 
 
+def _verify_sample(field: PrimeField, n: int, seed: int) -> PointSet:
+    """`random_subset` of all of F_p^n (4p points) without building F_p^n:
+    its points in lexicographic order are the base-p digits of 0..p^n-1."""
+    p = field.p
+    size = min(p**n, 4 * p)
+    idx = random.Random(random.Random(seed).randrange(2**32)).sample(range(p**n), size)
+    return PointSet.build(field, n, np.array(np.unravel_index(sorted(idx), (p,) * n)).T)
+
+
 def verify_report(field: PrimeField, n: int, seed: int = 0, cap: int | None = None) -> dict:
     """One row of the fourier-verify table for a (n, p) pair; the work is
     O(p^n), so the cap bounds p^n before anything is built."""
-    import random
-
-    from .varieties import random_subset
-
     p = field.p
     _check_cap(p**n, cap)
     max_err = zero_sphere_max_error(field, n)
-    rng = random.Random(seed)
-    size = min(p**n, 4 * p)
-    full = PointSet.build(field, n, _freq_array(p, n).tolist())
-    X = random_subset(full, size, seed=rng.randrange(2**32))
+    X = _verify_sample(field, n, seed)
     perr = plancherel_error(fourier_indicator(X), X)
     return {"n": n, "p": p, "max_abs_err": max_err, "plancherel_err": perr}

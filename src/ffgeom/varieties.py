@@ -1,9 +1,10 @@
 """Point sets in F_p^d and enumeration of paraboloids and spheres.
 
-A PointSet stores its points sorted lexicographically with constant-time
-membership, so iteration order, serialization, and every count derived from
-one are reproducible bit for bit. Instances are immutable and safe to share
-across threads.
+A PointSet holds its points as one sorted int64 array: n rows of d
+coordinates in [0, p), lexicographically increasing and so distinct, so
+iteration order, serialization, and every count derived from one are
+reproducible bit for bit. The array is read-only and instances are safe to
+share across threads; `points`, the rows as tuples, is built on first use.
 
 The paraboloid in dimension d is the graph of the squared length of the
 first d-1 coordinates; the sphere of radius r in dimension n is the level
@@ -12,7 +13,6 @@ set of the sum of n squares.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,41 +30,59 @@ class ResourceLimitError(RuntimeError):
     """Raised when an enumeration would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
+def _space(p: int, k: int) -> np.ndarray:
+    """All p^k points of F_p^k in lexicographic order, shape (p^k, k)."""
+    return np.indices((p,) * k, dtype=np.int64).reshape(k, p**k).T
+
+
+def _norms(arr: np.ndarray, p: int) -> np.ndarray:
+    """The sum of squares of each row mod p."""
+    return (arr * arr).sum(axis=1) % p
+
+
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """An immutable, deduplicated, lexicographically sorted set of points."""
 
     field: PrimeField
     dim: int
-    points: tuple[tuple[int, ...], ...]
+    array: np.ndarray  # (n, dim) int64, rows strictly increasing, read-only
 
     @staticmethod
     def build(field: PrimeField, dim: int, pts) -> "PointSet":
-        """Canonical constructor: reduces mod p, dedupes, sorts."""
+        """Canonical constructor from an array or an iterable of points:
+        reduces mod p, dedupes, sorts."""
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        p = field.p
-        canon = set()
-        for pt in pts:
-            t = tuple(c % p for c in pt)
-            if len(t) != dim:
-                raise ValueError(f"point {t} has length {len(t)}, expected {dim}")
-            canon.add(t)
-        return PointSet(field=field, dim=dim, points=tuple(sorted(canon)))
+        arr = np.array(pts if isinstance(pts, np.ndarray) else list(pts), dtype=np.int64)
+        if len(arr) == 0:
+            arr = arr.reshape(0, dim)
+        if arr.ndim != 2 or arr.shape[1] != dim:
+            raise ValueError(f"points must all have length {dim}, got shape {arr.shape}")
+        arr %= field.p
+        arr = arr[np.lexsort(arr.T[::-1])]
+        arr = arr[np.diff(arr, axis=0, prepend=-1).any(axis=1)]  # drop repeated rows
+        arr.setflags(write=False)
+        return PointSet(field=field, dim=dim, array=arr)
+
+    @cached_property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of `array` as tuples of ints."""
+        return tuple(map(tuple, self.array.tolist()))
 
     @cached_property
     def _member(self) -> frozenset:
         return frozenset(self.points)
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        """Points as an (n, dim) int64 array; read-only."""
-        arr = np.array(self.points, dtype=np.int64).reshape(len(self.points), self.dim)
-        arr.setflags(write=False)
-        return arr
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, PointSet) and (other.field, other.dim) == (self.field, self.dim)
+        return same and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.dim, self.array.tobytes()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.array)
 
     def __iter__(self):
         return iter(self.points)
@@ -75,32 +93,30 @@ class PointSet:
     def union(self, other: "PointSet") -> "PointSet":
         if other.field != self.field or other.dim != self.dim:
             raise ValueError("union requires matching field and dimension")
-        return PointSet.build(self.field, self.dim, self.points + other.points)
+        return PointSet.build(self.field, self.dim, np.concatenate([self.array, other.array]))
 
     # -- plain-text serialization: "p d count" header, one point per line --
 
     def to_text(self) -> str:
-        lines = [f"{self.field.p} {self.dim} {len(self.points)}"]
-        lines.extend(" ".join(map(str, pt)) for pt in self.points)
-        return "\n".join(lines) + "\n"
+        rows = (" ".join(["%d"] * self.dim) + "\n") * len(self)
+        return f"{self.field.p} {self.dim} {len(self)}\n" + rows % tuple(self.array.ravel().tolist())
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_text(), encoding="utf-8")
 
     @staticmethod
     def from_text(text: str) -> "PointSet":
-        lines = text.splitlines()
-        if not lines:
+        if not text:
             raise ValueError("empty point-set document")
-        head = lines[0].split()
-        if len(head) != 3:
-            raise ValueError(f"malformed header {lines[0]!r}, expected 'p d count'")
-        p, dim, count = (int(x) for x in head)
-        fld = PrimeField(p)
-        pts = [tuple(int(x) for x in ln.split()) for ln in lines[1:] if ln.strip()]
+        head, _, body = text.partition("\n")
+        if len(head.split()) != 3:
+            raise ValueError(f"malformed header {head!r}, expected 'p d count'")
+        p, dim, count = (int(x) for x in head.split())
+        rows = [ln for ln in body.splitlines() if ln.strip()]
+        pts = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2) if rows else []
         if len(pts) != count:
             raise ValueError(f"expected {count} points, found {len(pts)}")
-        ps = PointSet.build(fld, dim, pts)
+        ps = PointSet.build(PrimeField(p), dim, pts)
         if len(ps) != count:
             raise ValueError("duplicate points in document")
         return ps
@@ -122,16 +138,13 @@ def enum_paraboloid(field: PrimeField, d: int, cap: int | None = None) -> PointS
         raise ValueError("paraboloid needs dimension >= 2")
     p = field.p
     _check_cap(p ** (d - 1), cap)
-    base = np.indices((p,) * (d - 1), dtype=np.int64).reshape(d - 1, -1).T
-    norms = (base * base).sum(axis=1) % p
-    pts = np.concatenate([base, norms[:, None]], axis=1)
-    return PointSet.build(field, d, map(tuple, pts.tolist()))
+    base = _space(p, d - 1)
+    return PointSet.build(field, d, np.column_stack([base, _norms(base, p)]))
 
 
 def enum_plane(field: PrimeField) -> PointSet:
     """All p^2 points of F_p^2."""
-    p = field.p
-    return PointSet.build(field, 2, ((a, b) for a in range(p) for b in range(p)))
+    return PointSet.build(field, 2, _space(field.p, 2))
 
 
 def enum_sphere(field: PrimeField, n: int, r: int, cap: int | None = None) -> PointSet:
@@ -141,39 +154,40 @@ def enum_sphere(field: PrimeField, n: int, r: int, cap: int | None = None) -> Po
     p = field.p
     r %= p
     _check_cap(p ** (n - 1) * 2, cap)
-    roots = [field.sqrt(t) for t in range(p)]
-    pts: list[tuple[int, ...]] = []
-    for prefix in itertools.product(range(p), repeat=n - 1):
-        t = (r - sum(c * c for c in prefix)) % p
-        for s in roots[t]:
-            pts.append(prefix + (s,))
-    return PointSet.build(field, n, pts)
+    # root[t]: the smaller square root of t, or -1 for a non-square; the
+    # other root of a nonzero square t is p - root[t]
+    s = np.arange((p + 1) // 2, dtype=np.int64)
+    root = np.full(p, -1, dtype=np.int64)
+    root[s * s % p] = s
+    prefix = _space(p, n - 1)
+    last = root[(r - _norms(prefix, p)) % p]
+    two = last > 0
+    pts = np.column_stack([np.concatenate([prefix, prefix[two]]), np.concatenate([last, p - last[two]])])
+    return PointSet.build(field, n, pts[pts[:, -1] >= 0])
 
 
 def random_subset(source: PointSet, size: int, seed: int) -> PointSet:
     """Uniform sample without replacement, reproducible from seed."""
     if size > len(source):
         raise ValueError(f"sample size {size} exceeds population {len(source)}")
-    rng = random.Random(seed)
-    idx = rng.sample(range(len(source)), size)
-    return PointSet.build(source.field, source.dim, (source.points[i] for i in idx))
+    idx = random.Random(seed).sample(range(len(source)), size)
+    return PointSet.build(source.field, source.dim, source.array[sorted(idx)])
 
 
 def bar_projection(ps: PointSet) -> PointSet:
     """Drop the last coordinate of every point (deduplicating)."""
     if ps.dim < 2:
         raise ValueError("projection needs dimension >= 2")
-    return PointSet.build(ps.field, ps.dim - 1, (pt[:-1] for pt in ps.points))
+    return PointSet.build(ps.field, ps.dim - 1, ps.array[:, :-1])
 
 
 def restrict_nonzero_base(ps: PointSet) -> PointSet:
     """Keep only points whose first dim-1 coordinates have nonzero norm."""
-    fld = ps.field
-    keep = [pt for pt in ps.points if fld.norm(pt[:-1]) != 0]
-    return PointSet.build(fld, ps.dim, keep)
+    arr = ps.array
+    return PointSet.build(ps.field, ps.dim, arr[_norms(arr[:, :-1], ps.field.p) != 0])
 
 
 def on_paraboloid(ps: PointSet) -> bool:
     """Whether every point's last coordinate is the norm of the rest."""
-    fld = ps.field
-    return all(pt[-1] == fld.norm(pt[:-1]) for pt in ps.points)
+    arr = ps.array
+    return bool((arr[:, -1] == _norms(arr[:, :-1], ps.field.p)).all())

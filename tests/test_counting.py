@@ -109,8 +109,7 @@ def test_apex_example():
 def test_apex_unit_base():
     f = PrimeField(11)
     x = (1, 0, 1)
-    inv2 = f.inv(2)
-    assert counting.apex(f, x) == (f.neg(inv2), 0)
+    assert counting.apex(f, x) == (-pow(2, -1, 11) % 11, 0)  # -1/2 = 5
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -376,28 +375,71 @@ def _dense_profile(E):
     )
 
 
-@pytest.fixture(scope="module", params=["odd3mod4", "paraboloid"])
+@pytest.fixture(scope="module", params=["odd3mod4", "paraboloid", "paraboloid_103", "plane_103"])
 def dense_case(request):
     """The p = 11, d = 7, k = 5 construction (605 points; its zero graph is
     a union of cliques) and 1500 points of the p = 401 paraboloid (more
-    classes than one block holds)."""
-    if request.param == "odd3mod4":
-        E = construct_odd_3mod4(PrimeField(11), 7, 5, seed=0)
-    else:
-        E = rand_paraboloid_subset(401, 3, 1500, seed=3)
-    return E, _dense_profile(E)
+    classes than one block holds). Over p = 103 = 3 mod 4, profile skips a
+    scan: for base-zero pairs on 483 points of the paraboloid in F_p^3,
+    and for distance-zero pairs on 1200 points of the plane."""
+    E = {
+        "odd3mod4": lambda: construct_odd_3mod4(PrimeField(11), 7, 5, seed=0),
+        "paraboloid": lambda: rand_paraboloid_subset(401, 3, 1500, seed=3),
+        "paraboloid_103": lambda: rand_paraboloid_subset(103, 3, 483, seed=8),
+        "plane_103": lambda: rand_plane_subset(103, 1200, seed=9),
+    }[request.param]()
+    return request.param, E, _dense_profile(E)
 
 
 def test_profile_matches_dense_reference(dense_case, monkeypatch):
-    E, ref = dense_case
-    assert ref.zero_pairs > len(E) and ref.triangles.t_zero_triples > len(E)
-    if E.dim == 3:
+    case, E, ref = dense_case
+    if case == "plane_103":
+        # an anisotropic plane: only the diagonal is at distance zero
+        assert ref.zero_pairs == 0 and ref.triangles.t_zero_triples == len(E)
+    else:
+        assert ref.zero_pairs > len(E) and ref.triangles.t_zero_triples > len(E)
+    if case == "paraboloid":
         assert ref.isotropic_classes > counting._ROW_BLOCK
+    if case == "paraboloid_103":
+        assert ref.base_zero_pairs == 0  # an anisotropic base plane
     assert counting.profile(E) == ref
     # wedge chunks of a single edge's fan and of a few fans
     for chunk in (1, 100):
         monkeypatch.setattr(counting, "_WEDGE_BLOCK", chunk)
         assert counting.profile(E) == ref
+
+
+def test_upper_zeros_matches_full_scan():
+    # the pairs i < j with a zero at block[i - lo, j], in row-major order
+    block = np.random.default_rng(3).integers(0, 3, size=(7, 20))
+    for lo in (0, 5, 13):
+        i, j = np.nonzero(block == 0)
+        i = i + lo
+        expect = np.stack([i[i < j], j[i < j]])
+        assert np.array_equal(counting._upper_zeros(lo, block), expect)
+
+
+@pytest.mark.parametrize(
+    "make, scans",
+    [
+        (lambda: rand_plane_subset(103, 1100, seed=1), 0),
+        (lambda: rand_plane_subset(101, 1100, seed=1), 1),
+        (lambda: rand_paraboloid_subset(103, 3, 1100, seed=1), 1),
+        (lambda: rand_paraboloid_subset(101, 3, 1100, seed=1), 2),
+        (lambda: construct_odd_3mod4(PrimeField(11), 7, 5, seed=0), 2),
+    ],
+)
+def test_zero_scans_only_where_isotropic(monkeypatch, make, scans):
+    """profile scans each row block for distance-zero pairs where the sum
+    of d squares is isotropic and, on a paraboloid, for base-zero pairs where
+    the sum of d - 1 squares is."""
+    E = make()
+    blocks = -(-len(E) // counting._ROW_BLOCK)
+    calls = []
+    scan = counting._upper_zeros
+    monkeypatch.setattr(counting, "_upper_zeros", lambda lo, block: calls.append(lo) or scan(lo, block))
+    counting.profile(E)
+    assert len(calls) == scans * blocks
 
 
 def test_planar_isotropic_classes():

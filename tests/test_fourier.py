@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ def plane(p):
 
 
 def space(p, n):
-    return PointSet.build(PrimeField(p), n, fourier._freq_array(p, n).tolist())
+    return PointSet.build(PrimeField(p), n, fourier.all_frequencies(PrimeField(p), n))
 
 
 def rand_plane_subset(p, size, seed):
@@ -247,3 +248,53 @@ def test_work_cap():
     # the cap bounds the p^n table entries, not p^n * |X| (here 1.59e8 > 1e8)
     Y = random_subset(space(43, 3), 2000, seed=4)
     assert fourier.plancherel_error(fourier.fourier_indicator(Y), Y) < 1e-9
+
+
+# rows recorded while verify_report still sampled from all of F_p^n built as
+# a PointSet; drawing the same indices must give the same set, so the same
+# floating-point values
+VERIFY_ROWS = {
+    (2, 3, 0): (0.0, 0.0),
+    (2, 7, 0): (3.469446951953614e-18, 0.0),
+    (2, 11, 5): (0.0, 5.551115123125783e-17),
+    (2, 19, 1): (5.204170427930421e-18, 2.7755575615628914e-17),
+    (2, 43, 7): (2.6020852139652106e-18, 1.3877787807814457e-17),
+    (6, 3, 2): (5.551115123125783e-17, 3.469446951953614e-18),
+}
+
+
+@pytest.mark.parametrize("n, p, seed", list(VERIFY_ROWS))
+def test_verify_report_rows_unchanged(n, p, seed):
+    max_err, perr = VERIFY_ROWS[n, p, seed]
+    row = fourier.verify_report(PrimeField(p), n, seed=seed)
+    assert row == {"n": n, "p": p, "max_abs_err": max_err, "plancherel_err": perr}
+
+
+@pytest.mark.parametrize("n, p, seed", [(2, 7, 0), (2, 43, 7), (3, 5, 4), (6, 3, 2)])
+def test_verify_sample_is_subset_of_space(n, p, seed):
+    size = min(p**n, 4 * p)
+    expect = random_subset(space(p, n), size, seed=random.Random(seed).randrange(2**32))
+    assert fourier._verify_sample(PrimeField(p), n, seed) == expect
+
+
+def test_verify_report_memory_stays_off_the_space():
+    """At p^n = 1019^2 the sample takes a few hundred KB, not the
+    p^n * n * 8 bytes of F_p^n as an array, and the whole report stays within
+    four complex tables of p^n entries (F_p^n as Python tuples took 19)."""
+    f, n = PrimeField(1019), 2
+    grid_bytes, table_bytes = f.p**n * n * 8, f.p**n * 16
+    fourier._freq_norms.cache_clear()
+    fourier._zero_sphere.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fourier._verify_sample(f, n, seed=0)
+        sample_peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fourier.verify_report(f, n)
+        report_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert sample_peak < grid_bytes / 20
+    assert report_peak < 4 * table_bytes

@@ -1,3 +1,7 @@
+import itertools
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +12,7 @@ from ffgeom.varieties import (
     ResourceLimitError,
     bar_projection,
     enum_paraboloid,
+    enum_plane,
     enum_sphere,
     on_paraboloid,
     random_subset,
@@ -111,6 +116,77 @@ def test_points_sorted_and_deduped():
         PointSet.build(f, 2, [(1, 2, 3)])
 
 
+def _assert_canonical(ps):
+    arr = ps.array
+    assert arr.dtype == np.int64 and arr.shape == (len(ps), ps.dim)
+    assert not arr.flags.writeable
+    assert ((0 <= arr) & (arr < ps.field.p)).all()
+    # sorted and unique: the points in order, as tuples, strictly increase
+    assert all(a < b for a, b in zip(ps.points, ps.points[1:]))
+    assert ps.points == tuple(map(tuple, arr.tolist()))
+
+
+def test_build_sources_agree():
+    f = PrimeField(7)
+    raw = [(9, -1), (3, 4), (2, 6), (3, 4), (0, 0), (-7, 14)]
+    from_list = PointSet.build(f, 2, raw)
+    from_gen = PointSet.build(f, 2, (pt for pt in raw))
+    from_array = PointSet.build(f, 2, np.array(raw))
+    assert from_list == from_gen == from_array
+    assert hash(from_list) == hash(from_gen) == hash(from_array)
+    assert from_list.points == ((0, 0), (2, 6), (3, 4))
+    for ps in (from_list, from_gen, from_array):
+        _assert_canonical(ps)
+    assert from_list != PointSet.build(f, 2, raw[:2])
+    assert from_list != PointSet.build(PrimeField(11), 2, raw)
+    assert PointSet.build(f, 2, []) == PointSet.build(f, 2, np.zeros((0, 2), dtype=np.int64))
+
+
+def test_array_is_read_only_and_build_copies():
+    f = PrimeField(5)
+    src = np.array([[4, 4], [0, 1]])
+    ps = PointSet.build(f, 2, src)
+    src[0, 0] = 1
+    assert ps.points == ((0, 1), (4, 4))
+    with pytest.raises(ValueError):
+        ps.array[0, 0] = 3
+    # building from a PointSet's own read-only array
+    assert PointSet.build(f, 2, ps.array) == ps
+
+
+@pytest.mark.parametrize("make", ["paraboloid", "plane", "sphere", "subset", "projection", "text"])
+def test_constructors_give_canonical_sets(make):
+    f = PrimeField(13)
+    P = enum_paraboloid(f, 3)
+    ps = {
+        "paraboloid": lambda: P,
+        "plane": lambda: enum_plane(f),
+        "sphere": lambda: enum_sphere(f, 3, 5),
+        "subset": lambda: random_subset(P, 40, seed=1),
+        "projection": lambda: bar_projection(random_subset(P, 40, seed=1)),
+        "text": lambda: PointSet.from_text(random_subset(P, 40, seed=1).to_text()),
+    }[make]()
+    _assert_canonical(ps)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sphere_matches_brute_force(p, n):
+    f = PrimeField(p)
+    space = list(itertools.product(range(p), repeat=n))
+    for r in range(p):
+        expect = tuple(v for v in space if sum(c * c for c in v) % p == r)
+        assert enum_sphere(f, n, r).points == expect
+
+
+def test_random_subset_same_indices_as_sample():
+    # the subset is the set of the points at the indices random.Random(seed)
+    # samples from the sorted source
+    P = enum_paraboloid(PrimeField(11), 3)
+    idx = random.Random(7).sample(range(len(P)), 30)
+    assert random_subset(P, 30, seed=7).points == tuple(sorted(P.points[i] for i in idx))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sets(st.tuples(st.integers(0, 10), st.integers(0, 10)), max_size=25),
@@ -131,6 +207,13 @@ def test_text_round_trip_bit_exact(tmp_path):
     assert loaded == ps
     loaded.save(tmp_path / "again.txt")
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+def test_text_format():
+    f = PrimeField(7)
+    assert PointSet.build(f, 2, [(3, 4), (1, 12)]).to_text() == "7 2 2\n1 5\n3 4\n"
+    assert PointSet.build(f, 3, []).to_text() == "7 3 0\n"
+    assert len(PointSet.from_text("7 3 0\n")) == 0
 
 
 def test_from_text_rejects_malformed():
