@@ -19,14 +19,18 @@ Conventions, fixed once for the whole package:
   ||x-y|| = 0.
 
 Every count of one set comes from `profile(E)`. It streams the Gram matrix
-x.y mod p in row blocks (`_gram_blocks`, the only place a Gram matrix is
-formed; `dot_histogram` shares it for E x F). One pass takes the product
-histogram (prod and M), per-apex dot histograms (D), per-apex distance
-histograms (isosceles total, zero equal sides, degenerate pairs) and the
-pairs i < j at distance zero and at base distance zero. Each scan runs only
-where its sum of m squares is isotropic: m >= 3, or m = 2 and p = 1 mod 4
-(Chevalley-Warning; -1 is a square). So over p = 3 mod 4 there is no base
-scan on a paraboloid in F_p^3 and no scan at all in the plane.
+x.y mod p in row blocks of about _BLOCK_BYTES, which stay in cache
+(`_gram_blocks`, the only place a matrix product is formed; `dot_histogram`
+shares it for E x F), and the distance block as one more product of
+augmented rows, ||x - y|| = [x, ||x||, 1] . [-2y, 1, ||y||]. One pass takes
+the product histogram (prod and M), per-apex dot histograms (D), per-apex
+distance histograms (isosceles total, zero equal sides, degenerate pairs)
+and the pairs i < j at distance zero and at base distance zero, which on a
+paraboloid is ||y - z|| = (y_d - z_d)^2, a lookup in a table of squares.
+Each scan runs only where its sum of m squares is isotropic: m >= 3, or
+m = 2 and p = 1 mod 4 (Chevalley-Warning; -1 is a square). So over
+p = 3 mod 4 there is no base scan on a paraboloid in F_p^3 and no scan at
+all in the plane.
 
 What remains are sums over those zero pairs (y, z), i < j, each counted
 twice for (y, z) and (z, y), plus the n diagonal pairs. With w = y - z:
@@ -39,18 +43,18 @@ twice for (y, z) and (z, y), plus the n diagonal pairs. With w = y - z:
   x.u = 0: the same lookup with target 0, u the class of the full y - z.
 * So one histogram of x.u per distinct class u answers every pair. Both
   pair lists share one class table (grouped with a lexsort), and the
-  histograms are built in blocks of _ROW_BLOCK classes. In the plane there
-  are at most 2 classes, the slope +-i lines; in high dimension the class
-  count can approach the pair count and takes the same path.
+  histograms are built in the same byte-sized blocks of classes. In the
+  plane there are at most 2 classes, the slope +-i lines; in high dimension
+  the class count can approach the pair count and takes the same path.
 * c_both (all three sides zero) is trace(Z^3) for the zero-distance matrix
   Z, diagonal included: n + 6m + 6T, with m the zero pairs i < j and T the
-  triangles of their graph, counted from forward wedges checked against the
-  sorted edge keys.
+  triangles of their graph: 3T sums over the edges (i, j) the common
+  neighbours popcount(bits[i] & bits[j]) in a packed n x ceil(n/8) adjacency.
 
 A diagonal pair agrees at every apex, so the diagonal adds n^2 to c_base and
-to the D* correction. The Gram matrix is formed once per row block and no
-n x n array is allocated; the zero-pair lists and their per-pair arrays are
-held within ZERO_PAIR_BYTE_CAP.
+to the D* correction. No n x n array is allocated: the zero-pair lists,
+their per-pair arrays and the adjacency are held within ZERO_PAIR_BYTE_CAP,
+and the rest within a few blocks of _BLOCK_BYTES and O(n) words.
 
 Counts are returned as Python ints (arbitrary precision); numpy int64 is
 used only for intermediates whose ranges stay well inside 63 bits at the
@@ -72,32 +76,37 @@ from .varieties import (
     restrict_nonzero_base,
 )
 
-# Byte budget for the zero-pair lists and their per-pair class arrays
-# (`_pair_bytes` each), which reach |X|^2 / 2 pairs on a fully degenerate
-# set; everything else takes O(block * (|X| + p)) memory.
+# Byte budget for the zero-pair lists, their per-pair class arrays
+# (`_pair_bytes` each) and the zero-distance adjacency, which reach |X|^2 / 2
+# pairs on a fully degenerate set; the rest is held in blocks.
 ZERO_PAIR_BYTE_CAP = 800_000_000
-
-_ROW_BLOCK = 512
-_WEDGE_BLOCK = 1 << 16
+_BLOCK_BYTES = 1 << 19  # bytes of a block; the pass holds four, which stay in cache
 
 
-def _require_compatible(a: PointSet, b: PointSet) -> None:
-    if a.field != b.field or a.dim != b.dim:
-        raise ValueError("point sets must share field and dimension")
+def _block_rows(row_bytes: int) -> int:
+    """Rows in a block of about _BLOCK_BYTES when one row takes row_bytes."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def _gram_blocks(A: np.ndarray, B: np.ndarray, p: int):
-    """Yield (lo, (A[lo:hi] @ B.T) % p) over consecutive row blocks of A."""
-    bt = B.T
-    for lo in range(0, len(A), _ROW_BLOCK):
-        yield lo, (A[lo : lo + _ROW_BLOCK] @ bt) % p
+    """Yield (lo, (A[lo:hi] @ B.T) % p) over row blocks of A of about
+    _BLOCK_BYTES, each in one buffer that the next step overwrites."""
+    bt, rows = B.T, _block_rows(8 * max(len(B), p))
+    buf = np.empty((2, min(rows, len(A)), len(B)), dtype=np.int64)  # reused: fresh blocks cost page faults
+    for lo in range(0, len(A), rows):
+        block, quot = buf[0, : len(A) - lo], buf[1, : len(A) - lo]
+        np.matmul(A[lo : lo + rows], bt, out=block)
+        np.floor_divide(block, p, out=quot)  # mod p in place: // by a scalar beats %
+        quot *= p
+        block -= quot
+        yield lo, block
 
 
 def _row_histograms(block: np.ndarray, p: int) -> np.ndarray:
-    """(rows, p) array: the histogram of each row's values."""
+    """(rows, p) array: the histogram of each row's values; overwrites block."""
     rows = block.shape[0]
-    offsets = block + p * np.arange(rows, dtype=np.int64)[:, None]
-    return np.bincount(offsets.ravel(), minlength=p * rows).reshape(rows, p)
+    block += p * np.arange(rows, dtype=np.int64)[:, None]
+    return np.bincount(block.ravel(), minlength=p * rows).reshape(rows, p)
 
 
 def _inverses(a: np.ndarray, p: int) -> np.ndarray:
@@ -129,7 +138,8 @@ class DotHistogram:
 
 def dot_histogram(E: PointSet, F: PointSet | None = None) -> DotHistogram:
     F = E if F is None else F
-    _require_compatible(E, F)
+    if E.field != F.field or E.dim != F.dim:
+        raise ValueError("point sets must share field and dimension")
     p = E.field.p
     counts = np.zeros(p, dtype=np.int64)
     for _, gram in _gram_blocks(E.array, F.array, p):
@@ -181,11 +191,11 @@ class Profile:
     isotropic_classes: int
 
 
-def _upper_zeros(lo: int, block: np.ndarray) -> np.ndarray:
-    """(2, k) array of the pairs i < j with block[i - lo, j] == 0, in
-    row-major order; only the columns j >= lo can hold such a pair."""
+def _upper_zeros(lo: int, block: np.ndarray, target: int | np.ndarray = 0) -> np.ndarray:
+    """(2, k) array, in row-major order, of the pairs i < j with block[i - lo,
+    j] equal to target (a scalar or an array over the columns j >= lo)."""
     right = block[:, lo:]
-    i, j = np.divmod(np.flatnonzero(right == 0), right.shape[1])
+    i, j = np.divmod(np.flatnonzero(right == target), right.shape[1])
     upper = i < j
     return np.stack([i[upper], j[upper]]) + lo
 
@@ -223,8 +233,9 @@ def _class_agreements(arr, nrm, p, pairs, k, base_from):
     """
     i, j = pairs
     u = arr[i]
-    for lo in range(0, len(u), _ROW_BLOCK):
-        u[lo : lo + _ROW_BLOCK] -= arr[j[lo : lo + _ROW_BLOCK]]
+    step = _block_rows(8 * arr.shape[1])
+    for lo in range(0, len(u), step):
+        u[lo : lo + step] -= arr[j[lo : lo + step]]
     u %= p
     inv = _inverses(u[np.arange(len(u)), (u != 0).argmax(axis=1)], p)
     u *= inv[:, None]
@@ -237,38 +248,25 @@ def _class_agreements(arr, nrm, p, pairs, k, base_from):
     # the pairs of a block of classes form one span
     flat = np.sort(cls[:k] * p + target)
     off_base = off_star = 0
-    for c0 in range(0, len(classes), _ROW_BLOCK):
-        c1 = c0 + _ROW_BLOCK
-        hist = _row_histograms((classes[c0:c1] @ arr.T) % p, p)
-        a, b = np.searchsorted(flat, [c0 * p, c1 * p])
+    for c0, block in _gram_blocks(classes, arr, p):
+        hist = _row_histograms(block, p)
+        a, b = np.searchsorted(flat, [c0 * p, (c0 + len(hist)) * p])
         off_base += int(hist.ravel()[flat[a:b] - c0 * p].sum())
-        off_star += int(hist[:, 0] @ base_counts[c0:c1])
+        off_star += int(hist[:, 0] @ base_counts[c0 : c0 + len(hist)])
     return off_base, off_star, len(classes)
 
 
 def _triangles(i: np.ndarray, j: np.ndarray, n: int) -> int:
-    """Triangles of the graph whose edges i < j are listed in increasing
-    order of the key i * n + j.
-
-    Edge (i, j) and each later edge (i, k) of its row form a forward wedge,
-    a triangle when (j, k) is an edge; the wedges are checked against the
-    sorted keys in chunks of about _WEDGE_BLOCK.
-    """
-    keys = i * n + j
-    m = len(keys)
-    fan = np.searchsorted(i, i, side="right") - np.arange(m) - 1
-    ends = np.cumsum(fan)
-    found = lo = 0
-    while lo < m:
-        hi = max(int(np.searchsorted(ends, ends[lo] - fan[lo] + _WEDGE_BLOCK, side="right")), lo + 1)
-        f = fan[lo:hi]
-        first = np.repeat(np.arange(lo, hi), f)
-        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(f) - f, f)
-        closing = j[first] * n + j[second]
-        at = np.searchsorted(keys, closing)
-        found += int((keys[np.minimum(at, m - 1)] == closing).sum())
-        lo = hi
-    return found
+    """Triangles of the graph on n vertices with the edges (i, j), i < j,
+    each met on its three edges as a common neighbour of the ends (module
+    docstring); the edges go in chunks of about _BLOCK_BYTES."""
+    width = -(-n // 8)
+    bits = np.zeros((n, width), dtype=np.uint8)
+    for a, b in ((i, j), (j, i)):
+        np.bitwise_or.at(bits, (a, b >> 3), np.left_shift(1, b & 7).astype(np.uint8))
+    step = _block_rows(3 * width)
+    chunks = (slice(lo, lo + step) for lo in range(0, len(i), step))
+    return sum(int(np.bitwise_count(bits[i[c]] & bits[j[c]]).sum()) for c in chunks) // 3
 
 
 def profile(E: PointSet) -> Profile:
@@ -283,30 +281,32 @@ def profile(E: PointSet) -> Profile:
     scan_dist = E.field.isotropic(E.dim)
     scan_base = last is not None and E.field.isotropic(E.dim - 1)
     nrm = (arr * arr).sum(axis=1) % p
-    pair_bytes = _pair_bytes(E.dim)
+    ones = np.ones(n, dtype=np.int64)
+    left, right = np.column_stack([arr, nrm, ones]), np.column_stack([-2 * arr, ones, nrm])
+    # square[k + p] = k^2 = ||y - z|| - ||ybar - zbar|| at k = y_d - z_d
+    square = np.arange(2 * p) ** 2 % p
     dots = np.zeros(p, dtype=np.int64)
-    d_total = total_iso = eq_zero_sides = degenerate = 0
+    d_total = total_iso = eq_zero_sides = degenerate = m = 0
     empty = np.zeros((2, 0), dtype=np.intp)
     dist_found, base_found = [empty], [empty]
-    for lo, gram in _gram_blocks(arr, arr, p):
-        hist = _row_histograms(gram, p)
-        dots += hist.sum(axis=0)
-        d_total += int((hist * hist).sum())
-        dist = (nrm[lo : lo + len(gram), None] + nrm - 2 * gram) % p
-        hist = _row_histograms(dist, p)
-        total_iso += int((hist * hist).sum())
-        zeros = hist[:, 0]
-        eq_zero_sides += int((zeros * zeros).sum())
-        degenerate += int(zeros.sum())
+    for (lo, gram), (_, dist) in zip(_gram_blocks(arr, arr, p), _gram_blocks(left, right, p)):
         if scan_dist:
             dist_found.append(_upper_zeros(lo, dist))
+            m += dist_found[-1].shape[1]
         if scan_base:
-            y_d = last[lo : lo + len(gram), None]
-            base_found.append(_upper_zeros(lo, (y_d + last - 2 * (gram - y_d * last)) % p))
-        if sum(f.shape[1] for f in dist_found + base_found) * pair_bytes > ZERO_PAIR_BYTE_CAP:
+            base_found.append(_upper_zeros(lo, dist, square[last[lo : lo + len(dist), None] + p - last[lo:]]))
+        held = (m + sum(f.shape[1] for f in base_found)) * _pair_bytes(E.dim) + (n * -(-n // 8) if m else 0)
+        if held > ZERO_PAIR_BYTE_CAP:
             raise ResourceLimitError(f"zero pairs of {n} points exceed {ZERO_PAIR_BYTE_CAP} bytes")
+        hist = _row_histograms(gram, p)
+        dots += hist.sum(axis=0)
+        d_total += int(np.vdot(hist, hist))
+        hist = _row_histograms(dist, p)
+        total_iso += int(np.vdot(hist, hist))
+        zeros = hist[:, 0]
+        eq_zero_sides += int(np.vdot(zeros, zeros))
+        degenerate += int(zeros.sum())
 
-    m = sum(f.shape[1] for f in dist_found)
     # distance-zero pairs first, then base-zero pairs (the same pairs off a
     # paraboloid, where the base is all coordinates)
     pairs = np.concatenate(dist_found + base_found, axis=1)
@@ -315,7 +315,7 @@ def profile(E: PointSet) -> Profile:
     off_base = off_star = classes = zero_triangles = 0
     if pairs.size:
         off_base, off_star, classes = _class_agreements(arr, nrm, p, pairs, m, base_from)
-        zero_triangles = _triangles(*pairs[:, :m], n)
+        zero_triangles = _triangles(*pairs[:, :m], n) if m else 0
 
     c_base = n * n + 2 * off_base
     c_both = n + 6 * m + 6 * zero_triangles

@@ -159,10 +159,27 @@ def zero_sphere_hat_table(field: PrimeField, n: int, method: str = "closed") -> 
 
 
 def zero_sphere_max_error(field: PrimeField, n: int) -> float:
-    """Max absolute gap between the closed form and direct enumeration."""
-    gap = zero_sphere_hat_table(field, n, "direct")
-    gap -= zero_sphere_hat_table(field, n, "closed")
-    return float(np.abs(gap).max())
+    """Max absolute gap between the closed form and direct enumeration.
+
+    The closed form is constant on each norm class, and the class ||m|| = 0
+    is the zero sphere itself, so the gap is taken in place on the direct
+    table: one complex table in all.
+    """
+    p = field.p
+    if n % 4 != 2 or p % 4 != 3:
+        raise ValueError("closed form requires n = 2 mod 4 and p = 3 mod 4")
+    S0 = _zero_sphere(p, n)
+    gap = _grid(S0, 1.0)
+    np.fft.ifftn(gap, out=gap)
+    scale = float(p) ** (-(n + 2) // 2)
+    on = tuple(S0.array.T)
+    # closed form: 1/p - (p - 1) scale at m = 0 (the first sphere point),
+    # -(p - 1) scale elsewhere on the sphere and +scale off it
+    sphere = gap[on] + (p - 1) * scale
+    sphere[0] = gap.flat[0] - ((1 - p) * scale + 1.0 / p)
+    gap -= scale
+    gap[on] = sphere
+    return max(float(np.abs(row).max()) for row in gap)
 
 
 # -- surface measures and extension ratios --------------------------------

@@ -47,13 +47,15 @@ def oracle_M(E: PointSet) -> int:
     _cap(E, CAP_QUAD, "quadruple")
     p = E.field.p
     pts = E.points
+    # w.z for every (w, z), row w, computed once rather than once per (x, y)
+    wz = [[_dot(w, z, p) for z in pts] for w in pts]
     count = 0
     for x in pts:
         for y in pts:
             t = _dot(x, y, p)
-            for w in pts:
-                for z in pts:
-                    if _dot(w, z, p) == t:
+            for w_row in wz:
+                for s in w_row:
+                    if s == t:
                         count += 1
     return count
 

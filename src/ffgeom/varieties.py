@@ -40,6 +40,16 @@ def _norms(arr: np.ndarray, p: int) -> np.ndarray:
     return (arr * arr).sum(axis=1) % p
 
 
+def _increasing(arr: np.ndarray) -> bool:
+    """Whether the rows are strictly increasing: the first nonzero entry of
+    each row difference is positive."""
+    step = np.diff(arr, axis=0)
+    first = step[:, -1]
+    for col in step.T[-2::-1]:
+        first = np.where(col != 0, col, first)
+    return bool((first > 0).all())
+
+
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """An immutable, deduplicated, lexicographically sorted set of points."""
@@ -51,7 +61,8 @@ class PointSet:
     @staticmethod
     def build(field: PrimeField, dim: int, pts) -> "PointSet":
         """Canonical constructor from an array or an iterable of points:
-        reduces mod p, dedupes, sorts."""
+        reduces mod p, dedupes, sorts (rows already strictly increasing, as
+        enumerations and samples emit them, skip the sort)."""
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         arr = np.array(pts if isinstance(pts, np.ndarray) else list(pts), dtype=np.int64)
@@ -60,8 +71,9 @@ class PointSet:
         if arr.ndim != 2 or arr.shape[1] != dim:
             raise ValueError(f"points must all have length {dim}, got shape {arr.shape}")
         arr %= field.p
-        arr = arr[np.lexsort(arr.T[::-1])]
-        arr = arr[np.diff(arr, axis=0, prepend=-1).any(axis=1)]  # drop repeated rows
+        if not _increasing(arr):
+            arr = arr[np.lexsort(arr.T[::-1])]
+            arr = arr[np.diff(arr, axis=0, prepend=-1).any(axis=1)]  # drop repeated rows
         arr.setflags(write=False)
         return PointSet(field=field, dim=dim, array=arr)
 

@@ -259,10 +259,9 @@ def test_counts_json_fixed_keys():
 
 def test_small_row_blocks_match_oracles(monkeypatch):
     # 7-row blocks: sets of 30-60 points cross many block edges in the Gram
-    # pass and, with more than 7 classes, in the class histograms; 5-wedge
+    # pass and, with more than 7 classes, in the class histograms; 7-edge
     # chunks split the triangle count of the zero-distance graph.
-    monkeypatch.setattr(counting, "_ROW_BLOCK", 7)
-    monkeypatch.setattr(counting, "_WEDGE_BLOCK", 5)
+    monkeypatch.setattr(counting, "_block_rows", lambda row_bytes: 7)
     for rep in oracle.run_battery(seed=4, instances=12):
         assert rep.match, rep.line()
     rng = random.Random(43)
@@ -286,7 +285,7 @@ def test_small_row_blocks_match_oracles(monkeypatch):
 
 def test_zero_pair_byte_cap(monkeypatch):
     X = isotropic_lines_set(PrimeField(13), 2, 5, seed=0)  # 20 pairs at distance zero
-    budget = 20 * counting._pair_bytes(2)
+    budget = 20 * counting._pair_bytes(2) + 10 * 2  # and the 10 x 2-byte adjacency
     # the index lists alone (16 bytes a pair) no longer fit: the class rows,
     # targets and sort arrays count too
     for cap in (16 * 20, budget - 1):
@@ -301,7 +300,7 @@ def test_zero_pair_byte_cap(monkeypatch):
 def test_zero_pair_budget_bounds_traced_peak(monkeypatch, kind):
     """The bytes profile allocates stay within _pair_bytes per table row.
 
-    8-row blocks and 1024-wedge chunks make the per-pair arrays dominate the
+    8-row blocks and 8-edge chunks make the per-pair arrays dominate the
     O(block * (n + p)) rest, so an array of a word per pair that escaped the
     budget would show.
     """
@@ -309,8 +308,7 @@ def test_zero_pair_budget_bounds_traced_peak(monkeypatch, kind):
         E = isotropic_lines_set(PrimeField(149), 2, 149, seed=0)  # 22 201 pairs
     else:
         E = construct_odd_3mod4(PrimeField(11), 7, 5, seed=0)  # 72 600 rows
-    monkeypatch.setattr(counting, "_ROW_BLOCK", 8)
-    monkeypatch.setattr(counting, "_WEDGE_BLOCK", 1024)
+    monkeypatch.setattr(counting, "_block_rows", lambda row_bytes: 8)
     counting.profile(E)  # lazy set-up (E.array, numpy's first calls) outside the trace
     tracemalloc.start()
     try:
@@ -324,6 +322,62 @@ def test_zero_pair_budget_bounds_traced_peak(monkeypatch, kind):
     rows = pr.zero_pairs + (pr.base_zero_pairs if on_paraboloid(E) else 0)
     assert rows > 50 * len(E)
     assert peak <= rows * counting._pair_bytes(E.dim)
+
+
+def test_zero_pair_byte_cap_counts_the_adjacency(monkeypatch):
+    # 101 points on the line y = 2x of F_101^2, anisotropic, and (1, 10) with
+    # 10^2 = -1: two pairs at distance zero, with (0, 0) and with (69, 37),
+    # whose two class-table rows take less than the 102 x 13-byte adjacency
+    X = PointSet.build(PrimeField(101), 2, [(x, 2 * x) for x in range(101)] + [(1, 10)])
+    rows, bitmap = 2 * counting._pair_bytes(2), 102 * 13
+    assert counting.profile(X).zero_pairs == 2 and rows < bitmap
+    for cap in (bitmap - 1, rows + bitmap - 1):
+        monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", cap)
+        with pytest.raises(ResourceLimitError, match="bytes"):
+            counting.profile(X)
+    monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", rows + bitmap)
+    assert counting.profile(X).triangles.t_zero_triples == 102 + 6 * 2
+
+
+@pytest.mark.parametrize("block_bytes", [1 << 18, None])
+def test_profile_memory_is_blocks(monkeypatch, block_bytes):
+    """Without zero pairs, profile holds four row blocks of about
+    _BLOCK_BYTES (a Gram and a distance block, each with its quotient) and
+    O(n) words: on 3000 points of the anisotropic plane over p = 103,
+    512-row blocks held 12 MB each."""
+    if block_bytes:
+        monkeypatch.setattr(counting, "_BLOCK_BYTES", block_bytes)
+    E = rand_plane_subset(103, 3000, seed=2)
+    counting.profile(E)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pr = counting.profile(E)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert pr.zero_pairs == 0
+    assert peak <= 4 * counting._BLOCK_BYTES + 32 * 8 * len(E)
+
+
+def test_triangles_match_trace():
+    """T = trace(Z^3) / 6 for the adjacency Z: random graphs, the empty graph
+    and a clique, on n not a multiple of 8, also in edge chunks of one."""
+    rng = np.random.default_rng(11)
+    graphs = [(13, 0.0), (13, 1.0)] + [(n, rng.uniform(0.05, 0.6)) for n in (1, 7, 9, 30, 61)]
+    for n, density in graphs:
+        upper = np.triu(rng.random((n, n)) < density, 1)
+        i, j = np.nonzero(upper)  # i < j in row-major order
+        z = (upper | upper.T).astype(np.int64)
+        expect = int(np.trace(z @ z @ z)) // 6
+        assert counting._triangles(i, j, n) == expect
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "_block_rows", lambda row_bytes: 1)
+            assert counting._triangles(i, j, n) == expect
+        if density == 1.0:
+            assert expect == 13 * 12 * 11 // 6
+        elif density == 0.0:
+            assert expect == 0 and len(i) == 0
 
 
 # -- the class corrections against a dense reference beyond the oracle caps ---
@@ -399,13 +453,26 @@ def test_profile_matches_dense_reference(dense_case, monkeypatch):
     else:
         assert ref.zero_pairs > len(E) and ref.triangles.t_zero_triples > len(E)
     if case == "paraboloid":
-        assert ref.isotropic_classes > counting._ROW_BLOCK
+        assert ref.isotropic_classes > counting._block_rows(8 * max(len(E), E.field.p))
     if case == "paraboloid_103":
         assert ref.base_zero_pairs == 0  # an anisotropic base plane
     assert counting.profile(E) == ref
-    # wedge chunks of a single edge's fan and of a few fans
-    for chunk in (1, 100):
-        monkeypatch.setattr(counting, "_WEDGE_BLOCK", chunk)
+    # blocks and edge chunks of a single row and of a few rows
+    for rows in (1, 100):
+        monkeypatch.setattr(counting, "_block_rows", lambda row_bytes: rows)
+        assert counting.profile(E) == ref
+
+
+@pytest.mark.parametrize("p, d, size", [(13, 3, 120), (37, 3, 400), (101, 3, 500), (29, 4, 300)])
+def test_base_scan_by_square_table(monkeypatch, p, d, size):
+    """On a paraboloid over p = 1 mod 4 the base-zero pairs are those with
+    ||y - z|| = (y_d - z_d)^2; at 1-row and 7-row blocks every Profile field,
+    the base-zero pair count and D* included, matches the dense reference."""
+    E = rand_paraboloid_subset(p, d, size, seed=p)
+    ref = _dense_profile(E)
+    assert ref.base_zero_pairs > 0
+    for rows in (1, 7):
+        monkeypatch.setattr(counting, "_block_rows", lambda row_bytes: rows)
         assert counting.profile(E) == ref
 
 
@@ -434,10 +501,10 @@ def test_zero_scans_only_where_isotropic(monkeypatch, make, scans):
     of d squares is isotropic and, on a paraboloid, for base-zero pairs where
     the sum of d - 1 squares is."""
     E = make()
-    blocks = -(-len(E) // counting._ROW_BLOCK)
+    blocks = -(-len(E) // counting._block_rows(8 * max(len(E), E.field.p)))
     calls = []
     scan = counting._upper_zeros
-    monkeypatch.setattr(counting, "_upper_zeros", lambda lo, block: calls.append(lo) or scan(lo, block))
+    monkeypatch.setattr(counting, "_upper_zeros", lambda lo, *args: calls.append(lo) or scan(lo, *args))
     counting.profile(E)
     assert len(calls) == scans * blocks
 

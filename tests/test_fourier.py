@@ -82,6 +82,14 @@ def test_zero_sphere_formula_equals_enumeration(n, p):
     assert fourier.zero_sphere_max_error(PrimeField(p), n) < 1e-12
 
 
+@pytest.mark.parametrize("n,p", [(2, 7), (2, 43), (6, 3), (6, 7)])
+def test_zero_sphere_error_is_the_table_gap(n, p):
+    # the in-place per-class gap equals the gap of the two dense tables
+    f = PrimeField(p)
+    gap = fourier.zero_sphere_hat_table(f, n, "direct") - fourier.zero_sphere_hat_table(f, n, "closed")
+    assert fourier.zero_sphere_max_error(f, n) == float(np.abs(gap).max())
+
+
 def test_zero_sphere_formula_hypotheses():
     with pytest.raises(ValueError):
         fourier.zero_sphere_hat(PrimeField(13), 2, (0, 0))  # p = 1 mod 4
@@ -298,3 +306,20 @@ def test_verify_report_memory_stays_off_the_space():
         tracemalloc.stop()
     assert sample_peak < grid_bytes / 20
     assert report_peak < 4 * table_bytes
+
+
+def test_zero_sphere_check_holds_one_table():
+    """The closed-form check works in place on the direct table: at p^n =
+    1019^2 it peaks at one complex table of p^n entries (it held three)."""
+    f, n = PrimeField(1019), 2
+    fourier._freq_norms.cache_clear()
+    fourier._zero_sphere.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        err = fourier.zero_sphere_max_error(f, n)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert err < 1e-12
+    assert peak < 1.25 * f.p**n * 16

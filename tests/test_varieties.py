@@ -142,6 +142,37 @@ def test_build_sources_agree():
     assert PointSet.build(f, 2, []) == PointSet.build(f, 2, np.zeros((0, 2), dtype=np.int64))
 
 
+def test_build_sorts_only_unsorted_input(monkeypatch):
+    """Rows already strictly increasing (after reduction mod p) skip the
+    lexsort; unsorted rows and repeated rows, adjacent or apart, still come
+    out sorted and deduplicated."""
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    cases = {
+        "sorted": ([(0, 5), (1, 0), (1, 3), (6, 6)], False),
+        "sorted mod p": ([(7, 1), (0, 2), (8, -6)], False),
+        "unsorted": ([(1, 0), (0, 5)], True),
+        "unsorted in a later column": ([(0, 5), (0, 3)], True),
+        "adjacent repeat": ([(0, 1), (0, 1), (2, 2)], True),
+        "repeat apart": ([(0, 1), (2, 2), (0, 1)], True),
+        "single": ([(3, 3)], False),
+        "empty": ([], False),
+    }
+    for name, (raw, sorts) in cases.items():
+        calls.clear()
+        ps = PointSet.build(PrimeField(7), 2, raw)
+        _assert_canonical(ps)
+        assert ps.points == tuple(sorted({(a % 7, b % 7) for a, b in raw})), name
+        assert bool(calls) == sorts, name
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        raw = rng.integers(0, 4, size=(int(rng.integers(0, 12)), 3))
+        ps = PointSet.build(PrimeField(5), 3, raw)
+        _assert_canonical(ps)
+        assert ps.points == tuple(sorted(set(map(tuple, raw.tolist()))))
+
+
 def test_array_is_read_only_and_build_copies():
     f = PrimeField(5)
     src = np.array([[4, 4], [0, 1]])
