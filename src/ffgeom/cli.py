@@ -126,9 +126,6 @@ def cmd_construct(args) -> int:
         else:
             E = constructions.BUILDERS[args.kind](field, args.d, args.k, args.seed)
             report = constructions.construction_report(args.kind, field, E, k=args.k)
-    except (ValueError, constructions.FrameSearchError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except constructions.ConstructionError as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 1
@@ -171,20 +168,16 @@ def cmd_oracle_diff(args) -> int:
 
 
 def cmd_mpprp(args) -> int:
-    try:
-        if args.primes:
-            primes = [int(x) for x in args.primes.split(",")]
-            reports = sweep.planar_triangle_sweep(
-                primes, exponent=args.exponent, trials=args.trials, seed=args.seed
-            )
-        elif args.p is None or args.size is None:
-            raise ValueError("mpprp-check needs --primes, or --p and --size")
-        else:
-            X = random_subset(enum_plane(PrimeField(args.p)), args.size, args.seed)
-            reports = [sweep.planar_triangle_check(X)]
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    if args.primes:
+        primes = [int(x) for x in args.primes.split(",")]
+        reports = sweep.planar_triangle_sweep(
+            primes, exponent=args.exponent, trials=args.trials, seed=args.seed
+        )
+    elif args.p is None or args.size is None:
+        raise ValueError("mpprp-check needs --primes, or --p and --size")
+    else:
+        X = random_subset(enum_plane(PrimeField(args.p)), args.size, args.seed)
+        reports = [sweep.planar_triangle_check(X)]
     keys = ("p", "size", "t_star", "excess", "min_bound", "ratio", "ok")
     rows = [{k: getattr(r, k) for k in keys} for r in reports]
     _emit(json.dumps(rows, indent=2) + "\n", args.out)
@@ -278,7 +271,7 @@ def main(argv=None) -> int:
             setattr(args, key, value)
     try:
         return args.fn(args)
-    except (ValueError, OSError, ResourceLimitError) as e:
+    except (ValueError, OSError, ResourceLimitError, constructions.FrameSearchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

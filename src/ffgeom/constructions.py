@@ -229,18 +229,32 @@ def _am_a2(field: PrimeField, elements) -> set[int]:
     return {(a - a * a) % field.p for a in elements}
 
 
+def _isotropic_lift(
+    field: PrimeField, d: int, k: int, seed: int, span_dim: int, label: str, minus: bool = False
+) -> PointSet:
+    """E = {(s, 0...0, a, a^2) : s in the span of a maximal isotropic frame of
+    F_p^span_dim, a in A}. Every product is ab + (ab)^2, since s.s' = 0; the
+    postcondition also admits c - c^2 when `minus` is set."""
+    p = field.p
+    A = mult_subgroup(field, k)
+    m = span_dim // 2
+    frame = isotropic_frame(field, span_dim, m, seed).vectors if m else ()
+    pad = (0,) * (d - 2 - span_dim)
+    S = span_points(field, frame, span_dim)
+    E = PointSet.build(field, d, [s + pad + (a, a * a % p) for s in S for a in sorted(A.elements)])
+    allowed = _ap_a2(field, A.elements)
+    if minus:
+        allowed |= _am_a2(field, A.elements)
+    _verify(E, k * p**m, allowed, label)
+    return E
+
+
 def construct_even_2mod4(field: PrimeField, d: int, k: int, seed: int = 0) -> PointSet:
     """E = (totally isotropic subspace of F_p^(d-2)) x {(a, a^2) : a in A}
     for d = 2 mod 4; dot products land in {a + a^2 : a in A}."""
     if d % 4 != 2 or d < 2:
         raise ValueError("construction requires d = 2 mod 4")
-    A = mult_subgroup(field, k)
-    m = (d - 2) // 2
-    S = _frame_span(field, d - 2, m, seed)
-    pts = [s + (a, a * a % field.p) for s in S for a in sorted(A.elements)]
-    E = PointSet.build(field, d, pts)
-    _verify(E, k * field.p**m, _ap_a2(field, A.elements), "even_2mod4")
-    return E
+    return _isotropic_lift(field, d, k, seed, d - 2, "even_2mod4")
 
 
 def construct_odd_3mod4(field: PrimeField, d: int, k: int, seed: int = 0) -> PointSet:
@@ -250,25 +264,13 @@ def construct_odd_3mod4(field: PrimeField, d: int, k: int, seed: int = 0) -> Poi
         raise ValueError("construction requires p = 3 mod 4")
     if d % 4 != 3 or d < 3:
         raise ValueError("construction requires d = 3 mod 4")
-    A = mult_subgroup(field, k)
-    m = (d - 3) // 2
-    S = _frame_span(field, d - 3, m, seed)
-    pts = [s + (0,) + (a, a * a % field.p) for s in S for a in sorted(A.elements)]
-    E = PointSet.build(field, d, pts)
-    _verify(E, k * field.p**m, _ap_a2(field, A.elements), "odd_3mod4")
-    return E
-
-
-def _frame_span(field, ambient_dim, count, seed):
-    frame = isotropic_frame(field, ambient_dim, count, seed).vectors if count else ()
-    return span_points(field, frame, ambient_dim)
+    return _isotropic_lift(field, d, k, seed, d - 3, "odd_3mod4")
 
 
 def construct_even_0mod4(field: PrimeField, d: int, k: int, seed: int = 0) -> PointSet:
-    """d = 0 mod 4 variant: needs i with i^2 = -1, hence p = 1 mod 4. The
-    isotropic frame is padded with the vector (0, ..., 0, 1, i); squaring the
-    subgroup coordinate through it yields products of the form c +- c^2
-    (the realized sign is recorded by construction_report)."""
+    """d = 0 mod 4 variant: F_p^(d-2) holds an isotropic subspace of dimension
+    d/2 - 1 only when -1 is a square, hence p = 1 mod 4. As for d = 2 mod 4 the
+    products are c + c^2; construction_report records which of c +- c^2 hold."""
     if field.p % 4 != 1:
         raise ValueError(
             "construction requires p = 1 mod 4: the frame closes with (0,...,0,1,i) "
@@ -276,23 +278,7 @@ def construct_even_0mod4(field: PrimeField, d: int, k: int, seed: int = 0) -> Po
         )
     if d % 4 != 0 or d < 4:
         raise ValueError("construction requires d = 0 mod 4")
-    p = field.p
-    i = field.sqrt_minus_one()
-    A = mult_subgroup(field, k)
-    m = d // 2 - 1
-    v_last = (0,) * (d - 2) + (1, i)
-    embedded = []
-    if m:
-        small = isotropic_frame(field, d - 2, m, seed)
-        embedded = [u + (0, 0) for u in small.vectors]
-    IsotropicFrame(field, d, tuple(embedded) + (v_last,)).verify()
-    # w + a v_last for w in the span and a in A, last coordinate -x_d^2
-    x = (np.array(span_points(field, embedded, d))[:, None] + np.outer(sorted(A.elements), v_last)) % p
-    x[..., -1] = -x[..., -1] ** 2 % p
-    E = PointSet.build(field, d, x.reshape(-1, d))
-    allowed = _ap_a2(field, A.elements) | _am_a2(field, A.elements)
-    _verify(E, k * p**m, allowed, "even_0mod4")
-    return E
+    return _isotropic_lift(field, d, k, seed, d - 2, "even_0mod4", minus=True)
 
 
 BUILDERS = {

@@ -10,13 +10,7 @@ across threads; every method is a pure function of its arguments.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-
-# Exhaustive square-root tables are built below this modulus; Tonelli-Shanks
-# handles larger primes.
-SQRT_TABLE_LIMIT = 10_000
 
 
 def is_prime(n: int) -> bool:
@@ -58,7 +52,6 @@ class PrimeField:
             raise ValueError("modulus must be an odd prime")
         self.p = p
         self._primitive_root: int | None = None
-        self._sqrt_table: list[tuple[int, ...]] | None = None
         self._chi_table: np.ndarray | None = None
 
     def __repr__(self) -> str:
@@ -72,54 +65,6 @@ class PrimeField:
 
     # -- quadratic residues --------------------------------------------------
 
-    def legendre(self, a: int) -> int:
-        """Legendre symbol in {-1, 0, +1}, by Euler's criterion."""
-        a %= self.p
-        if a == 0:
-            return 0
-        return 1 if pow(a, (self.p - 1) // 2, self.p) == 1 else -1
-
-    def sqrt(self, a: int) -> tuple[int, ...]:
-        """All square roots of a, sorted: 0, 1 or 2 values."""
-        a %= self.p
-        if a == 0:
-            return (0,)
-        if self.p < SQRT_TABLE_LIMIT:
-            return self._table_sqrt(a)
-        if self.legendre(a) != 1:
-            return ()
-        r = self._tonelli(a)
-        return tuple(sorted({r, self.p - r}))
-
-    def _table_sqrt(self, a: int) -> tuple[int, ...]:
-        if self._sqrt_table is None:
-            roots: list[list[int]] = [[] for _ in range(self.p)]
-            for r in range(self.p):
-                roots[r * r % self.p].append(r)
-            self._sqrt_table = [tuple(rs) for rs in roots]
-        return self._sqrt_table[a]
-
-    def _tonelli(self, a: int) -> int:
-        p = self.p
-        if p % 4 == 3:
-            return pow(a, (p + 1) // 4, p)
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while self.legendre(z) != -1:
-            z += 1
-        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-        return r
-
     def isotropic(self, m: int) -> bool:
         """Whether a sum of m squares vanishes at a nonzero vector of F_p^m."""
         return m >= 3 or (m == 2 and self.p % 4 == 1)
@@ -128,7 +73,9 @@ class PrimeField:
         """The smaller square root of -1, or None when p = 3 mod 4."""
         if self.p % 4 != 1:
             return None
-        return min(self.sqrt(self.p - 1))
+        # g^((p-1)/4) has order 4 for a generator g, so its square is -1
+        r = pow(self.primitive_root(), (self.p - 1) // 4, self.p)
+        return min(r, self.p - r)
 
     # -- additive character --------------------------------------------------
 
@@ -140,9 +87,6 @@ class PrimeField:
             tbl.setflags(write=False)
             self._chi_table = tbl
         return self._chi_table
-
-    def chi(self, a: int) -> complex:
-        return complex(self.chi_table[a % self.p])
 
     # -- vectors ---------------------------------------------------------
 
@@ -166,9 +110,3 @@ class PrimeField:
                 g += 1
             self._primitive_root = g
         return self._primitive_root
-
-
-@lru_cache(maxsize=64)
-def field(p: int) -> PrimeField:
-    """Shared PrimeField instances keyed by modulus."""
-    return PrimeField(p)

@@ -89,32 +89,22 @@ class SurfaceFunction:
     def constant(variety: PointSet, value: complex = 1.0) -> "SurfaceFunction":
         return SurfaceFunction(variety, np.full(len(variety), value, dtype=np.complex128))
 
-    @staticmethod
-    def point_mass(variety: PointSet, x0) -> "SurfaceFunction":
-        vals = np.zeros(len(variety), dtype=np.complex128)
-        vals[variety.points.index(tuple(x0))] = 1.0
-        return SurfaceFunction(variety, vals)
-
 
 def fourier_indicator(X: PointSet, cap: int | None = None) -> SpectralTable:
     """Xhat(m) = p^(-n) sum_{x in X} chi(-m.x) over all p^n frequencies."""
     p, n = X.field.p, X.dim
     _check_cap(p**n, cap)
-    return SpectralTable(X.field, n, np.fft.fftn(_grid(X, 1.0)) * float(p) ** (-n))
+    # transformed and scaled in place: one complex table in all
+    table = _grid(X, 1.0)
+    np.fft.fftn(table, out=table)
+    table *= float(p) ** (-n)
+    return SpectralTable(X.field, n, table)
 
 
 def plancherel_error(table: SpectralTable, X: PointSet) -> float:
     """|sum_m |Xhat(m)|^2 - p^(-n)|X)|, zero in exact arithmetic."""
     p, n = table.field.p, table.n
     return abs(float((np.abs(table.flat) ** 2).sum()) - len(X) * float(p) ** (-n))
-
-
-def invert_to_indicator(table: SpectralTable, x) -> complex:
-    """sum_m Xhat(m) chi(m.x); equals 1_X(x) for indicator tables."""
-    p = table.field.p
-    freqs = _space(p, table.n)
-    dots = (freqs @ np.array(x, dtype=np.int64)) % p
-    return complex((table.flat * table.field.chi_table[dots]).sum())
 
 
 # -- the zero-radius sphere ----------------------------------------------
@@ -192,8 +182,10 @@ def inverse_surface_transform(f: SurfaceFunction, cap: int | None = None) -> Spe
         raise ValueError("empty variety")
     p, n = V.field.p, V.dim
     _check_cap(p**n, cap)
-    out = np.fft.ifftn(_grid(V, f.values)) * (float(p) ** n / len(V))
-    return SpectralTable(V.field, n, out)
+    table = _grid(V, f.values)
+    np.fft.ifftn(table, out=table)
+    table *= float(p) ** n / len(V)
+    return SpectralTable(V.field, n, table)
 
 
 def extension_ratio(f: SurfaceFunction, r_exp: float, cap: int | None = None) -> float:
@@ -245,15 +237,6 @@ def extension_ratio_stats(
 
 
 # -- spectral bound for equal distances from an apex -----------------------
-
-
-def spectral_sphere_sum(table: SpectralTable, y, r: int) -> complex:
-    """sum over frequencies m of norm r of Xhat(m) chi(y.m)."""
-    p = table.field.p
-    mask = _freq_norms(p, table.n) == (r % p)
-    freqs = _space(p, table.n)[mask]
-    dots = (freqs @ np.array(y, dtype=np.int64)) % p
-    return complex((table.flat[mask] * table.field.chi_table[dots]).sum())
 
 
 def spectral_apex_bound(X: PointSet, y) -> tuple[int, float]:

@@ -312,11 +312,6 @@ def emit_rows(rows: list[SweepRow], fmt: str, out=None) -> bytes:
     return payload
 
 
-def parse_csv_rows(payload: bytes) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(payload.decode("utf-8")))
-    return list(reader)
-
-
 # -- planar non-degenerate triangle bound ----------------------------------
 
 

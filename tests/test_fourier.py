@@ -21,6 +21,12 @@ def rand_plane_subset(p, size, seed):
     return random_subset(plane(p), size, seed)
 
 
+def delta(S, index):
+    vals = np.zeros(len(S), dtype=np.complex128)
+    vals[index] = 1.0
+    return fourier.SurfaceFunction(S, vals)
+
+
 def test_origin_indicator_table():
     f = PrimeField(3)
     X = PointSet.build(f, 2, [(0, 0)])
@@ -38,11 +44,12 @@ def test_plancherel_random_sets():
 
 
 def test_inversion_recovers_indicator():
+    # 1_X(x) = sum_m Xhat(m) chi(m.x) = p^n ifftn(Xhat)(x), at every x
     X = rand_plane_subset(7, 10, seed=12)
     t = fourier.fourier_indicator(X)
-    for pt in [(0, 0), (1, 3), (6, 6)] + list(X.points[:4]):
-        expect = 1.0 if pt in X else 0.0
-        assert abs(fourier.invert_to_indicator(t, pt) - expect) < 1e-9
+    indicator = np.zeros((7, 7))
+    indicator[tuple(X.array.T)] = 1.0
+    assert np.abs(np.fft.ifftn(t.values) * 7**2 - indicator).max() < 1e-9
 
 
 def test_indicator_sign_and_scale_against_definition():
@@ -55,7 +62,7 @@ def test_indicator_sign_and_scale_against_definition():
     asymmetric = False
     for _ in range(16):
         m = (rng.randrange(p), rng.randrange(p))
-        literal = sum(f.chi(-f.dot(m, x)) for x in X.points) / p**2
+        literal = sum(f.chi_table[-f.dot(m, x) % p] for x in X.points) / p**2
         assert abs(t[m] - literal) < 1e-9
         asymmetric |= abs(t[m] - t[(-m[0], -m[1])]) > 1e-6
     assert asymmetric
@@ -105,7 +112,7 @@ def test_surface_transform_constants():
     ones = fourier.SurfaceFunction.constant(S)
     table = fourier.inverse_surface_transform(ones)
     assert table[(0, 0)] == pytest.approx(1.0)
-    pm = fourier.SurfaceFunction.point_mass(S, S.points[2])
+    pm = delta(S, 2)
     tp = fourier.inverse_surface_transform(pm)
     assert np.allclose(np.abs(tp.flat), 1 / len(S))
     # the zero sphere at p = 3 is the origin alone: transform is identically 1
@@ -125,16 +132,16 @@ def test_surface_transform_sign_and_scale_against_definition():
     asymmetric = False
     for _ in range(16):
         c = tuple(int(v) for v in rng.integers(0, p, 2))
-        literal = sum(f.chi(f.dot(c, x)) * v for x, v in zip(V.points, vals)) / len(V)
+        literal = sum(f.chi_table[f.dot(c, x)] * v for x, v in zip(V.points, vals)) / len(V)
         assert abs(table[c] - literal) < 1e-9
         asymmetric |= abs(table[c] - table[(-c[0], -c[1])]) > 1e-6
     assert asymmetric
 
 
-def test_extension_ratio_point_mass_closed_form():
+def test_extension_ratio_delta_closed_form():
     f = PrimeField(3)
     S = enum_sphere(f, 2, 1)
-    pm = fourier.SurfaceFunction.point_mass(S, S.points[0])
+    pm = delta(S, 0)
     assert fourier.extension_ratio(pm, 4.0) == pytest.approx((3 / 4) ** 0.5)
 
 
@@ -147,7 +154,7 @@ def test_extension_ratio_against_direct_norms():
     num = 0.0
     for c0 in range(3):
         for c1 in range(3):
-            acc = sum(f.chi(c0 * x + c1 * y) for x, y in S.points) / len(S)
+            acc = sum(f.chi_table[(c0 * x + c1 * y) % 3] for x, y in S.points) / len(S)
             num += abs(acc) ** 4
     expect = num**0.25 / (sum(1.0 for _ in S.points) / len(S)) ** 0.5
     assert ratio == pytest.approx(expect, abs=1e-9)
@@ -165,19 +172,6 @@ def test_extension_ratio_scale_invariant_and_zero_rejected():
     )
     with pytest.raises(ValueError):
         fourier.extension_ratio(fourier.SurfaceFunction.constant(S, 0.0), 4.0)
-
-
-def test_spectral_sphere_sum_groups_by_norm():
-    X = rand_plane_subset(7, 12, seed=21)
-    t = fourier.fourier_indicator(X)
-    y = (2, 5)
-    total = 0j
-    for r in range(7):
-        total += fourier.spectral_sphere_sum(t, y, r)
-    # summing over every norm class reproduces the full weighted sum
-    f = PrimeField(7)
-    direct = sum(t[m] * f.chi(f.dot(y, m)) for m in fourier.all_frequencies(f, 2))
-    assert abs(total - direct) < 1e-9
 
 
 def test_spectral_apex_bound_cases():
@@ -308,18 +302,43 @@ def test_verify_report_memory_stays_off_the_space():
     assert report_peak < 4 * table_bytes
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def test_zero_sphere_check_holds_one_table():
     """The closed-form check works in place on the direct table: at p^n =
     1019^2 it peaks at one complex table of p^n entries (it held three)."""
     f, n = PrimeField(1019), 2
     fourier._freq_norms.cache_clear()
     fourier._zero_sphere.cache_clear()
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        err = fourier.zero_sphere_max_error(f, n)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    err, peak = _traced_peak(fourier.zero_sphere_max_error, f, n)
     assert err < 1e-12
     assert peak < 1.25 * f.p**n * 16
+
+
+def test_indicator_transform_holds_one_table():
+    """fftn and the p^(-n) scale run in place on the scattered grid: at p^n =
+    1019^2 the transform peaks at one complex table (it held three)."""
+    p = 1019
+    X = rand_plane_subset(p, 3000, seed=4)
+    t, peak = _traced_peak(fourier.fourier_indicator, X)
+    assert t.values.shape == (p, p) and t[(0, 0)] == pytest.approx(3000 / p**2)
+    assert peak < 1.25 * p**2 * 16
+
+
+def test_surface_transform_holds_one_table():
+    """ifftn and the p^n/|V| scale run in place: one complex table at 1019^2."""
+    p = 1019
+    V = enum_sphere(PrimeField(p), 2, 5)
+    vals = np.random.default_rng(3).standard_normal(len(V)) + 0j
+    t, peak = _traced_peak(fourier.inverse_surface_transform, fourier.SurfaceFunction(V, vals))
+    assert t.values.shape == (p, p) and t[(0, 0)] == pytest.approx(vals.sum() / len(V))
+    assert peak < 1.25 * p**2 * 16

@@ -1,8 +1,13 @@
+import ast
+import csv
+import io
 import json
+from pathlib import Path
 
 import pytest
 
-from ffgeom import cli, counting, sweep
+import ffgeom
+from ffgeom import cli, constructions, counting, sweep
 from ffgeom.constructions import isotropic_lines_set
 from ffgeom.field import PrimeField
 from ffgeom.varieties import PointSet, enum_plane, random_subset
@@ -87,7 +92,7 @@ def test_csv_round_trip_and_determinism():
     # LF endings, header, parse-back
     text = payload.decode("utf-8")
     assert "\r" not in text
-    parsed = sweep.parse_csv_rows(payload)
+    parsed = list(csv.DictReader(io.StringIO(text)))
     assert len(parsed) == len(rows)
     assert list(parsed[0]) == sweep.CSV_COLUMNS
     for rec, row in zip(parsed, rows):
@@ -213,6 +218,17 @@ def test_cli_construct_usage_error():
     assert cli.main(["construct", "--kind", "odd3mod4", "--p", "13", "--d", "3", "--k", "3"]) == 2
 
 
+def test_cli_construct_frame_search_failure_exit_2(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise constructions.FrameSearchError("not found within budget")
+
+    monkeypatch.setattr(constructions, "isotropic_frame", exhausted)
+    argv = ["construct", "--kind", "even2mod4", "--p", "7", "--d", "6", "--k", "3"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: not found within budget\n"
+
+
 def test_cli_fourier_verify(capsys):
     assert cli.main(["fourier-verify", "--pairs", "2:3,2:7"]) == 0
     out = capsys.readouterr().out
@@ -320,3 +336,21 @@ def test_cli_zero_pair_byte_cap_exit_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["count", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "bytes" in err and err.count("\n") == 1
+
+
+def test_all_matches_package_imports():
+    # __all__ is what `from ffgeom import *` exports: every name must resolve,
+    # and it must list exactly the public names __init__.py imports
+    tree = ast.parse(Path(ffgeom.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    ]
+    assert sorted(ffgeom.__all__) == sorted(set(imported)) == sorted(imported)
+    assert all(hasattr(ffgeom, name) for name in ffgeom.__all__)
+    namespace: dict = {}
+    exec("from ffgeom import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(ffgeom.__all__)
