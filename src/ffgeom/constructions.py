@@ -229,12 +229,9 @@ def _am_a2(field: PrimeField, elements) -> set[int]:
     return {(a - a * a) % field.p for a in elements}
 
 
-def _isotropic_lift(
-    field: PrimeField, d: int, k: int, seed: int, span_dim: int, label: str, minus: bool = False
-) -> PointSet:
+def _isotropic_lift(field: PrimeField, d: int, k: int, seed: int, span_dim: int, label: str) -> PointSet:
     """E = {(s, 0...0, a, a^2) : s in the span of a maximal isotropic frame of
-    F_p^span_dim, a in A}. Every product is ab + (ab)^2, since s.s' = 0; the
-    postcondition also admits c - c^2 when `minus` is set."""
+    F_p^span_dim, a in A}. Every product is ab + (ab)^2, since s.s' = 0."""
     p = field.p
     A = mult_subgroup(field, k)
     m = span_dim // 2
@@ -242,10 +239,7 @@ def _isotropic_lift(
     pad = (0,) * (d - 2 - span_dim)
     S = span_points(field, frame, span_dim)
     E = PointSet.build(field, d, [s + pad + (a, a * a % p) for s in S for a in sorted(A.elements)])
-    allowed = _ap_a2(field, A.elements)
-    if minus:
-        allowed |= _am_a2(field, A.elements)
-    _verify(E, k * p**m, allowed, label)
+    _verify(E, k * p**m, _ap_a2(field, A.elements), label)
     return E
 
 
@@ -273,12 +267,12 @@ def construct_even_0mod4(field: PrimeField, d: int, k: int, seed: int = 0) -> Po
     products are c + c^2; construction_report records which of c +- c^2 hold."""
     if field.p % 4 != 1:
         raise ValueError(
-            "construction requires p = 1 mod 4: the frame closes with (0,...,0,1,i) "
-            "and i^2 = -1 has no root here"
+            "construction requires p = 1 mod 4: an isotropic subspace of F_p^(d-2) of "
+            "dimension d/2 - 1 needs -1 to be a square"
         )
     if d % 4 != 0 or d < 4:
         raise ValueError("construction requires d = 0 mod 4")
-    return _isotropic_lift(field, d, k, seed, d - 2, "even_0mod4", minus=True)
+    return _isotropic_lift(field, d, k, seed, d - 2, "even_0mod4")
 
 
 BUILDERS = {

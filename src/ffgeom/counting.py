@@ -56,6 +56,14 @@ to the D* correction. No n x n array is allocated: the zero-pair lists,
 their per-pair arrays and the adjacency are held within ZERO_PAIR_BYTE_CAP,
 and the rest within a few blocks of _BLOCK_BYTES and O(n) words.
 
+Every block is a BLAS float64 product cast to int64 and reduced mod p by
+floor division. It is exact while the number of columns times the largest
+entries of the two factors stays below 2^53 (for the distance block,
+(d + 2) 2 (p - 1)^2, so p up to about 2^26 / sqrt(d + 2)): every partial sum
+is then an integer float64 holds, whatever the summation order. Above that
+the product is taken in int64, and from 2^63, where int64 would wrap,
+`_gram_blocks` raises ResourceLimitError (exit 2 on the command line).
+
 Counts are returned as Python ints (arbitrary precision); numpy int64 is
 used only for intermediates whose ranges stay well inside 63 bits at the
 supported set sizes.
@@ -89,13 +97,31 @@ def _block_rows(row_bytes: int) -> int:
 
 
 def _gram_blocks(A: np.ndarray, B: np.ndarray, p: int):
-    """Yield (lo, (A[lo:hi] @ B.T) % p) over row blocks of A of about
-    _BLOCK_BYTES, each in one buffer that the next step overwrites."""
-    bt, rows = B.T, _block_rows(8 * max(len(B), p))
-    buf = np.empty((2, min(rows, len(A)), len(B)), dtype=np.int64)  # reused: fresh blocks cost page faults
-    for lo in range(0, len(A), rows):
-        block, quot = buf[0, : len(A) - lo], buf[1, : len(A) - lo]
-        np.matmul(A[lo : lo + rows], bt, out=block)
+    """An iterator of (lo, (A[lo:hi] @ B.T) % p) over row blocks of A of
+    about _BLOCK_BYTES, each in one buffer that the next step overwrites.
+
+    No entry of a product exceeds bound = A.shape[1] max|A| max|B| in
+    absolute value, nor does any partial sum. Below 2^53 every one is an
+    integer that float64 holds exactly, so a BLAS float64 product is exact
+    in any summation order; up to 2^63 the product is taken in int64, and
+    beyond it int64 would wrap, so that raises ResourceLimitError, at the
+    call and so before the caller's p-sized tables."""
+    bound = A.shape[1] * int(np.abs(A).max(initial=0)) * int(np.abs(B).max(initial=0))
+    if bound >= 1 << 63:
+        raise ResourceLimitError(f"dot products up to {bound} overflow int64 at p = {p}")
+    dtype = np.float64 if bound < 1 << 53 else np.int64
+    return _reduced_blocks(A.astype(dtype), B.T.astype(dtype), p)
+
+
+def _reduced_blocks(a: np.ndarray, bt: np.ndarray, p: int):
+    """The blocks of `_gram_blocks`, from its factors cast to one dtype."""
+    rows = _block_rows(8 * max(bt.shape[1], p))
+    buf = np.empty((2, min(rows, len(a)), bt.shape[1]), dtype=np.int64)  # reused: fresh blocks cost page faults
+    for lo in range(0, len(a), rows):
+        block, quot = buf[0, : len(a) - lo], buf[1, : len(a) - lo]
+        prod = quot.view(a.dtype)  # the product goes through the quotient's bytes
+        np.matmul(a[lo : lo + rows], bt, out=prod)
+        np.copyto(block, prod, casting="unsafe")
         np.floor_divide(block, p, out=quot)  # mod p in place: // by a scalar beats %
         quot *= p
         block -= quot
@@ -141,8 +167,9 @@ def dot_histogram(E: PointSet, F: PointSet | None = None) -> DotHistogram:
     if E.field != F.field or E.dim != F.dim:
         raise ValueError("point sets must share field and dimension")
     p = E.field.p
+    blocks = _gram_blocks(E.array, F.array, p)
     counts = np.zeros(p, dtype=np.int64)
-    for _, gram in _gram_blocks(E.array, F.array, p):
+    for _, gram in blocks:
         counts += np.bincount(gram.ravel(), minlength=p)
     return DotHistogram(E.field, tuple(int(c) for c in counts))
 
@@ -207,16 +234,27 @@ def _pair_bytes(dim: int) -> int:
     return 8 * (dim + 8)
 
 
-def _row_classes(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(classes, cls): the distinct rows of u in lexicographic order, and the
-    index in classes of each row of u."""
-    order = np.lexsort(u.T[::-1])
+def _row_classes(u: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, cls): the distinct rows of u (entries in [0, p)) in
+    lexicographic order, and the index in classes of each row of u.
+
+    Each key packs k consecutive coordinates as base-p digits, the first
+    most significant, with k the largest such that p^k < 2^63; comparing
+    the keys in turn compares the rows lexicographically."""
+    d, k = u.shape[1], 1
+    while p ** (k + 1) < 1 << 63:
+        k += 1
+    weights = p ** np.arange(k - 1, -1, -1)  # p^(k-1), ..., p, 1
+    keys = [u[:, c : c + k] @ weights[max(0, c + k - d) :] for c in range(0, d, k)]
+    order = np.lexsort(keys[::-1])
     new = np.zeros(len(u), dtype=bool)
     new[:1] = True
-    for col in u.T:
-        c = col[order]
-        new[1:] |= c[1:] != c[:-1]
-    ids = np.cumsum(new) - 1
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    del keys, key  # before the class index: the peak stays within _pair_bytes
+    ids = np.cumsum(new)
+    ids -= 1
     cls = np.empty_like(order)
     cls[order] = ids
     return u[order[new]], cls
@@ -242,7 +280,7 @@ def _class_agreements(arr, nrm, p, pairs, k, base_from):
     u %= p
     target = (nrm[i[:k]] - nrm[j[:k]]) * inv[:k] % p * ((p + 1) // 2) % p
     del inv
-    classes, cls = _row_classes(u)
+    classes, cls = _row_classes(u, p)
     base_counts = np.bincount(cls[base_from:], minlength=len(classes))
     # (class, target) of each distance-zero pair as one sorted flat index, so
     # the pairs of a block of classes form one span
@@ -283,13 +321,14 @@ def profile(E: PointSet) -> Profile:
     nrm = (arr * arr).sum(axis=1) % p
     ones = np.ones(n, dtype=np.int64)
     left, right = np.column_stack([arr, nrm, ones]), np.column_stack([-2 * arr, ones, nrm])
+    blocks = zip(_gram_blocks(arr, arr, p), _gram_blocks(left, right, p))  # may raise: before the p-sized tables
     # square[k + p] = k^2 = ||y - z|| - ||ybar - zbar|| at k = y_d - z_d
     square = np.arange(2 * p) ** 2 % p
     dots = np.zeros(p, dtype=np.int64)
     d_total = total_iso = eq_zero_sides = degenerate = m = 0
     empty = np.zeros((2, 0), dtype=np.intp)
     dist_found, base_found = [empty], [empty]
-    for (lo, gram), (_, dist) in zip(_gram_blocks(arr, arr, p), _gram_blocks(left, right, p)):
+    for (lo, gram), (_, dist) in blocks:
         if scan_dist:
             dist_found.append(_upper_zeros(lo, dist))
             m += dist_found[-1].shape[1]

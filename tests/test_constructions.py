@@ -125,6 +125,15 @@ def test_even_0mod4_rejects_3mod4():
         cn.construct_even_0mod4(PrimeField(7), 4, 3)
 
 
+def test_even_0mod4_postcondition_is_a_plus_a2(monkeypatch):
+    # isotropic vectors of F_5^2 that are not mutually orthogonal:
+    # (1, 2).(1, 3) = 2, so with A = F_5^* the products reach 2 + c + c^2 = 3,
+    # outside {c + c^2} = {0, 1, 2} (but inside {c +- c^2}, which is all of F_5)
+    monkeypatch.setattr(cn, "span_points", lambda field, frame, dim: [(0, 0), (1, 2), (2, 4), (1, 3), (2, 1)])
+    with pytest.raises(cn.ConstructionError, match="escape"):
+        cn.construct_even_0mod4(PrimeField(5), 4, 4)
+
+
 def test_lines_set_counts():
     f13 = PrimeField(13)
     E = cn.isotropic_lines_set(f13, 2, 3, seed=1)

@@ -476,6 +476,61 @@ def test_base_scan_by_square_table(monkeypatch, p, d, size):
         assert counting.profile(E) == ref
 
 
+def _python_gram_mod(A, B, p):
+    return [[sum(int(a) * int(b) for a, b in zip(r, s)) % p for s in B.tolist()] for r in A.tolist()]
+
+
+@pytest.mark.parametrize(
+    "a_max, b_max",
+    [
+        (134_217_730, 22_369_621),  # 3 a b = 2^53 - 2, the largest bound below 2^53: float64
+        (28_059_810_762_433, 107),  # 3 a b = 2^53 + 1, the smallest at or above it: int64
+        (2_147_483_647, 1_431_655_766),  # 3 a b = 2^63 - 2, the largest int64 holds
+    ],
+)
+def test_gram_blocks_exact_at_the_bounds(a_max, b_max):
+    """Every block equals the Python-int product mod p when the bound
+    3 max|A| max|B| sits on either side of 2^53 and just below 2^63. The
+    rows reach the extremes, B's signs included (the -2y columns of the
+    distance stream), so sums of +-bound and odd values near 2^53, which
+    float64 cannot hold, occur."""
+    rng = np.random.default_rng(a_max % 1000)
+    A = np.vstack([np.full((2, 3), a_max), rng.integers(0, a_max + 1, (10, 3)), [[a_max, 1, 0]]])
+    B = np.vstack([np.full((1, 3), b_max), np.full((1, 3), -b_max), rng.integers(-b_max, b_max + 1, (9, 3))])
+    assert 3 * a_max * b_max in (2**53 - 2, 2**53 + 1, 2**63 - 2)
+    for p in (101, 2**31 - 1):
+        got = np.zeros((len(A), len(B)), dtype=np.int64)
+        for lo, block in counting._gram_blocks(A, B, p):
+            got[lo : lo + len(block)] = block
+        assert got.tolist() == _python_gram_mod(A, B, p)
+
+
+def test_gram_blocks_refuse_int64_overflow():
+    # 3 (p - 1)^2 > 2^63 at p = 2^31 - 1: int64 products would wrap
+    p = 2**31 - 1
+    for a_max, b_max in ((p - 1, p - 1), (3_074_457_345_618_258_603, 1)):  # the second: 3 a b = 2^63 + 1
+        A, B = np.full((2, 3), a_max), np.full((2, 3), b_max)
+        with pytest.raises(ResourceLimitError, match="overflow int64"):
+            next(counting._gram_blocks(A, B, p))
+
+
+@pytest.mark.parametrize("p", [3, 11, 1009, 2**31 - 1])
+def test_row_classes_match_sorted_rows(p):
+    """Packed keys (one at p = 3 and 11, two or more from d = 7 at 1009 and
+    from d = 3 at 2^31 - 1) give the distinct rows in lexicographic order."""
+    rng = np.random.default_rng(p % 1000)
+    for d in range(1, 10):
+        pool = rng.integers(0, p, (40, d))
+        pool[:4] = [0], [p - 1], [1], [p - 2]  # extreme digits in every position
+        pool[4:8, -1] = pool[0, -1]  # rows that differ only before the last key
+        u = pool[rng.integers(0, len(pool), 300)]
+        classes, cls = counting._row_classes(u, p)
+        rows = sorted(set(map(tuple, u.tolist())))
+        assert classes.tolist() == [list(r) for r in rows]
+        index = {r: c for c, r in enumerate(rows)}
+        assert cls.tolist() == [index[r] for r in map(tuple, u.tolist())]
+
+
 def test_upper_zeros_matches_full_scan():
     # the pairs i < j with a zero at block[i - lo, j], in row-major order
     block = np.random.default_rng(3).integers(0, 3, size=(7, 20))

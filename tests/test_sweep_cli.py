@@ -338,6 +338,21 @@ def test_cli_zero_pair_byte_cap_exit_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:") and "bytes" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, dim",
+    # at p = 2^31 - 1 int64 would wrap: the distance block in the plane,
+    # (2 + 2) 2 (p - 1)^2 > 2^63, and the Gram in F_p^3, 3 (p - 1)^2 > 2^63
+    [("count", 2), ("product", 3)],
+)
+def test_cli_int64_overflow_exit_2(tmp_path, capsys, command, dim):
+    p = 2**31 - 1
+    path = tmp_path / "far.txt"
+    path.write_text(f"{p} {dim} 2\n" + " ".join(["0"] * dim) + "\n" + " ".join([str(p - 1)] * dim) + "\n")
+    assert cli.main([command, "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflow int64" in err and err.count("\n") == 1
+
+
 def test_all_matches_package_imports():
     # __all__ is what `from ffgeom import *` exports: every name must resolve,
     # and it must list exactly the public names __init__.py imports
