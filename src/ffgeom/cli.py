@@ -101,7 +101,7 @@ def cmd_extension_ratio(args) -> int:
     stats = fourier.extension_ratio_stats(
         PrimeField(args.p),
         n=args.n,
-        r_exp=args.r_exp if args.r_exp else (2 * args.n + 4) / args.n,
+        r_exp=(2 * args.n + 4) / args.n if args.r_exp is None else args.r_exp,
         trials=args.trials,
         seed=args.seed,
         radius=args.radius,

@@ -17,8 +17,9 @@ import numpy as np
 
 from .counting import product_set
 from .field import PrimeField
-from .varieties import PointSet, _space, on_paraboloid
+from .varieties import PointSet, _check_cap, _space, on_paraboloid
 
+FRAME_SEARCH_BUDGET = 20_000  # random candidates per frame vector, before the exhaustive scan
 FRAME_EXHAUSTIVE_LIMIT = 1_000_000
 
 
@@ -145,25 +146,18 @@ def mult_subgroup(field: PrimeField, k: int) -> SubgroupSpec:
     return spec
 
 
-def isotropic_frame(
-    field: PrimeField,
-    ambient_dim: int,
-    count: int,
-    seed: int = 0,
-    budget: int = 20_000,
-    initial=(),
-) -> IsotropicFrame:
+def isotropic_frame(field: PrimeField, ambient_dim: int, count: int, seed: int = 0) -> IsotropicFrame:
     """Greedy search: extend by one isotropic vector orthogonal to everything
-    found so far, randomized tries first, exhaustive fallback when the
-    candidate space is small. Failure means "not found within budget", never
-    a nonexistence claim."""
+    found so far, FRAME_SEARCH_BUDGET randomized tries first, exhaustive
+    fallback when the candidate space is small. Failure means "not found
+    within budget", never a nonexistence claim."""
     if count > ambient_dim // 2:
         raise ValueError(f"at most dim/2 = {ambient_dim // 2} mutually isotropic vectors")
     p = field.p
-    vectors = [tuple(c % p for c in v) for v in initial]
+    vectors: list[tuple[int, ...]] = []
     rng = random.Random(seed)
     while len(vectors) < count:
-        v = _extend_frame(field, ambient_dim, vectors, rng, budget)
+        v = _extend_frame(field, ambient_dim, vectors, rng)
         if v is None:
             raise FrameSearchError(
                 f"isotropic frame of {count} vectors in dim {ambient_dim} over "
@@ -175,7 +169,7 @@ def isotropic_frame(
     return frame
 
 
-def _extend_frame(field, dim, vectors, rng, budget):
+def _extend_frame(field, dim, vectors, rng):
     p = field.p
     basis = kernel_basis(vectors, p, dim)
     kdim = len(basis)
@@ -189,7 +183,7 @@ def _extend_frame(field, dim, vectors, rng, budget):
             and rank_mod_p(vectors + [v], p) == len(vectors) + 1
         )
 
-    for _ in range(budget):
+    for _ in range(FRAME_SEARCH_BUDGET):
         v = _combine([rng.randrange(p) for _ in range(kdim)], basis, p)
         if admissible(v):
             return v
@@ -235,6 +229,7 @@ def _isotropic_lift(field: PrimeField, d: int, k: int, seed: int, span_dim: int,
     p = field.p
     A = mult_subgroup(field, k)
     m = span_dim // 2
+    _check_cap(k * p**m, None)  # before the frame search and the k p^m points
     frame = isotropic_frame(field, span_dim, m, seed).vectors if m else ()
     pad = (0,) * (d - 2 - span_dim)
     S = span_points(field, frame, span_dim)
@@ -315,9 +310,10 @@ def construction_report(
     num_lines: int | None = None,
     points_per_line: int | None = None,
 ) -> dict:
-    """Verification sidecar: sizes, membership, product containment, and for
-    the d = 0 mod 4 case which of c + c^2 / c - c^2 actually contains the
-    products."""
+    """Verification sidecar: sizes, membership and product containment. For
+    the subgroup builders products_contained is containment in {c + c^2 : c
+    in A}, which every builder guarantees; products_in_a_minus_a2 records
+    whether {c - c^2} holds them too."""
     prods = product_set(E)
     report: dict = {
         "kind": kind,
@@ -333,10 +329,7 @@ def construction_report(
         report["on_paraboloid"] = on_paraboloid(E)
         report["products_in_a_plus_a2"] = prods <= plus
         report["products_in_a_minus_a2"] = prods <= minus
-        if kind == "even0mod4":
-            report["products_contained"] = prods <= (plus | minus)
-        else:
-            report["products_contained"] = prods <= plus
+        report["products_contained"] = prods <= plus
     elif kind == "lines":
         from .counting import isosceles_counts
 

@@ -54,7 +54,8 @@ twice for (y, z) and (z, y), plus the n diagonal pairs. With w = y - z:
 A diagonal pair agrees at every apex, so the diagonal adds n^2 to c_base and
 to the D* correction. No n x n array is allocated: the zero-pair lists,
 their per-pair arrays and the adjacency are held within ZERO_PAIR_BYTE_CAP,
-and the rest within a few blocks of _BLOCK_BYTES and O(n) words.
+and the rest within a few blocks of _BLOCK_BYTES, O(n) words and p-entry
+tables, which the default enumeration cap bounds (2p entries for `profile`).
 
 Every block is a BLAS float64 product cast to int64 and reduced mod p by
 floor division. It is exact while the number of columns times the largest
@@ -79,6 +80,7 @@ from .field import PrimeField
 from .varieties import (
     PointSet,
     ResourceLimitError,
+    _check_cap,
     bar_projection,
     on_paraboloid,
     restrict_nonzero_base,
@@ -89,6 +91,9 @@ from .varieties import (
 # pairs on a fully degenerate set; the rest is held in blocks.
 ZERO_PAIR_BYTE_CAP = 800_000_000
 _BLOCK_BYTES = 1 << 19  # bytes of a block; the pass holds four, which stay in cache
+# The factor by which the triangle-bound checks let a count exceed its
+# envelope: the envelopes hold up to constants the bounds leave unstated.
+TRIANGLE_BOUND_CONSTANT = 100.0
 
 
 def _block_rows(row_bytes: int) -> int:
@@ -168,6 +173,7 @@ def dot_histogram(E: PointSet, F: PointSet | None = None) -> DotHistogram:
         raise ValueError("point sets must share field and dimension")
     p = E.field.p
     blocks = _gram_blocks(E.array, F.array, p)
+    _check_cap(p, None)  # the p-entry histograms, whatever the set size
     counts = np.zeros(p, dtype=np.int64)
     for _, gram in blocks:
         counts += np.bincount(gram.ravel(), minlength=p)
@@ -322,6 +328,7 @@ def profile(E: PointSet) -> Profile:
     ones = np.ones(n, dtype=np.int64)
     left, right = np.column_stack([arr, nrm, ones]), np.column_stack([-2 * arr, ones, nrm])
     blocks = zip(_gram_blocks(arr, arr, p), _gram_blocks(left, right, p))  # may raise: before the p-sized tables
+    _check_cap(2 * p, None)  # square, the largest of them, whatever n
     # square[k + p] = k^2 = ||y - z|| - ||ybar - zbar|| at k = y_d - z_d
     square = np.arange(2 * p) ** 2 % p
     dots = np.zeros(p, dtype=np.int64)
@@ -518,26 +525,25 @@ class TriangleBoundReport:
     size: int
     isosceles_total: int
     bound: float
-    constant: float
 
     @property
     def ok(self) -> bool:
-        return self.isosceles_total <= self.constant * self.bound
+        return self.isosceles_total <= TRIANGLE_BOUND_CONSTANT * self.bound
 
     @property
     def ratio(self) -> float:
         return self.isosceles_total / self.bound if self.bound else float("inf")
 
 
-def triangle_bound_report(X: PointSet, constant: float = 100.0) -> TriangleBoundReport:
+def triangle_bound_report(X: PointSet) -> TriangleBoundReport:
     """Compare t_nde + t_de with |X|^3/q + q^(n-1) |X|^((n+4)/(n+2))
-    + q^((n-2)/2) |X|^2, scaled by a generous constant."""
+    + q^((n-2)/2) |X|^2, scaled by TRIANGLE_BOUND_CONSTANT."""
     q = X.field.p
     n = X.dim
     m = len(X)
     tc = isosceles_counts(X)
     bound = m**3 / q + q ** (n - 1) * m ** ((n + 4) / (n + 2)) + q ** ((n - 2) / 2) * m**2
-    return TriangleBoundReport(m, tc.isosceles_total, bound, constant)
+    return TriangleBoundReport(m, tc.isosceles_total, bound)
 
 
 def counts_json(E: PointSet) -> dict:

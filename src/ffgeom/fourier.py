@@ -10,12 +10,14 @@ transform, the degenerate-pair identity, the per-apex spectral bound) is
 derived for this convention and pinned by exact-agreement tests against
 direct counts.
 
-Tables are dense over all p^n frequencies, computed as n-dimensional DFTs
-of a function scattered on the (p,)*n grid (pocketfft handles prime
-lengths). `np.fft.fftn` sums against exp(-2 pi i m.x/p) = chi(-m.x), so
-Xhat = fftn(1_X) * p^(-n); `np.fft.ifftn` sums against chi(+m.x) and
-divides by p^n. The cost is O(p^n log p^n) whatever the number of points,
-so the enumeration cap bounds the table's p^n entries.
+Tables are dense over all p^n frequencies: `_transform` scatters a function
+on the (p,)*n grid and takes its n-dimensional DFT in place (pocketfft
+handles prime lengths). `np.fft.fftn` sums against exp(-2 pi i m.x/p) =
+chi(-m.x), so Xhat = fftn(1_X) * p^(-n); `np.fft.ifftn` sums against
+chi(+m.x) and divides by p^n. The cost is O(p^n log p^n) whatever the number
+of points, so the enumeration cap bounds the table's p^n entries. The
+zero-sphere transform takes its Gauss-sum closed form where (n, p) admit it,
+n = 2 mod 4 and p = 3 mod 4 (Iosevich-Rudnev 2007), and the DFT elsewhere.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .field import PrimeField
-from .varieties import PointSet, _check_cap, _space, enum_sphere
+from .varieties import PointSet, _check_cap, _norms, _space, enum_sphere
 
 
 @lru_cache(maxsize=32)
@@ -51,10 +53,15 @@ def _zero_sphere(p: int, n: int) -> PointSet:
     return enum_sphere(PrimeField(p), n, 0)
 
 
-def _grid(V: PointSet, values) -> np.ndarray:
-    """`values` scattered at the points of V on the (p,)*n grid, zero elsewhere."""
-    grid = np.zeros((V.field.p,) * V.dim, dtype=np.complex128)
-    grid[tuple(V.array.T)] = values
+def _transform(p: int, points: np.ndarray, values, inverse: bool = False, cap: int | None = None) -> np.ndarray:
+    """`values` at the distinct rows of points, zero elsewhere on the (p,)*n
+    grid, put through fftn (ifftn if inverse) in place. Callers scale it in
+    place too, so a transform holds one complex table."""
+    _check_cap(p ** points.shape[1], cap)
+    grid = np.zeros((p,) * points.shape[1], dtype=np.complex128)
+    grid[tuple(points.T)] = values
+    fft = np.fft.ifftn if inverse else np.fft.fftn
+    fft(grid, out=grid)
     return grid
 
 
@@ -93,10 +100,7 @@ class SurfaceFunction:
 def fourier_indicator(X: PointSet, cap: int | None = None) -> SpectralTable:
     """Xhat(m) = p^(-n) sum_{x in X} chi(-m.x) over all p^n frequencies."""
     p, n = X.field.p, X.dim
-    _check_cap(p**n, cap)
-    # transformed and scaled in place: one complex table in all
-    table = _grid(X, 1.0)
-    np.fft.fftn(table, out=table)
+    table = _transform(p, X.array, 1.0, cap=cap)
     table *= float(p) ** (-n)
     return SpectralTable(X.field, n, table)
 
@@ -118,56 +122,50 @@ def zero_sphere_hat_direct(field: PrimeField, n: int, m) -> complex:
     return complex(field.chi_table[dots].sum() * float(p) ** (-n))
 
 
+def _zero_sphere_closed(p: int, n: int) -> tuple[float, float, float]:
+    """The zero-sphere transform's closed form: 1/p - (p-1)s at m = 0, -(p-1)s
+    on the rest of the cone ||m|| = 0 and s off it, s = p^(-(n+2)/2). A Gauss
+    sum: requires n = 2 mod 4 and p = 3 mod 4."""
+    if n % 4 != 2 or p % 4 != 3:
+        raise ValueError("closed form requires n = 2 mod 4 and p = 3 mod 4")
+    s = float(p) ** (-(n + 2) // 2)
+    cone = -((p - 1) * s)
+    return 1.0 / p + cone, cone, s
+
+
 def zero_sphere_hat(field: PrimeField, n: int, m) -> complex:
-    """Closed form: p^(-1) at m = 0, minus p^(-(n+2)/2) times (p-1) when
-    ||m|| = 0 and times -1 otherwise. Requires n = 2 mod 4 and p = 3 mod 4."""
-    if n % 4 != 2:
-        raise ValueError("closed form requires dimension 2 mod 4")
-    if field.p % 4 != 3:
-        raise ValueError("closed form requires p = 3 mod 4")
-    p = field.p
-    m = tuple(c % p for c in m)
-    delta = 1.0 / p if all(c == 0 for c in m) else 0.0
-    row = (p - 1) if field.norm(m) == 0 else -1
-    return complex(delta - float(p) ** (-(n + 2) // 2) * row)
+    """The closed form of `_zero_sphere_closed` at the frequency m."""
+    origin, cone, off = _zero_sphere_closed(field.p, n)
+    if not any(c % field.p for c in m):
+        return complex(origin)
+    return complex(cone if field.norm(m) == 0 else off)
 
 
-def zero_sphere_hat_table(field: PrimeField, n: int, method: str = "closed") -> np.ndarray:
-    """Flat table of the zero-sphere transform over all frequencies."""
+def zero_sphere_hat_table(field: PrimeField, n: int) -> np.ndarray:
+    """Flat table of the zero-sphere transform over all frequencies: the
+    closed form where it holds, the enumerated sphere's ifftn elsewhere."""
     p = field.p
-    if method == "closed":
-        if n % 4 != 2 or p % 4 != 3:
-            raise ValueError("closed form requires n = 2 mod 4 and p = 3 mod 4")
-        norms = _freq_norms(p, n)
-        out = np.where(norms == 0, p - 1.0, -1.0) * (-(float(p) ** (-(n + 2) // 2)))
-        out = out.astype(np.complex128)
-        out[0] += 1.0 / p
-        return out
-    if method == "direct":
-        return np.fft.ifftn(_grid(_zero_sphere(p, n), 1.0)).reshape(-1)
-    raise ValueError(f"unknown method {method!r}")
+    try:
+        origin, cone, off = _zero_sphere_closed(p, n)
+    except ValueError:
+        return _transform(p, _zero_sphere(p, n).array, 1.0, inverse=True).reshape(-1)
+    out = np.full(p**n, off, dtype=np.complex128)
+    out[_freq_norms(p, n) == 0] = cone
+    out[0] = origin
+    return out
 
 
 def zero_sphere_max_error(field: PrimeField, n: int) -> float:
-    """Max absolute gap between the closed form and direct enumeration.
-
-    The closed form is constant on each norm class, and the class ||m|| = 0
-    is the zero sphere itself, so the gap is taken in place on the direct
-    table: one complex table in all.
-    """
-    p = field.p
-    if n % 4 != 2 or p % 4 != 3:
-        raise ValueError("closed form requires n = 2 mod 4 and p = 3 mod 4")
-    S0 = _zero_sphere(p, n)
-    gap = _grid(S0, 1.0)
-    np.fft.ifftn(gap, out=gap)
-    scale = float(p) ** (-(n + 2) // 2)
+    """Max absolute gap between the closed form and direct enumeration, taken
+    in place on the direct table (one complex table in all): the closed form
+    is constant on the cone ||m|| = 0, which is the zero sphere, and off it."""
+    origin, cone, off = _zero_sphere_closed(field.p, n)
+    S0 = _zero_sphere(field.p, n)
+    gap = _transform(field.p, S0.array, 1.0, inverse=True)
     on = tuple(S0.array.T)
-    # closed form: 1/p - (p - 1) scale at m = 0 (the first sphere point),
-    # -(p - 1) scale elsewhere on the sphere and +scale off it
-    sphere = gap[on] + (p - 1) * scale
-    sphere[0] = gap.flat[0] - ((1 - p) * scale + 1.0 / p)
-    gap -= scale
+    sphere = gap[on] - cone
+    sphere[0] = gap.flat[0] - origin  # m = 0 is the first sphere point
+    gap -= off
     gap[on] = sphere
     return max(float(np.abs(row).max()) for row in gap)
 
@@ -181,9 +179,7 @@ def inverse_surface_transform(f: SurfaceFunction, cap: int | None = None) -> Spe
     if not len(V):
         raise ValueError("empty variety")
     p, n = V.field.p, V.dim
-    _check_cap(p**n, cap)
-    table = _grid(V, f.values)
-    np.fft.ifftn(table, out=table)
+    table = _transform(p, V.array, f.values, inverse=True, cap=cap)
     table *= float(p) ** n / len(V)
     return SpectralTable(V.field, n, table)
 
@@ -191,6 +187,8 @@ def inverse_surface_transform(f: SurfaceFunction, cap: int | None = None) -> Spe
 def extension_ratio(f: SurfaceFunction, r_exp: float, cap: int | None = None) -> float:
     """L^r norm (counting measure) of (f dsigma)^vee over the L^2 norm of f
     under the normalized surface measure."""
+    if not 0 < r_exp < np.inf:  # also rejects nan
+        raise ValueError(f"r_exp must be finite and > 0, got {r_exp}")
     denom_sq = float((np.abs(f.values) ** 2).sum()) / len(f.variety)
     if denom_sq == 0.0:
         raise ValueError("extension ratio undefined for the zero function")
@@ -241,37 +239,30 @@ def extension_ratio_stats(
 
 def spectral_apex_bound(X: PointSet, y) -> tuple[int, float]:
     """Exact count of ordered pairs (x, z) in X^2 equidistant from y at a
-    nonzero distance, next to its spectral majorant
-
-        |X|^2/p + p^n sum_{r != 0} |S_r-sum|^2 + p^n |zero-norm sum sans m=0|^2
-
-    where S_r-sum = sum_{||m||=r} Xhat(m) chi(y.m).
+    nonzero distance, next to its spectral majorant |X|^2/p + p^n sum_r |S_r|^2,
+    S_r = sum_{m != 0, ||m|| = r} Xhat(m) chi(y.m). Xhat(m) chi(y.m) is the
+    transform of the translate X - y, whose norms are the distances to y.
     """
     p, n = X.field.p, X.dim
-    yv = np.array(y, dtype=np.int64)
-    dists = ((X.array - yv) ** 2 % p).sum(axis=1) % p
-    hist = np.bincount(dists, minlength=p)
+    translate = (X.array - np.array(y, dtype=np.int64)) % p
+    hist = np.bincount(_norms(translate, p), minlength=p)
     lhs = int(sum(int(c) ** 2 for c in hist[1:]))
 
-    table = fourier_indicator(X)
+    weighted = _transform(p, translate, 1.0).reshape(-1)  # p^n Xhat(m) chi(y.m)
+    weighted[0] = 0.0  # m = 0 is outside every S_r
     norms = _freq_norms(p, n)
-    dots = (_space(p, n) @ yv) % p
-    weighted = table.flat * X.field.chi_table[dots]
     sums_re = np.bincount(norms, weights=weighted.real, minlength=p)
     sums_im = np.bincount(norms, weights=weighted.imag, minlength=p)
-    sums = sums_re + 1j * sums_im
-    nonzero_part = float((np.abs(sums[1:]) ** 2).sum())
-    zero_part = abs(sums[0] - weighted[0]) ** 2
-    rhs = len(X) ** 2 / p + float(p) ** n * (nonzero_part + zero_part)
+    rhs = len(X) ** 2 / p + float(p) ** (-n) * float((sums_re**2 + sums_im**2).sum())
     return lhs, rhs
 
 
-def degenerate_pairs_fourier(X: PointSet, method: str = "closed") -> float:
+def degenerate_pairs_fourier(X: PointSet) -> float:
     """Pairs at distance zero via p^(2n) sum_m |Xhat(m)|^2 S0hat(m); equals
     the direct pair count exactly under this package's normalization."""
     p, n = X.field.p, X.dim
     table = fourier_indicator(X)
-    s0 = zero_sphere_hat_table(X.field, n, method)
+    s0 = zero_sphere_hat_table(X.field, n)
     val = ((np.abs(table.flat) ** 2) * s0).sum() * float(p) ** (2 * n)
     return float(val.real)
 

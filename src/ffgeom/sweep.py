@@ -105,7 +105,16 @@ _CONFIG_KEYS = {
 }
 
 
+def _integer(value, what: str) -> int:
+    """value, which must be a JSON integer: not a float, string or bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _parse_alpha(value) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"alpha {value!r} is not a number or a fraction a/b")
     try:
         if isinstance(value, str):
             num, _, den = value.partition("/")
@@ -116,10 +125,12 @@ def _parse_alpha(value) -> float:
 
 
 def parse_family(doc: dict, max_dim: int) -> Family:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a family must be a JSON object, got {doc!r}")
     if "kind" not in doc:
         raise ConfigError("family missing 'kind'")
     kind = doc["kind"]
-    if kind not in _FAMILY_KEYS:
+    if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
         raise ConfigError(f"unknown family kind {kind!r}")
     unknown = set(doc) - _FAMILY_KEYS[kind]
     if unknown:
@@ -133,16 +144,21 @@ def parse_family(doc: dict, max_dim: int) -> Family:
         return Family(kind, alpha=alpha)
     if kind == "construction":
         name = doc.get("construction")
-        if name not in constructions.BUILDERS:
+        if not isinstance(name, str) or name not in constructions.BUILDERS:
             raise ConfigError(f"unknown construction {name!r}")
         if ("k" in doc) == ("k_rule" in doc):
             raise ConfigError("construction family needs exactly one of 'k' or 'k_rule'")
-        if "k_rule" in doc and doc["k_rule"] not in {"max_leq_sqrt", "max_proper"}:
+        if "k_rule" in doc and doc["k_rule"] not in ("max_leq_sqrt", "max_proper"):
             raise ConfigError(f"unknown k_rule {doc['k_rule']!r}")
-        return Family(kind, construction=name, k=doc.get("k"), k_rule=doc.get("k_rule"))
+        k = _integer(doc["k"], "'k'") if "k" in doc else None
+        return Family(kind, construction=name, k=k, k_rule=doc.get("k_rule"))
     if doc.get("lines") is None or doc.get("per_line") is None:
         raise ConfigError("lines family needs 'lines' and 'per_line'")
-    return Family(kind, num_lines=int(doc["lines"]), points_per_line=int(doc["per_line"]))
+    return Family(
+        kind,
+        num_lines=_integer(doc["lines"], "'lines'"),
+        points_per_line=_integer(doc["per_line"], "'per_line'"),
+    )
 
 
 def parse_config(source) -> SweepConfig:
@@ -156,31 +172,37 @@ def parse_config(source) -> SweepConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"malformed config: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError("a config must be a JSON object")
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
     for key in ("primes", "dims", "families"):
-        if key not in doc or not doc[key]:
-            raise ConfigError(f"config needs a non-empty '{key}'")
-    primes = tuple(int(p) for p in doc["primes"])
+        if not isinstance(doc.get(key), list) or not doc[key]:
+            raise ConfigError(f"config needs a non-empty list '{key}', got {doc.get(key)!r}")
+    primes = tuple(_integer(p, "each of 'primes'") for p in doc["primes"])
     for p in primes:
         if p == 2 or not is_prime(p):
             raise ConfigError(f"prime list contains {p}, which is not an odd prime")
-    dims = tuple(int(d) for d in doc["dims"])
+    dims = tuple(_integer(d, "each of 'dims'") for d in doc["dims"])
     if any(d < 2 for d in dims):
         raise ConfigError("dims must all be >= 2")
     families = tuple(parse_family(f, max(dims)) for f in doc["families"])
+    if not isinstance(doc.get("timing", False), bool):
+        raise ConfigError(f"'timing' must be true or false, got {doc['timing']!r}")
+    if not isinstance(doc.get("out", ""), (str, type(None))):
+        raise ConfigError(f"'out' must be a path string, got {doc['out']!r}")
     return SweepConfig(
         primes=primes,
         dims=dims,
         families=families,
-        trials=int(doc.get("trials", 1)),
-        seed=int(doc.get("seed", 0)),
-        threads=int(doc.get("threads", 1)),
+        trials=_integer(doc.get("trials", 1), "'trials'"),
+        seed=_integer(doc.get("seed", 0), "'seed'"),
+        threads=_integer(doc.get("threads", 1), "'threads'"),
         out=doc.get("out"),
         format=doc.get("format", "csv"),
-        cap=doc.get("cap"),
-        timing=bool(doc.get("timing", False)),
+        cap=None if doc.get("cap") is None else _integer(doc["cap"], "'cap'"),
+        timing=doc.get("timing", False),
     )
 
 
@@ -325,7 +347,6 @@ class PlanarTriangleReport:
     excess: float
     bound_branch_a: float
     bound_branch_b: float
-    constant: float
 
     @property
     def min_bound(self) -> float:
@@ -337,10 +358,10 @@ class PlanarTriangleReport:
 
     @property
     def ok(self) -> bool:
-        return self.ratio <= self.constant
+        return self.ratio <= counting.TRIANGLE_BOUND_CONSTANT
 
 
-def planar_triangle_check(X, constant: float = 100.0) -> PlanarTriangleReport:
+def planar_triangle_check(X) -> PlanarTriangleReport:
     """Check the planar non-degenerate isosceles triangle bound for X in
     F_p^2 with p = 3 mod 4 and |X| <= p^(4/3)."""
     p = X.field.p
@@ -359,19 +380,20 @@ def planar_triangle_check(X, constant: float = 100.0) -> PlanarTriangleReport:
         excess=t_star - n**3 / p,
         bound_branch_a=p ** (2 / 3) * n ** (5 / 3) + p**0.25 * n**2,
         bound_branch_b=n ** (7 / 3),
-        constant=constant,
     )
 
 
 def planar_triangle_sweep(
-    primes, exponent: float = 1.25, trials: int = 1, seed: int = 0, constant: float = 100.0
+    primes, exponent: float = 1.25, trials: int = 1, seed: int = 0
 ) -> list[PlanarTriangleReport]:
     """Random subsets of F_p^2 of size ceil(p^exponent) across a prime list."""
+    if not 0 < exponent <= 4 / 3:
+        raise ValueError(f"exponent {exponent} outside (0, 4/3]: the check needs |X| <= p^(4/3)")
     reports = []
     for idx, p in enumerate(primes):
         grid = enum_plane(PrimeField(p))
         for trial in range(trials):
             size = min(math.ceil(p**exponent), len(grid))
             X = random_subset(grid, size, derive_seed(seed, idx * 1000 + trial))
-            reports.append(planar_triangle_check(X, constant))
+            reports.append(planar_triangle_check(X))
     return reports

@@ -2,7 +2,7 @@ import pytest
 
 from ffgeom import counting, constructions as cn
 from ffgeom.field import PrimeField
-from ffgeom.varieties import on_paraboloid
+from ffgeom.varieties import PointSet, on_paraboloid
 
 
 def test_mult_subgroup_examples():
@@ -38,14 +38,6 @@ def test_isotropic_frame_found_and_verified():
     for u in fr2.vectors:
         for v in fr2.vectors:
             assert f7.dot(u, v) == 0
-
-
-def test_isotropic_frame_known_vector():
-    # (1, 2, 1, 1) has norm 7 = 0
-    f7 = PrimeField(7)
-    assert f7.norm((1, 2, 1, 1)) == 0
-    fr = cn.isotropic_frame(f7, 4, 1, seed=0, initial=[(1, 2, 1, 1)])
-    assert fr.vectors == ((1, 2, 1, 1),)
 
 
 def test_isotropic_frame_not_found():
@@ -113,6 +105,15 @@ def test_even_0mod4_example():
     rep = cn.construction_report("even0mod4", f13, E, k=3)
     assert rep["products_contained"]
     assert rep["products_in_a_plus_a2"] or rep["products_in_a_minus_a2"]
+
+
+def test_report_products_contained_means_a_plus_a2():
+    # over the order-3 subgroup {1, 3, 9} of F_13, {c + c^2} = {2, 12} and
+    # {c - c^2} = {0, 6, 7}: the origin's one product, 0, is only in the latter
+    f13 = PrimeField(13)
+    E = PointSet.build(f13, 4, [(0, 0, 0, 0)])
+    rep = cn.construction_report("even0mod4", f13, E, k=3)
+    assert rep["products_in_a_minus_a2"] and not rep["products_contained"]
 
 
 def test_even_0mod4_single_element_subgroup():

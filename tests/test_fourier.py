@@ -1,5 +1,7 @@
+import ast
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,12 +91,29 @@ def test_zero_sphere_formula_equals_enumeration(n, p):
     assert fourier.zero_sphere_max_error(PrimeField(p), n) < 1e-12
 
 
+def enumerated_zero_sphere_hat(p, n):
+    """p^(-n) sum over the zero sphere of chi(m.y) at every m, as a flat table."""
+    grid = np.zeros((p,) * n)
+    grid[tuple(enum_sphere(PrimeField(p), n, 0).array.T)] = 1.0
+    return np.fft.ifftn(grid).reshape(-1)
+
+
 @pytest.mark.parametrize("n,p", [(2, 7), (2, 43), (6, 3), (6, 7)])
 def test_zero_sphere_error_is_the_table_gap(n, p):
     # the in-place per-class gap equals the gap of the two dense tables
     f = PrimeField(p)
-    gap = fourier.zero_sphere_hat_table(f, n, "direct") - fourier.zero_sphere_hat_table(f, n, "closed")
+    gap = enumerated_zero_sphere_hat(p, n) - fourier.zero_sphere_hat_table(f, n)
     assert fourier.zero_sphere_max_error(f, n) == float(np.abs(gap).max())
+
+
+@pytest.mark.parametrize("n,p", [(2, 5), (2, 13), (3, 7), (3, 5), (4, 3), (4, 5)])
+def test_zero_sphere_table_outside_the_closed_form(n, p):
+    # p = 1 mod 4 or n != 2 mod 4: the table is the enumerated sphere's transform
+    table = fourier.zero_sphere_hat_table(PrimeField(p), n)
+    assert np.abs(table - enumerated_zero_sphere_hat(p, n)).max() < 1e-12
+    m = (1,) + (2,) * (n - 1)
+    direct = fourier.zero_sphere_hat_direct(PrimeField(p), n, m)
+    assert abs(table[np.ravel_multi_index(m, (p,) * n)] - direct) < 1e-12
 
 
 def test_zero_sphere_formula_hypotheses():
@@ -215,29 +234,28 @@ def test_degenerate_pairs_spectral_identity():
         direct = counting.isosceles_counts(X).degenerate_pairs
         spectral = fourier.degenerate_pairs_fourier(X)
         assert spectral == pytest.approx(direct, abs=1e-9)
-        assert fourier.degenerate_pairs_fourier(X, method="direct") == pytest.approx(
-            direct, abs=1e-9
-        )
         # and the envelope |X|^2/q + q^((n-2)/2) |X|
         assert direct <= len(X) ** 2 / 7 + len(X) + 1e-9
 
 
 def test_degenerate_pairs_closed_form_hypotheses():
+    # p = 1 mod 4, outside the closed form: the enumerated sphere is used
     X = rand_plane_subset(13, 10, seed=3)
-    with pytest.raises(ValueError):
-        fourier.degenerate_pairs_fourier(X)  # p = 1 mod 4 rejected for closed form
-    direct = counting.isosceles_counts(X).degenerate_pairs
-    assert fourier.degenerate_pairs_fourier(X, method="direct") == pytest.approx(
-        direct, abs=1e-9
-    )
+    direct = counting.profile(X).triangles.degenerate_pairs
+    assert direct > len(X)  # -1 is a square mod 13: distinct points at distance zero
+    assert fourier.degenerate_pairs_fourier(X) == pytest.approx(direct, abs=1e-9)
 
 
-@pytest.mark.parametrize("p,n,size,method", [(31, 3, 1200, "direct"), (3, 6, 400, "closed")])
-def test_degenerate_pairs_beyond_oracle_caps(p, n, size, method):
+@pytest.mark.parametrize(
+    "p,n,size",
+    # the id names the zero-sphere route that (n, p) picks
+    [pytest.param(31, 3, 1200, id="31-3-1200-direct"), pytest.param(3, 6, 400, id="3-6-400-closed")],
+)
+def test_degenerate_pairs_beyond_oracle_caps(p, n, size):
     X = random_subset(space(p, n), size, seed=7)
     direct = counting.profile(X).triangles.degenerate_pairs
     assert direct > 10 * size  # far more than the diagonal pairs
-    assert abs(fourier.degenerate_pairs_fourier(X, method) - direct) <= 1e-6
+    assert abs(fourier.degenerate_pairs_fourier(X) - direct) <= 1e-6
 
 
 def test_work_cap():
@@ -342,3 +360,26 @@ def test_surface_transform_holds_one_table():
     t, peak = _traced_peak(fourier.inverse_surface_transform, fourier.SurfaceFunction(V, vals))
     assert t.values.shape == (p, p) and t[(0, 0)] == pytest.approx(vals.sum() / len(V))
     assert peak < 1.25 * p**2 * 16
+
+
+def _fft_uses(tree):
+    """Nodes that reach numpy's FFT: `np.fft` attributes and fft imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            yield node
+        elif isinstance(node, ast.ImportFrom) and "fft" in " ".join([node.module or ""] + [a.name for a in node.names]):
+            yield node
+        elif isinstance(node, ast.Import) and any("fft" in a.name for a in node.names):
+            yield node
+
+
+def test_every_fft_is_in_the_one_transform_routine():
+    """fourier._transform is the package's only FFT call site."""
+    inside, outside = [], []
+    for path in sorted(Path(fourier.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fn = next((n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_transform"), None)
+        helper = {id(n) for n in ast.walk(fn)} if path.name == "fourier.py" and fn else set()
+        for node in _fft_uses(tree):
+            (inside if id(node) in helper else outside).append(f"{path.name}:{node.lineno}")
+    assert inside and not outside, outside

@@ -286,6 +286,17 @@ def _never_run(config):
         ({"families": [{"kind": "random_paraboloid_subset", "alpha": "4/0"}]}, []),
         ({"threads": -1}, []),
         ({}, ["--threads", "0"]),
+        # JSON types: no int() or bool() coercion
+        ({"primes": 7}, []),
+        ({"primes": [7.9]}, []),
+        ({"trials": True}, []),
+        ({"timing": "false"}, []),
+        ({"cap": "abc"}, []),
+        ({"families": [{"kind": "lines", "lines": 1.5, "per_line": 2}]}, []),
+        ({"families": [{"kind": "construction", "construction": "odd3mod4", "k": "3"}]}, []),
+        ({"families": [{"kind": ["lines"]}]}, []),
+        ({"families": [{"kind": "random_paraboloid_subset", "alpha": True}]}, []),
+        ({"out": 5}, []),
     ],
 )
 def test_cli_sweep_bad_values_exit_2_before_running(tmp_path, capsys, monkeypatch, doc, flags):
@@ -305,6 +316,8 @@ def test_cli_sweep_bad_values_exit_2_before_running(tmp_path, capsys, monkeypatc
         (["mpprp-check", "--p", "11"], "--size"),
         # 3 is a nonsquare mod 7, so every sampled one-dimensional sphere is empty
         (["extension-ratio", "--p", "7", "--n", "1", "--radius", "3", "--trials", "2"], "empty"),
+        (["extension-ratio", "--p", "7", "--r-exp", "0", "--trials", "2"], "r_exp"),
+        (["mpprp-check", "--primes", "7", "--exponent", "inf"], "exponent"),
     ],
 )
 def test_cli_unusable_arguments_exit_2(capsys, argv, missing):
@@ -321,6 +334,8 @@ def test_cli_unusable_arguments_exit_2(capsys, argv, missing):
         ["--cap", "10", "extension-ratio", "--p", "43"],
         # the sphere (86 <= 100) passes; the 43^2-entry surface transform does not
         ["--cap", "100", "extension-ratio", "--p", "43", "--trials", "3"],
+        # 5 * 101^6 span points: refused before the frame search
+        ["construct", "--kind", "even2mod4", "--p", "101", "--d", "14", "--k", "5"],
     ],
 )
 def test_cli_cap_exceeded_exit_2(capsys, argv):
@@ -351,6 +366,18 @@ def test_cli_int64_overflow_exit_2(tmp_path, capsys, command, dim):
     assert cli.main([command, "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "overflow int64" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["count", "product"])
+def test_cli_p_sized_tables_exit_2(tmp_path, capsys, command):
+    # two points pass the int64 guard at p = 10^9 + 7 in the plane, but the
+    # pass's p-entry tables (2p words for count) exceed the default cap
+    p = 10**9 + 7
+    path = tmp_path / "far.txt"
+    path.write_text(f"{p} 2 2\n0 0\n{p - 1} {p - 1}\n")
+    assert cli.main([command, "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds cap" in err and err.count("\n") == 1
 
 
 def test_all_matches_package_imports():
