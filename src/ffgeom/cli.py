@@ -140,17 +140,14 @@ def cmd_construct(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        config = sweep.parse_config(args.config)
-        if args.threads is not None:
-            config = dataclasses.replace(config, threads=args.threads)
+        # each global flag names a config key; a flag given on the command line wins
+        config = dataclasses.replace(sweep.parse_config(args.config), **args.given)
     except sweep.ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     rows = sweep.run_sweep(config)
-    fmt = args.format or config.format
-    out = args.out or config.out
-    payload = sweep.emit_rows(rows, fmt, out)
-    if not out:
+    payload = sweep.emit_rows(rows, config.format, config.out)
+    if not config.out:
         sys.stdout.write(payload.decode("utf-8"))
     failures = sum(1 for r in rows if r.error)
     if failures:
@@ -266,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.given = {key: getattr(args, key) for key in GLOBAL_DEFAULTS if hasattr(args, key)}
     for key, value in GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)

@@ -2,20 +2,23 @@
 families whose dot products collapse to the image of a + a^2, built over
 totally isotropic frames, plus the isotropic-slope lines obstruction set.
 
-Every emitted construction is re-verified point by point (paraboloid
-membership, exact size, product-set containment); a violated guarantee
-raises instead of returning a bad set.
+Each guarantee is checked once, where it is made; a violated one raises.
+`mult_subgroup` checks for k distinct roots of x^k - 1, hence exactly the
+subgroup of order k; `isotropic_frame` checks orthogonality and full rank;
+the paraboloid constructions check the emitted set's size, its paraboloid
+membership and its products against {a + a^2}; `isotropic_lines_set` checks
+that no two lines' points overlap. `construction_report` records these
+facts for the sidecar without raising.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import product_set
+from .counting import isosceles_counts, product_set
 from .field import PrimeField
 from .varieties import PointSet, _check_cap, _space, on_paraboloid
 
@@ -84,73 +87,29 @@ def _combine(coeffs, basis, p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# -- domain types ----------------------------------------------------------
+# -- subgroups and isotropic frames ---------------------------------------
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    """A multiplicative subgroup of F_p^* of order k | p-1."""
-
-    field: PrimeField
-    order: int
-    elements: frozenset
-
-    def verify(self) -> None:
-        p = self.field.p
-        if len(self.elements) != self.order:
-            raise ConstructionError("subgroup has wrong size")
-        if 1 not in self.elements:
-            raise ConstructionError("subgroup missing identity")
-        if self.order * self.order <= 1_000_000:
-            for a in self.elements:
-                for b in self.elements:
-                    if a * b % p not in self.elements:
-                        raise ConstructionError("subgroup not closed")
-        else:
-            for a in self.elements:
-                if pow(a, self.order, p) != 1:
-                    raise ConstructionError("element order does not divide k")
-
-
-@dataclass(frozen=True)
-class IsotropicFrame:
-    """Linearly independent vectors with all pairwise and self dots zero."""
-
-    field: PrimeField
-    ambient_dim: int
-    vectors: tuple[tuple[int, ...], ...]
-
-    def verify(self) -> None:
-        fld = self.field
-        for i, u in enumerate(self.vectors):
-            for v in self.vectors[i:]:
-                if fld.dot(u, v) != 0:
-                    raise ConstructionError(f"frame vectors {u} and {v} not orthogonal")
-        if rank_mod_p(self.vectors, fld.p) != len(self.vectors):
-            raise ConstructionError("frame vectors linearly dependent")
-
-
-def mult_subgroup(field: PrimeField, k: int) -> SubgroupSpec:
-    """The unique multiplicative subgroup of order k (k must divide p-1)."""
+def mult_subgroup(field: PrimeField, k: int) -> tuple[int, ...]:
+    """The unique multiplicative subgroup of order k (k must divide p-1), as
+    the sorted tuple of its elements."""
     p = field.p
     if k < 1 or (p - 1) % k != 0:
         raise ValueError(f"subgroup order {k} does not divide p-1 = {p - 1}")
     base = pow(field.primitive_root(), (p - 1) // k, p)
-    elements = set()
-    x = 1
-    for _ in range(k):
-        elements.add(x)
-        x = x * base % p
-    spec = SubgroupSpec(field, k, frozenset(elements))
-    spec.verify()
-    return spec
+    elements = [pow(base, i, p) for i in range(k)]
+    if len(set(elements)) != k:
+        raise ConstructionError("subgroup has wrong size")
+    if any(pow(a, k, p) != 1 for a in elements):
+        raise ConstructionError("element order does not divide k")
+    return tuple(sorted(elements))
 
 
-def isotropic_frame(field: PrimeField, ambient_dim: int, count: int, seed: int = 0) -> IsotropicFrame:
-    """Greedy search: extend by one isotropic vector orthogonal to everything
-    found so far, FRAME_SEARCH_BUDGET randomized tries first, exhaustive
-    fallback when the candidate space is small. Failure means "not found
-    within budget", never a nonexistence claim."""
+def isotropic_frame(field: PrimeField, ambient_dim: int, count: int, seed: int = 0) -> tuple[tuple[int, ...], ...]:
+    """Greedy search for count independent, isotropic, mutually orthogonal
+    vectors, one at a time: FRAME_SEARCH_BUDGET randomized tries, then an
+    exhaustive scan when the candidate space is small. Failure means "not
+    found within budget", never a nonexistence claim."""
     if count > ambient_dim // 2:
         raise ValueError(f"at most dim/2 = {ambient_dim // 2} mutually isotropic vectors")
     p = field.p
@@ -164,9 +123,13 @@ def isotropic_frame(field: PrimeField, ambient_dim: int, count: int, seed: int =
                 f"F_{p}: not found within budget"
             )
         vectors.append(v)
-    frame = IsotropicFrame(field, ambient_dim, tuple(vectors))
-    frame.verify()
-    return frame
+    for i, u in enumerate(vectors):
+        for v in vectors[i:]:
+            if field.dot(u, v) != 0:
+                raise ConstructionError(f"frame vectors {u} and {v} not orthogonal")
+    if rank_mod_p(vectors, p) != count:
+        raise ConstructionError("frame vectors linearly dependent")
+    return tuple(vectors)
 
 
 def _extend_frame(field, dim, vectors, rng):
@@ -195,11 +158,12 @@ def _extend_frame(field, dim, vectors, rng):
     return None
 
 
-def span_points(field: PrimeField, vectors, dim: int) -> list[tuple[int, ...]]:
-    """All linear combinations of the given (independent) vectors, with the
-    coefficient tuples in lexicographic order."""
+def span_points(field: PrimeField, vectors, dim: int) -> np.ndarray:
+    """All p^m linear combinations of the m given (independent) vectors, as a
+    (p^m, dim) int64 array whose rows follow the coefficient tuples in
+    lexicographic order."""
     basis = np.array(vectors, dtype=np.int64).reshape(len(vectors), dim)
-    return list(map(tuple, (_space(field.p, len(basis)) @ basis % field.p).tolist()))
+    return _space(field.p, len(basis)) @ basis % field.p
 
 
 # -- the constructions -----------------------------------------------------
@@ -219,22 +183,20 @@ def _ap_a2(field: PrimeField, elements) -> set[int]:
     return {(a + a * a) % field.p for a in elements}
 
 
-def _am_a2(field: PrimeField, elements) -> set[int]:
-    return {(a - a * a) % field.p for a in elements}
-
-
 def _isotropic_lift(field: PrimeField, d: int, k: int, seed: int, span_dim: int, label: str) -> PointSet:
     """E = {(s, 0...0, a, a^2) : s in the span of a maximal isotropic frame of
     F_p^span_dim, a in A}. Every product is ab + (ab)^2, since s.s' = 0."""
     p = field.p
     A = mult_subgroup(field, k)
     m = span_dim // 2
-    _check_cap(k * p**m, None)  # before the frame search and the k p^m points
-    frame = isotropic_frame(field, span_dim, m, seed).vectors if m else ()
-    pad = (0,) * (d - 2 - span_dim)
+    _check_cap(k * p**m, None, "lifted span points")  # before the frame search and the k p^m points
+    frame = isotropic_frame(field, span_dim, m, seed) if m else ()  # m = 0: no search, no RNG
     S = span_points(field, frame, span_dim)
-    E = PointSet.build(field, d, [s + pad + (a, a * a % p) for s in S for a in sorted(A.elements)])
-    _verify(E, k * p**m, _ap_a2(field, A.elements), label)
+    rows = np.zeros((len(S), k, d), dtype=np.int64)  # rows[i, j] = (S[i], 0...0, a_j, a_j^2)
+    rows[:, :, :span_dim] = S[:, None]
+    rows[:, :, -2:] = [(a, a * a % p) for a in A]  # a^2 in Python ints: no int64 wrap
+    E = PointSet.build(field, d, rows.reshape(-1, d))
+    _verify(E, k * p**m, _ap_a2(field, A), label)
     return E
 
 
@@ -324,15 +286,13 @@ def construction_report(
     }
     if kind in BUILDERS:
         A = mult_subgroup(field, k)
-        plus, minus = _ap_a2(field, A.elements), _am_a2(field, A.elements)
+        plus, minus = _ap_a2(field, A), {(a - a * a) % field.p for a in A}
         report["k"] = k
         report["on_paraboloid"] = on_paraboloid(E)
         report["products_in_a_plus_a2"] = prods <= plus
         report["products_in_a_minus_a2"] = prods <= minus
         report["products_contained"] = prods <= plus
     elif kind == "lines":
-        from .counting import isosceles_counts
-
         tri = isosceles_counts(E)
         floor = num_lines * points_per_line**3
         report["num_lines"] = num_lines

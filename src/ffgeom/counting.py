@@ -173,7 +173,7 @@ def dot_histogram(E: PointSet, F: PointSet | None = None) -> DotHistogram:
         raise ValueError("point sets must share field and dimension")
     p = E.field.p
     blocks = _gram_blocks(E.array, F.array, p)
-    _check_cap(p, None)  # the p-entry histograms, whatever the set size
+    _check_cap(p, None, "histogram-table entries")  # the p-entry histograms, whatever the set size
     counts = np.zeros(p, dtype=np.int64)
     for _, gram in blocks:
         counts += np.bincount(gram.ravel(), minlength=p)
@@ -328,7 +328,7 @@ def profile(E: PointSet) -> Profile:
     ones = np.ones(n, dtype=np.int64)
     left, right = np.column_stack([arr, nrm, ones]), np.column_stack([-2 * arr, ones, nrm])
     blocks = zip(_gram_blocks(arr, arr, p), _gram_blocks(left, right, p))  # may raise: before the p-sized tables
-    _check_cap(2 * p, None)  # square, the largest of them, whatever n
+    _check_cap(2 * p, None, "square-table entries")  # square, the largest of them, whatever n
     # square[k + p] = k^2 = ||y - z|| - ||ybar - zbar|| at k = y_d - z_d
     square = np.arange(2 * p) ** 2 % p
     dots = np.zeros(p, dtype=np.int64)
@@ -390,14 +390,12 @@ def count_D(E: PointSet) -> int:
     return profile(E).D
 
 
-def count_D_star(E: PointSet, allow_ambient_base: bool = False) -> int:
-    """Ordered triples with x.y = x.z whose base projections y, z are at
-    nonzero distance.
-
-    For sets on a paraboloid the base is the first dim-1 coordinates; with
-    allow_ambient_base=True non-paraboloid sets use all coordinates.
-    """
-    if not allow_ambient_base and not on_paraboloid(E):
+def count_D_star(E: PointSet) -> int:
+    """Ordered triples with x.y = x.z whose base projections y, z, the first
+    dim-1 coordinates, are at nonzero distance. E must lie on a paraboloid;
+    `profile(E).D_star` counts any set, with all coordinates as the base off
+    the paraboloid."""
+    if not on_paraboloid(E):
         raise ValueError("count_D_star requires a point set on a paraboloid")
     return profile(E).D_star
 

@@ -57,7 +57,7 @@ def _transform(p: int, points: np.ndarray, values, inverse: bool = False, cap: i
     """`values` at the distinct rows of points, zero elsewhere on the (p,)*n
     grid, put through fftn (ifftn if inverse) in place. Callers scale it in
     place too, so a transform holds one complex table."""
-    _check_cap(p ** points.shape[1], cap)
+    _check_cap(p ** points.shape[1], cap, "transform-table entries")
     grid = np.zeros((p,) * points.shape[1], dtype=np.complex128)
     grid[tuple(points.T)] = values
     fft = np.fft.ifftn if inverse else np.fft.fftn
@@ -280,7 +280,7 @@ def verify_report(field: PrimeField, n: int, seed: int = 0, cap: int | None = No
     """One row of the fourier-verify table for a (n, p) pair; the work is
     O(p^n), so the cap bounds p^n before anything is built."""
     p = field.p
-    _check_cap(p**n, cap)
+    _check_cap(p**n, cap, "transform-table entries")
     max_err = zero_sphere_max_error(field, n)
     X = _verify_sample(field, n, seed)
     perr = plancherel_error(fourier_indicator(X), X)

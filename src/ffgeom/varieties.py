@@ -27,7 +27,7 @@ DEFAULT_ENUM_CAP = 100_000_000
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when an enumeration would exceed the configured cap."""
+    """Raised when an enumeration or a table would exceed the configured cap."""
 
 
 def _space(p: int, k: int) -> np.ndarray:
@@ -138,10 +138,12 @@ class PointSet:
         return PointSet.from_text(Path(path).read_text(encoding="utf-8"))
 
 
-def _check_cap(n_points: int, cap: int | None) -> None:
+def _check_cap(count: int, cap: int | None, what: str) -> None:
+    """Raise ResourceLimitError if count exceeds the cap; `what` names the
+    counted items ("sphere points", "square-table entries") in the message."""
     limit = DEFAULT_ENUM_CAP if cap is None else cap
-    if n_points > limit:
-        raise ResourceLimitError(f"enumeration of {n_points} points exceeds cap {limit}")
+    if count > limit:
+        raise ResourceLimitError(f"{what}: {count} exceeds cap {limit}")
 
 
 def enum_paraboloid(field: PrimeField, d: int, cap: int | None = None) -> PointSet:
@@ -149,7 +151,7 @@ def enum_paraboloid(field: PrimeField, d: int, cap: int | None = None) -> PointS
     if d < 2:
         raise ValueError("paraboloid needs dimension >= 2")
     p = field.p
-    _check_cap(p ** (d - 1), cap)
+    _check_cap(p ** (d - 1), cap, "paraboloid points")
     base = _space(p, d - 1)
     return PointSet.build(field, d, np.column_stack([base, _norms(base, p)]))
 
@@ -165,7 +167,7 @@ def enum_sphere(field: PrimeField, n: int, r: int, cap: int | None = None) -> Po
         raise ValueError("sphere needs dimension >= 1")
     p = field.p
     r %= p
-    _check_cap(p ** (n - 1) * 2, cap)
+    _check_cap(p ** (n - 1) * 2, cap, "sphere points")
     # root[t]: the smaller square root of t, or -1 for a non-square; the
     # other root of a nonzero square t is p - root[t]
     s = np.arange((p + 1) // 2, dtype=np.int64)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ffgeom import counting, constructions as cn
@@ -7,18 +8,25 @@ from ffgeom.varieties import PointSet, on_paraboloid
 
 def test_mult_subgroup_examples():
     f7 = PrimeField(7)
-    assert sorted(cn.mult_subgroup(f7, 3).elements) == [1, 2, 4]
-    assert sorted(cn.mult_subgroup(f7, 1).elements) == [1]
-    assert sorted(cn.mult_subgroup(PrimeField(13), 4).elements) == [1, 5, 8, 12]
+    assert cn.mult_subgroup(f7, 3) == (1, 2, 4)
+    assert cn.mult_subgroup(f7, 1) == (1,)
+    assert cn.mult_subgroup(PrimeField(13), 4) == (1, 5, 8, 12)
     with pytest.raises(ValueError):
         cn.mult_subgroup(f7, 4)  # 4 does not divide 6
 
 
 def test_mult_subgroup_closed():
     A = cn.mult_subgroup(PrimeField(31), 15)
-    for a in A.elements:
-        for b in A.elements:
-            assert a * b % 31 in A.elements
+    for a in A:
+        for b in A:
+            assert a * b % 31 in A
+
+
+@pytest.mark.parametrize("p, k", [(7, 3), (13, 4), (1009, 504), (1999, 999)])
+def test_mult_subgroup_is_the_kth_roots_of_unity(p, k):
+    A = cn.mult_subgroup(PrimeField(p), k)
+    assert isinstance(A, tuple) and list(A) == sorted(A)
+    assert A == tuple(x for x in range(1, p) if pow(x, k, p) == 1)
 
 
 def test_rank_and_kernel():
@@ -32,11 +40,11 @@ def test_rank_and_kernel():
 def test_isotropic_frame_found_and_verified():
     f7 = PrimeField(7)
     fr1 = cn.isotropic_frame(f7, 4, 1, seed=0)
-    assert f7.norm(fr1.vectors[0]) == 0 and any(fr1.vectors[0])
+    assert f7.norm(fr1[0]) == 0 and any(fr1[0])
     fr2 = cn.isotropic_frame(f7, 4, 2, seed=0)
-    fr2.verify()
-    for u in fr2.vectors:
-        for v in fr2.vectors:
+    assert cn.rank_mod_p(fr2, 7) == 2
+    for u in fr2:
+        for v in fr2:
             assert f7.dot(u, v) == 0
 
 
@@ -98,7 +106,7 @@ def test_even_0mod4_example():
     assert on_paraboloid(E)
     prods = counting.product_set(E)
     assert len(prods) <= 3
-    A = cn.mult_subgroup(f13, 3).elements
+    A = cn.mult_subgroup(f13, 3)
     plus = {(c + c * c) % 13 for c in A}
     minus = {(c - c * c) % 13 for c in A}
     assert prods <= plus | minus
@@ -130,7 +138,8 @@ def test_even_0mod4_postcondition_is_a_plus_a2(monkeypatch):
     # isotropic vectors of F_5^2 that are not mutually orthogonal:
     # (1, 2).(1, 3) = 2, so with A = F_5^* the products reach 2 + c + c^2 = 3,
     # outside {c + c^2} = {0, 1, 2} (but inside {c +- c^2}, which is all of F_5)
-    monkeypatch.setattr(cn, "span_points", lambda field, frame, dim: [(0, 0), (1, 2), (2, 4), (1, 3), (2, 1)])
+    S = np.array([(0, 0), (1, 2), (2, 4), (1, 3), (2, 1)])
+    monkeypatch.setattr(cn, "span_points", lambda field, frame, dim: S)
     with pytest.raises(cn.ConstructionError, match="escape"):
         cn.construct_even_0mod4(PrimeField(5), 4, 4)
 
@@ -164,5 +173,8 @@ def test_lines_preconditions_and_determinism():
 def test_span_points():
     f = PrimeField(5)
     pts = cn.span_points(f, [(1, 0, 0), (0, 1, 1)], 3)
-    assert len(set(pts)) == 25
-    assert cn.span_points(f, [], 3) == [(0, 0, 0)]
+    assert pts.dtype == np.int64 and pts.shape == (25, 3)
+    # row 5 a + b is a (1, 0, 0) + b (0, 1, 1): lexicographic in (a, b)
+    assert pts.tolist() == [[a, b, b] for a in range(5) for b in range(5)]
+    empty = cn.span_points(f, [], 3)
+    assert empty.dtype == np.int64 and empty.tolist() == [[0, 0, 0]]

@@ -254,6 +254,35 @@ def test_cli_sweep_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_cli_sweep_seed_and_cap_flags_win(tmp_path, capsys):
+    doc = {
+        "primes": [7],
+        "dims": [3],
+        "families": [
+            {"kind": "random_paraboloid_subset", "alpha": 1.2},
+            {"kind": "construction", "construction": "odd3mod4", "k": 3},
+        ],
+        "trials": 2,
+        "seed": 5,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    run = ["sweep", "--config", str(cfg_path)]
+    assert cli.main(run) == 0
+    plain = capsys.readouterr().out
+    reseeded = sweep.rows_to_csv_bytes(sweep.run_sweep(sweep.parse_config({**doc, "seed": 99}))).decode()
+    assert reseeded != plain
+    for argv in (["--seed", "99", *run], [*run, "--seed", "99"]):  # before or after the subcommand
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == reseeded
+    assert cli.main([*run, "--cap", "1"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    random_cells = [r for r in rows if r["family"].startswith("random_paraboloid_subset")]
+    assert len(random_cells) == 2
+    assert all(r["error"].startswith("ResourceLimitError: paraboloid points") for r in random_cells)
+    assert all(not r["error"] for r in rows if r not in random_cells)
+
+
 def test_cli_sweep_config_error(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text('{"prims": [7]}')
@@ -326,22 +355,22 @@ def test_cli_unusable_arguments_exit_2(capsys, argv, missing):
     assert err.startswith("error:") and missing in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--cap", "10", "count", "--full-paraboloid", "7", "3"],
-        ["--cap", "10", "fourier-verify", "--pairs", "2:7"],
-        ["--cap", "10", "extension-ratio", "--p", "43"],
-        # the sphere (86 <= 100) passes; the 43^2-entry surface transform does not
-        ["--cap", "100", "extension-ratio", "--p", "43", "--trials", "3"],
-        # 5 * 101^6 span points: refused before the frame search
-        ["construct", "--kind", "even2mod4", "--p", "101", "--d", "14", "--k", "5"],
-    ],
-)
-def test_cli_cap_exceeded_exit_2(capsys, argv):
+CAP_CASES = [
+    (["--cap", "10", "count", "--full-paraboloid", "7", "3"], "paraboloid points: 49"),
+    (["--cap", "10", "fourier-verify", "--pairs", "2:7"], "transform-table entries: 49"),
+    (["--cap", "10", "extension-ratio", "--p", "43"], "sphere points: 86"),
+    # the sphere (86 <= 100) passes; the 43^2-entry surface transform does not
+    (["--cap", "100", "extension-ratio", "--p", "43", "--trials", "3"], "transform-table entries: 1849"),
+    # 5 * 101^6 lifted span points: refused before the frame search
+    (["construct", "--kind", "even2mod4", "--p", "101", "--d", "14", "--k", "5"], "lifted span points: 5307600753005"),
+]
+
+
+@pytest.mark.parametrize("argv, what", CAP_CASES, ids=[f"argv{i}" for i in range(len(CAP_CASES))])
+def test_cli_cap_exceeded_exit_2(capsys, argv, what):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "exceeds cap" in err and err.count("\n") == 1
+    assert err.startswith(f"error: {what} exceeds cap") and err.count("\n") == 1
 
 
 def test_cli_zero_pair_byte_cap_exit_2(tmp_path, capsys, monkeypatch):
@@ -368,8 +397,12 @@ def test_cli_int64_overflow_exit_2(tmp_path, capsys, command, dim):
     assert err.startswith("error:") and "overflow int64" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["count", "product"])
-def test_cli_p_sized_tables_exit_2(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, what",
+    [("count", "square-table entries: 2000000014"), ("product", "histogram-table entries: 1000000007")],
+    ids=["count", "product"],
+)
+def test_cli_p_sized_tables_exit_2(tmp_path, capsys, command, what):
     # two points pass the int64 guard at p = 10^9 + 7 in the plane, but the
     # pass's p-entry tables (2p words for count) exceed the default cap
     p = 10**9 + 7
@@ -377,7 +410,16 @@ def test_cli_p_sized_tables_exit_2(tmp_path, capsys, command):
     path.write_text(f"{p} 2 2\n0 0\n{p - 1} {p - 1}\n")
     assert cli.main([command, "--in", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "exceeds cap" in err and err.count("\n") == 1
+    assert err.startswith(f"error: {what} exceeds cap 100000000") and err.count("\n") == 1
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1, "expected one python block in the README"
+    exec(blocks[0].split("```")[0], {})
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.split()[1] == "True" and second.startswith("{")
 
 
 def test_all_matches_package_imports():
