@@ -76,7 +76,7 @@ def cmd_count(args) -> int:
 def cmd_triangles(args) -> int:
     E = _load_set(args)
     doc = {"p": E.field.p, "d": E.dim, "set_size": len(E)}
-    doc.update(counting.isosceles_counts(E).as_dict())
+    doc.update(counting.profile(E).triangles.as_dict())
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
@@ -119,12 +119,12 @@ def cmd_construct(args) -> int:
     field = PrimeField(args.p)
     try:
         if args.kind == "lines":
-            E = constructions.isotropic_lines_set(field, args.lines, args.per_line, args.seed)
+            E = constructions.isotropic_lines_set(field, args.lines, args.per_line, args.seed, args.cap)
             report = constructions.construction_report(
                 "lines", field, E, num_lines=args.lines, points_per_line=args.per_line
             )
         else:
-            E = constructions.BUILDERS[args.kind](field, args.d, args.k, args.seed)
+            E = constructions.BUILDERS[args.kind](field, args.d, args.k, args.seed, args.cap)
             report = constructions.construction_report(args.kind, field, E, k=args.k)
     except constructions.ConstructionError as e:
         print(f"verification failed: {e}", file=sys.stderr)

@@ -18,7 +18,7 @@ import random
 
 import numpy as np
 
-from .counting import isosceles_counts, product_set
+from .counting import product_set, profile
 from .field import PrimeField
 from .varieties import PointSet, _check_cap, _space, on_paraboloid
 
@@ -183,13 +183,13 @@ def _ap_a2(field: PrimeField, elements) -> set[int]:
     return {(a + a * a) % field.p for a in elements}
 
 
-def _isotropic_lift(field: PrimeField, d: int, k: int, seed: int, span_dim: int, label: str) -> PointSet:
+def _isotropic_lift(field: PrimeField, d: int, k: int, seed: int, cap: int | None, span_dim: int, label: str) -> PointSet:
     """E = {(s, 0...0, a, a^2) : s in the span of a maximal isotropic frame of
     F_p^span_dim, a in A}. Every product is ab + (ab)^2, since s.s' = 0."""
     p = field.p
     A = mult_subgroup(field, k)
     m = span_dim // 2
-    _check_cap(k * p**m, None, "lifted span points")  # before the frame search and the k p^m points
+    _check_cap(k * p**m, cap, "lifted span points")  # before the frame search and the k p^m points
     frame = isotropic_frame(field, span_dim, m, seed) if m else ()  # m = 0: no search, no RNG
     S = span_points(field, frame, span_dim)
     rows = np.zeros((len(S), k, d), dtype=np.int64)  # rows[i, j] = (S[i], 0...0, a_j, a_j^2)
@@ -200,25 +200,25 @@ def _isotropic_lift(field: PrimeField, d: int, k: int, seed: int, span_dim: int,
     return E
 
 
-def construct_even_2mod4(field: PrimeField, d: int, k: int, seed: int = 0) -> PointSet:
+def construct_even_2mod4(field: PrimeField, d: int, k: int, seed: int = 0, cap: int | None = None) -> PointSet:
     """E = (totally isotropic subspace of F_p^(d-2)) x {(a, a^2) : a in A}
     for d = 2 mod 4; dot products land in {a + a^2 : a in A}."""
     if d % 4 != 2 or d < 2:
         raise ValueError("construction requires d = 2 mod 4")
-    return _isotropic_lift(field, d, k, seed, d - 2, "even_2mod4")
+    return _isotropic_lift(field, d, k, seed, cap, d - 2, "even_2mod4")
 
 
-def construct_odd_3mod4(field: PrimeField, d: int, k: int, seed: int = 0) -> PointSet:
+def construct_odd_3mod4(field: PrimeField, d: int, k: int, seed: int = 0, cap: int | None = None) -> PointSet:
     """Odd-dimension variant, d = 3 mod 4: pad the isotropic subspace of
     F_p^(d-3) with a zero coordinate; at d = 3 this is {(0, a, a^2)}."""
     if field.p % 4 != 3:
         raise ValueError("construction requires p = 3 mod 4")
     if d % 4 != 3 or d < 3:
         raise ValueError("construction requires d = 3 mod 4")
-    return _isotropic_lift(field, d, k, seed, d - 3, "odd_3mod4")
+    return _isotropic_lift(field, d, k, seed, cap, d - 3, "odd_3mod4")
 
 
-def construct_even_0mod4(field: PrimeField, d: int, k: int, seed: int = 0) -> PointSet:
+def construct_even_0mod4(field: PrimeField, d: int, k: int, seed: int = 0, cap: int | None = None) -> PointSet:
     """d = 0 mod 4 variant: F_p^(d-2) holds an isotropic subspace of dimension
     d/2 - 1 only when -1 is a square, hence p = 1 mod 4. As for d = 2 mod 4 the
     products are c + c^2; construction_report records which of c +- c^2 hold."""
@@ -229,7 +229,7 @@ def construct_even_0mod4(field: PrimeField, d: int, k: int, seed: int = 0) -> Po
         )
     if d % 4 != 0 or d < 4:
         raise ValueError("construction requires d = 0 mod 4")
-    return _isotropic_lift(field, d, k, seed, d - 2, "even_0mod4")
+    return _isotropic_lift(field, d, k, seed, cap, d - 2, "even_0mod4")
 
 
 BUILDERS = {
@@ -240,7 +240,7 @@ BUILDERS = {
 
 
 def isotropic_lines_set(
-    field: PrimeField, num_lines: int, points_per_line: int, seed: int = 0
+    field: PrimeField, num_lines: int, points_per_line: int, seed: int = 0, cap: int | None = None
 ) -> PointSet:
     """Union of num_lines parallel lines in F_p^2 with isotropic direction
     (1, i), points_per_line points each, distinct offsets. Every within-line
@@ -253,6 +253,7 @@ def isotropic_lines_set(
         raise ValueError("need at least one line and one point per line")
     if points_per_line > p or num_lines > p:
         raise ValueError("at most p points per line and p distinct offsets")
+    _check_cap(num_lines * points_per_line, cap, "line points")
     i = field.sqrt_minus_one()
     rng = random.Random(seed)
     offsets = sorted(rng.sample(range(p), num_lines))
@@ -293,7 +294,7 @@ def construction_report(
         report["products_in_a_minus_a2"] = prods <= minus
         report["products_contained"] = prods <= plus
     elif kind == "lines":
-        tri = isosceles_counts(E)
+        tri = profile(E).triangles
         floor = num_lines * points_per_line**3
         report["num_lines"] = num_lines
         report["points_per_line"] = points_per_line

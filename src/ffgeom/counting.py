@@ -18,10 +18,12 @@ Conventions, fixed once for the whole package:
 * degenerate_pairs counts ordered pairs (x, y), diagonal included, with
   ||x-y|| = 0.
 
-Every count of one set comes from `profile(E)`. It streams the Gram matrix
+`profile(E)` is the entry point: every count of one set is a field of the
+`Profile` it returns. `dot_histogram`, `product_set` (both also for E x F)
+and `count_M` are the Gram-only path. `profile` streams the Gram matrix
 x.y mod p in row blocks of about _BLOCK_BYTES, which stay in cache
-(`_gram_blocks`, the only place a matrix product is formed; `dot_histogram`
-shares it for E x F), and the distance block as one more product of
+(`_gram_blocks`, the only place a matrix product is formed; the Gram-only
+path shares it), and the distance block as one more product of
 augmented rows, ||x - y|| = [x, ||x||, 1] . [-2y, 1, ||y||]. One pass takes
 the product histogram (prod and M), per-apex dot histograms (D), per-apex
 distance histograms (isosceles total, zero equal sides, degenerate pairs)
@@ -332,7 +334,7 @@ def profile(E: PointSet) -> Profile:
     # square[k + p] = k^2 = ||y - z|| - ||ybar - zbar|| at k = y_d - z_d
     square = np.arange(2 * p) ** 2 % p
     dots = np.zeros(p, dtype=np.int64)
-    d_total = total_iso = eq_zero_sides = degenerate = m = 0
+    d_total = total_iso = eq_zero_sides = degenerate = m = m_base = 0
     empty = np.zeros((2, 0), dtype=np.intp)
     dist_found, base_found = [empty], [empty]
     for (lo, gram), (_, dist) in blocks:
@@ -341,7 +343,8 @@ def profile(E: PointSet) -> Profile:
             m += dist_found[-1].shape[1]
         if scan_base:
             base_found.append(_upper_zeros(lo, dist, square[last[lo : lo + len(dist), None] + p - last[lo:]]))
-        held = (m + sum(f.shape[1] for f in base_found)) * _pair_bytes(E.dim) + (n * -(-n // 8) if m else 0)
+            m_base += base_found[-1].shape[1]
+        held = (m + m_base) * _pair_bytes(E.dim) + (n * -(-n // 8) if m else 0)
         if held > ZERO_PAIR_BYTE_CAP:
             raise ResourceLimitError(f"zero pairs of {n} points exceed {ZERO_PAIR_BYTE_CAP} bytes")
         hist = _row_histograms(gram, p)
@@ -380,29 +383,9 @@ def profile(E: PointSet) -> Profile:
         D_star=d_total - n * n - 2 * off_star,
         triangles=triangles,
         zero_pairs=m,
-        base_zero_pairs=pairs.shape[1] - base_from,
+        base_zero_pairs=m if last is None else m_base,
         isotropic_classes=classes,
     )
-
-
-def count_D(E: PointSet) -> int:
-    """Ordered triples (x, y, z) in E^3 with x.y = x.z."""
-    return profile(E).D
-
-
-def count_D_star(E: PointSet) -> int:
-    """Ordered triples with x.y = x.z whose base projections y, z, the first
-    dim-1 coordinates, are at nonzero distance. E must lie on a paraboloid;
-    `profile(E).D_star` counts any set, with all coordinates as the base off
-    the paraboloid."""
-    if not on_paraboloid(E):
-        raise ValueError("count_D_star requires a point set on a paraboloid")
-    return profile(E).D_star
-
-
-def isosceles_counts(X: PointSet) -> TriangleCounts:
-    """All triangle counts of X in O(|X|^2) via per-apex distance histograms."""
-    return profile(X).triangles
 
 
 def apex(field: PrimeField, x: tuple[int, ...]) -> tuple[int, ...]:
@@ -493,20 +476,20 @@ def inequality_chain(E: PointSet) -> InequalityReport:
     """Verify |prod(E)| * M >= |E|^4, M <= |E| * D, and (for paraboloid sets)
     that D of the base-restricted set is at most the isosceles-triple total
     of the apex-union-base projection."""
-    counts = counts_json(E)
-    n, prod_size, m_value, d_value = (counts[k] for k in ("set_size", "prod_size", "M", "D"))
+    pr = profile(E)
+    n, prod_size, m_value = len(E), len(pr.dots.as_dict()), pr.dots.energy
     report = dict(
         size=n,
         prod_size=prod_size,
         m_value=m_value,
-        d_value=d_value,
+        d_value=pr.D,
         cs_product_ok=prod_size * m_value >= n**4,
-        cs_energy_ok=m_value <= n * d_value,
+        cs_energy_ok=m_value <= n * pr.D,
     )
     if on_paraboloid(E) and E.dim >= 2:
         Er = restrict_nonzero_base(E)
-        d_r = count_D(Er)
-        iso = isosceles_counts(bar_projection(Er).union(apex_set(Er))).isosceles_total
+        d_r = profile(Er).D
+        iso = profile(bar_projection(Er).union(apex_set(Er))).triangles.isosceles_total
         report.update(
             restricted_size=len(Er),
             restricted_d=d_r,
@@ -539,9 +522,8 @@ def triangle_bound_report(X: PointSet) -> TriangleBoundReport:
     q = X.field.p
     n = X.dim
     m = len(X)
-    tc = isosceles_counts(X)
     bound = m**3 / q + q ** (n - 1) * m ** ((n + 4) / (n + 2)) + q ** ((n - 2) / 2) * m**2
-    return TriangleBoundReport(m, tc.isosceles_total, bound)
+    return TriangleBoundReport(m, profile(X).triangles.isosceles_total, bound)
 
 
 def counts_json(E: PointSet) -> dict:

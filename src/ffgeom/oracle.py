@@ -222,12 +222,12 @@ def run_battery(seed: int = 0, instances: int = 20) -> list[OracleReport]:
         X2 = PointSet.build(fld, 2, [pt[:2] for pt in X.points])
 
         add(f"[{k}] product_set", lambda: counting.product_set(E), lambda: oracle_product(E))
-        add(f"[{k}] count_D", lambda: counting.count_D(E), lambda: oracle_D(E))
-        add(f"[{k}] count_D_star", lambda: counting.count_D_star(E), lambda: oracle_D_star(E))
+        add(f"[{k}] profile.D", lambda: counting.profile(E).D, lambda: oracle_D(E))
+        add(f"[{k}] profile.D_star", lambda: counting.profile(E).D_star, lambda: oracle_D_star(E))
         add(f"[{k}] count_M", lambda: counting.count_M(Esmall), lambda: oracle_M(Esmall))
         add(
-            f"[{k}] isosceles_counts",
-            lambda: counting.isosceles_counts(X2).as_dict(),
+            f"[{k}] profile.triangles",
+            lambda: counting.profile(X2).triangles.as_dict(),
             lambda: oracle_triangles(X2),
         )
         if p**2 * len(X2) <= CAP_FOURIER_WORK // 4:

@@ -258,10 +258,10 @@ def build_cell_set(field: PrimeField, d: int, family: Family, seed: int, cap: in
         return random_subset(P, size, seed)
     if family.kind == "construction":
         k = _resolve_k(family, p)
-        return constructions.BUILDERS[family.construction](field, d, k, seed)
+        return constructions.BUILDERS[family.construction](field, d, k, seed, cap)
     if d != 2:
         raise ValueError("lines family applies only to d = 2 cells")
-    return constructions.isotropic_lines_set(field, family.num_lines, family.points_per_line, seed)
+    return constructions.isotropic_lines_set(field, family.num_lines, family.points_per_line, seed, cap)
 
 
 def run_cell(p: int, d: int, family: Family, trial: int, seed: int, cap, timing: bool) -> SweepRow:
@@ -372,7 +372,7 @@ def planar_triangle_check(X) -> PlanarTriangleReport:
     n = len(X)
     if n**3 > p**4:
         raise ValueError(f"|X| = {n} violates the hypothesis |X| <= p^(4/3)")
-    t_star = counting.isosceles_counts(X).t_star
+    t_star = counting.profile(X).triangles.t_star
     return PlanarTriangleReport(
         p=p,
         size=n,

@@ -102,16 +102,16 @@ def test_04_oracle_equivalence():
         E = paraboloid_sample(50)
         if counting.product_set(E) != oracle.oracle_product(E):
             mismatches.append("product_set")
-        if counting.count_D(E) != oracle.oracle_D(E):
-            mismatches.append("count_D")
+        if counting.profile(E).D != oracle.oracle_D(E):
+            mismatches.append("profile.D")
     for _ in range(100):
         E = paraboloid_sample(25)
         if counting.count_M(E) != oracle.oracle_M(E):
             mismatches.append("count_M")
     for _ in range(100):
         X = plane_sample(50)
-        if counting.isosceles_counts(X).as_dict() != oracle.oracle_triangles(X):
-            mismatches.append("isosceles_counts")
+        if counting.profile(X).triangles.as_dict() != oracle.oracle_triangles(X):
+            mismatches.append("profile.triangles")
     for _ in range(100):
         p = rng.choice([5, 7])
         X = random_subset(plane(p), rng.randint(1, 15), rng.randrange(2**32))
@@ -131,7 +131,7 @@ def test_05_degenerate_pair_bound():
         grid = plane(p)
         for _ in range(50):
             X = random_subset(grid, rng.randint(1, min(120, len(grid))), rng.randrange(2**32))
-            z = counting.isosceles_counts(X).degenerate_pairs
+            z = counting.profile(X).triangles.degenerate_pairs
             # exact rational comparison of z <= |X|^2/p + p^0 |X|
             if z * p > len(X) ** 2 + p * len(X):
                 violations += 1
@@ -158,7 +158,7 @@ def test_06_construction_guarantees():
 def test_07_slope_i_obstruction():
     f13 = PrimeField(13)
     E = constructions.isotropic_lines_set(f13, 2, 3, seed=1)
-    tri = counting.isosceles_counts(E)
+    tri = counting.profile(E).triangles
     floor = 2 * 3**3
     ok = tri.t_zero_triples >= floor and floor > len(E) ** 3 / 13
     announce(

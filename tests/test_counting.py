@@ -1,6 +1,8 @@
+import ast
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +62,7 @@ def test_dimension_mismatch_rejected():
 def test_energy_trivial_cases():
     E = PointSet.build(PrimeField(7), 3, [(1, 2, 5)])
     assert counting.count_M(E) == 1
-    assert counting.count_D(E) == 1
+    assert counting.profile(E).D == 1
 
 
 def test_energy_lower_bounds_and_oracles():
@@ -68,7 +70,7 @@ def test_energy_lower_bounds_and_oracles():
     for _ in range(12):
         p = rng.choice([7, 11, 13])
         E = rand_paraboloid_subset(p, 3, rng.randint(2, 24), rng.randrange(2**32))
-        D = counting.count_D(E)
+        D = counting.profile(E).D
         M = counting.count_M(E) if len(E) <= 18 else None
         assert D >= len(E) ** 2
         assert D == oracle.oracle_D(E)
@@ -83,17 +85,16 @@ def test_d_star_oracle_and_diagonal():
     for _ in range(8):
         p = rng.choice([7, 11])
         E = rand_paraboloid_subset(p, 3, rng.randint(2, 20), rng.randrange(2**32))
-        assert counting.count_D_star(E) == oracle.oracle_D_star(E)
+        assert counting.profile(E).D_star == oracle.oracle_D_star(E)
     # p = 3 mod 4, d = 3: zero base distance forces y = z, so the correction
     # is exactly the diagonal
     E = rand_paraboloid_subset(19, 3, 25, seed=0)
-    assert counting.count_D_star(E) == counting.count_D(E) - len(E) ** 2
+    pr = counting.profile(E)
+    assert pr.D_star == pr.D - len(E) ** 2
 
 
 def test_d_star_requires_paraboloid():
     X = rand_plane_subset(13, 10, seed=2)
-    with pytest.raises(ValueError):
-        counting.count_D_star(X)
     assert counting.profile(X).D_star == oracle.oracle_D_star(X, allow_ambient_base=True)
 
 
@@ -160,7 +161,7 @@ def test_scan_matches_scalar_reduction():
 def test_two_point_triangle_taxonomy():
     f = PrimeField(7)
     X = PointSet.build(f, 2, [(0, 0), (1, 0)])
-    tc = counting.isosceles_counts(X)
+    tc = counting.profile(X).triangles
     # ordered pairs (x, x) sit at distance zero, so both count
     assert tc.degenerate_pairs == 2
     # the raw equal-nonzero-sides count keeps the y = z triples ...
@@ -174,7 +175,7 @@ def test_isotropic_line_triangles():
     # direction (1, 5) has norm 26 = 0 mod 13
     f = PrimeField(13)
     X = PointSet.build(f, 2, [(t, 5 * t % 13) for t in range(3)])
-    tc = counting.isosceles_counts(X)
+    tc = counting.profile(X).triangles
     assert tc.degenerate_pairs == 9
     assert tc.t_zero_triples == 27
     assert tc.isosceles_total == 27
@@ -186,7 +187,7 @@ def test_triangles_match_oracle():
     for _ in range(15):
         p = rng.choice([7, 11, 13])
         X = rand_plane_subset(p, rng.randint(2, 40), rng.randrange(2**32))
-        fast = counting.isosceles_counts(X).as_dict()
+        fast = counting.profile(X).triangles.as_dict()
         assert fast == oracle.oracle_triangles(X)
 
 
@@ -194,7 +195,7 @@ def test_triangles_nonplanar_match_oracle():
     rng = random.Random(29)
     for _ in range(6):
         X = rand_paraboloid_subset(7, 4, rng.randint(2, 30), rng.randrange(2**32))
-        assert counting.isosceles_counts(X).as_dict() == oracle.oracle_triangles(X)
+        assert counting.profile(X).triangles.as_dict() == oracle.oracle_triangles(X)
 
 
 def test_inequality_chain_singleton():
@@ -220,7 +221,7 @@ def test_degenerate_pair_bound_planar():
     for p in [7, 11, 19]:
         for _ in range(5):
             X = rand_plane_subset(p, rng.randint(2, 40), rng.randrange(2**32))
-            z = counting.isosceles_counts(X).degenerate_pairs
+            z = counting.profile(X).triangles.degenerate_pairs
             assert z * p <= len(X) ** 2 + p * len(X)
 
 
@@ -270,7 +271,7 @@ def test_small_row_blocks_match_oracles(monkeypatch):
             F = rand_plane_subset(p, rng.randint(30, 60), rng.randrange(2**32)) if E.dim == 2 else E
             doc = counting.counts_json(E)
             tri = oracle.oracle_triangles(E)
-            assert counting.isosceles_counts(E).as_dict() == tri
+            assert counting.profile(E).triangles.as_dict() == tri
             assert doc["D"] == oracle.oracle_D(E)
             assert doc["D_star"] == oracle.oracle_D_star(E, allow_ambient_base=True)
             assert doc["prod_size"] == len(oracle.oracle_product(E))
@@ -615,7 +616,7 @@ def test_large_set_translation_invariance(large_set):
     E, pr = large_set
     rng = random.Random(47)
     shift = [rng.randrange(E.field.p) for _ in range(E.dim)]
-    assert counting.isosceles_counts(_translate(E, shift)) == pr.triangles
+    assert counting.profile(_translate(E, shift)).triangles == pr.triangles
 
 
 def test_large_set_base_isometry_invariance(large_set):
@@ -629,3 +630,29 @@ def test_large_set_base_isometry_invariance(large_set):
     assert moved != E
     # equal dot histograms carry |prod| and M along
     assert counting.profile(moved) == pr
+
+
+def _returns_profile_field(fn):
+    """Whether fn's body, after an optional docstring, is one `return
+    profile(...).<attr>` (attribute chains included)."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    node = body[0].value
+    if not isinstance(node, ast.Attribute):
+        return False
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    callee = node.func if isinstance(node, ast.Call) else None
+    return getattr(callee, "id", getattr(callee, "attr", None)) == "profile"
+
+
+def test_no_function_returns_one_profile_field():
+    """A count of one set is read from profile(E); a wrapper that returns one
+    field of it is that field."""
+    wrappers = []
+    for path in sorted(Path(counting.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _returns_profile_field(node):
+                wrappers.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not wrappers, wrappers

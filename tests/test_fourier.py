@@ -231,7 +231,7 @@ def test_degenerate_pairs_spectral_identity():
     rng = random.Random(19)
     for _ in range(6):
         X = rand_plane_subset(7, 20, rng.randrange(2**32))
-        direct = counting.isosceles_counts(X).degenerate_pairs
+        direct = counting.profile(X).triangles.degenerate_pairs
         spectral = fourier.degenerate_pairs_fourier(X)
         assert spectral == pytest.approx(direct, abs=1e-9)
         # and the envelope |X|^2/q + q^((n-2)/2) |X|

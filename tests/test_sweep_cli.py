@@ -275,12 +275,23 @@ def test_cli_sweep_seed_and_cap_flags_win(tmp_path, capsys):
     for argv in (["--seed", "99", *run], [*run, "--seed", "99"]):  # before or after the subcommand
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == reseeded
-    assert cli.main([*run, "--cap", "1"]) == 0
-    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-    random_cells = [r for r in rows if r["family"].startswith("random_paraboloid_subset")]
-    assert len(random_cells) == 2
-    assert all(r["error"].startswith("ResourceLimitError: paraboloid points") for r in random_cells)
-    assert all(not r["error"] for r in rows if r not in random_cells)
+    # a lines cell needs d = 2 and p = 1 mod 4, so it gets a config of its own
+    lines_path = tmp_path / "lines.json"
+    lines_path.write_text(json.dumps({"primes": [13], "dims": [2], "families": [{"kind": "lines", "lines": 2, "per_line": 3}]}))
+    lines_run = ["sweep", "--config", str(lines_path)]
+
+    def errors(*flags):
+        rows = []
+        for argv in (run, lines_run):
+            assert cli.main([*argv, *flags]) == 0
+            rows += csv.DictReader(io.StringIO(capsys.readouterr().out))
+        families = [r["family"].split("(")[0] for r in rows]
+        assert families == ["random_paraboloid_subset"] * 2 + ["construction"] * 2 + ["lines"]
+        return [r["error"] for r in rows]
+
+    assert errors() == [""] * 5  # every cell builds without a cap
+    what = ["paraboloid points"] * 2 + ["lifted span points"] * 2 + ["line points"]
+    assert all(e.startswith(f"ResourceLimitError: {w}") for e, w in zip(errors("--cap", "1"), what, strict=True))
 
 
 def test_cli_sweep_config_error(tmp_path):
@@ -363,6 +374,8 @@ CAP_CASES = [
     (["--cap", "100", "extension-ratio", "--p", "43", "--trials", "3"], "transform-table entries: 1849"),
     # 5 * 101^6 lifted span points: refused before the frame search
     (["construct", "--kind", "even2mod4", "--p", "101", "--d", "14", "--k", "5"], "lifted span points: 5307600753005"),
+    (["--cap", "10", "construct", "--kind", "odd3mod4", "--p", "11", "--d", "7", "--k", "5"], "lifted span points: 605"),
+    (["--cap", "5", "construct", "--kind", "lines", "--p", "13", "--lines", "2", "--per-line", "3"], "line points: 6"),
 ]
 
 
