@@ -18,6 +18,20 @@ chi(+m.x) and divides by p^n. The cost is O(p^n log p^n) whatever the number
 of points, so the enumeration cap bounds the table's p^n entries. The
 zero-sphere transform takes its Gauss-sum closed form where (n, p) admit it,
 n = 2 mod 4 and p = 3 mod 4 (Iosevich-Rudnev 2007), and the DFT elsewhere.
+
+Extension ratios at r = 4 need no transform. With F(c) = sum_{x in V}
+chi(c.x) f(x), F(c)^2 = sum_xi h(xi) chi(c.xi) for the additive convolution
+h(xi) = sum_{x + y = xi} f(x) f(y), so Plancherel gives
+
+    sum_c |(f dsigma)^vee (c)|^4 = p^n |V|^(-4) sum_xi |h(xi)|^2,
+
+the additive energy of f (Mockenhaupt-Tao 2004, Iosevich-Koh 2010). h is two
+weighted bincounts of the |V|^2 pair sums over p^n bins. `extension_ratio`
+takes that route when r = 4 and |V|^2 <= n p^n, where the pair work is at
+most one pass per axis over the table; other exponents and denser varieties
+take the dense transform. Both routes hold p^n bins, and the energy route's
+pair arrays |V|^2 <= n p^n entries, so the cap on the table's p^n entries
+bounds them both.
 """
 
 from __future__ import annotations
@@ -184,16 +198,42 @@ def inverse_surface_transform(f: SurfaceFunction, cap: int | None = None) -> Spe
     return SpectralTable(V.field, n, table)
 
 
+def _pair_sum_energy(f: SurfaceFunction) -> float:
+    """sum_xi |h(xi)|^2 with h(xi) = sum_{x + y = xi} f(x) f(y) over V^2:
+    two weighted bincounts of the |V|^2 pair-sum indices over p^n bins."""
+    V = f.variety
+    p = V.field.p
+    wrap = np.arange(2 * p - 1) % p  # a + b mod p for coordinates a, b < p
+    idx = np.zeros((len(V), len(V)), dtype=np.int64)
+    for col in V.array.T:  # flat index of x + y, coordinatewise mod p
+        idx *= p
+        idx += wrap[np.add.outer(col, col)]
+    idx = idx.reshape(-1)
+    w = np.multiply.outer(f.values, f.values).reshape(-1)
+    h_re = np.bincount(idx, weights=w.real, minlength=p**V.dim)
+    h_im = np.bincount(idx, weights=w.imag, minlength=p**V.dim)
+    return float(h_re @ h_re + h_im @ h_im)
+
+
 def extension_ratio(f: SurfaceFunction, r_exp: float, cap: int | None = None) -> float:
     """L^r norm (counting measure) of (f dsigma)^vee over the L^2 norm of f
-    under the normalized surface measure."""
+    under the normalized surface measure. At r = 4 on a variety with |V|^2 <=
+    n p^n the L^4 norm is the additive energy of f (module docstring)."""
     if not 0 < r_exp < np.inf:  # also rejects nan
         raise ValueError(f"r_exp must be finite and > 0, got {r_exp}")
-    denom_sq = float((np.abs(f.values) ** 2).sum()) / len(f.variety)
+    V = f.variety
+    if not len(V):
+        raise ValueError("empty variety")
+    denom_sq = float((np.abs(f.values) ** 2).sum()) / len(V)
     if denom_sq == 0.0:
         raise ValueError("extension ratio undefined for the zero function")
-    ext = inverse_surface_transform(f, cap)
-    num = float((np.abs(ext.flat) ** r_exp).sum()) ** (1.0 / r_exp)
+    p, n = V.field.p, V.dim
+    if r_exp == 4 and len(V) ** 2 <= n * p**n:
+        _check_cap(p**n, cap, "transform-table entries")
+        num = (float(p) ** n * _pair_sum_energy(f)) ** 0.25 / len(V)
+    else:
+        g = inverse_surface_transform(f, cap).flat
+        num = float(((g.real**2 + g.imag**2) ** (r_exp / 2)).sum()) ** (1.0 / r_exp)
     return num / denom_sq**0.5
 
 
@@ -208,24 +248,37 @@ def extension_ratio_stats(
 ) -> dict:
     """Max and mean extension ratio over random complex-gaussian surface
     functions on spheres of nonzero radius (random radius per trial unless
-    one is pinned)."""
+    one is pinned). Every sphere is a slice of one stable argsort of the
+    frequency norms, so its rows come out in lexicographic order, as
+    `enum_sphere` gives them, and `PointSet.build` need not sort them."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if n < 1:
+        raise ValueError("sphere needs dimension >= 1")
+    p = field.p
+    _check_cap(p ** (n - 1) * 2, cap, "sphere points")
+    _check_cap(p**n, cap, "transform-table entries")
+    norms = _freq_norms(p, n)
+    order = np.argsort(norms, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(np.bincount(norms, minlength=p))])
     rng = np.random.default_rng(seed)
     ratios = []
     spheres: dict[int, PointSet] = {}
     for _ in range(trials):
-        r = radius if radius is not None else int(rng.integers(1, field.p))
+        r = radius % p if radius is not None else int(rng.integers(1, p))
         V = spheres.get(r)
         if V is None:
-            V = enum_sphere(field, n, r, cap)
+            flat = order[starts[r] : starts[r + 1]]
+            V = PointSet.build(field, n, np.column_stack(np.unravel_index(flat, (p,) * n)))
             spheres[r] = V
         if not len(V):
             continue
         vals = rng.standard_normal(len(V)) + 1j * rng.standard_normal(len(V))
         ratios.append(extension_ratio(SurfaceFunction(V, vals), r_exp, cap))
     if not ratios:
-        raise ValueError(f"every sampled sphere in F_{field.p}^{n} is empty")
+        raise ValueError(f"every sampled sphere in F_{p}^{n} is empty")
     return {
-        "p": field.p,
+        "p": p,
         "n": n,
         "r_exp": r_exp,
         "trials": len(ratios),

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffgeom import counting, fourier, oracle
 from ffgeom.field import PrimeField
-from ffgeom.varieties import PointSet, ResourceLimitError, enum_plane, enum_sphere, random_subset
+from ffgeom.varieties import PointSet, ResourceLimitError, enum_paraboloid, enum_plane, enum_sphere, random_subset
 
 
 def plane(p):
@@ -191,6 +193,163 @@ def test_extension_ratio_scale_invariant_and_zero_rejected():
     )
     with pytest.raises(ValueError):
         fourier.extension_ratio(fourier.SurfaceFunction.constant(S, 0.0), 4.0)
+
+
+def transform_l4_ratio(f):
+    """The r = 4 extension ratio from the dense surface transform, as the
+    transform route computes it: (sum_c |ext(c)|^4)^(1/4) / ||f||_L2(sigma)."""
+    ext = fourier.inverse_surface_transform(f).values
+    num = float((np.abs(ext) ** 4).sum()) ** 0.25
+    return num / (float((np.abs(f.values) ** 2).sum()) / len(f.variety)) ** 0.5
+
+
+def gaussian_function(V, seed):
+    rng = np.random.default_rng(seed)
+    return fourier.SurfaceFunction(V, rng.standard_normal(len(V)) + 1j * rng.standard_normal(len(V)))
+
+
+def energy_route_runs(V):
+    p, n = V.field.p, V.dim
+    return len(V) ** 2 <= n * p**n
+
+
+def assert_identity(monkeypatch, f):
+    """extension_ratio(f, 4) equals the transform's L^4 ratio to 1e-12
+    relative, and takes the transform only off the energy route."""
+    expect = transform_l4_ratio(f)
+    calls = []
+    surface = fourier.inverse_surface_transform
+    monkeypatch.setattr(fourier, "inverse_surface_transform", lambda *a: calls.append(1) or surface(*a))
+    got = fourier.extension_ratio(f, 4.0)
+    monkeypatch.undo()
+    assert got == pytest.approx(expect, rel=1e-12)
+    assert len(calls) == (0 if energy_route_runs(f.variety) else 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7, 13])  # p = 3 and 1 mod 4
+@pytest.mark.parametrize("radius", [0, 2])
+def test_extension_l4_identity_on_spheres(monkeypatch, n, p, radius):
+    V = enum_sphere(PrimeField(p), n, radius)
+    if not len(V):  # 2 is a nonsquare mod 3, 5 and 13: an empty 1-sphere
+        assert n == 1
+        return
+    assert_identity(monkeypatch, gaussian_function(V, seed=p * n + radius))
+
+
+def test_extension_l4_identity_on_a_paraboloid(monkeypatch):
+    V = enum_paraboloid(PrimeField(11), 2)
+    assert energy_route_runs(V)
+    assert_identity(monkeypatch, gaussian_function(V, seed=1))
+
+
+@pytest.mark.parametrize("size", [10, 14, 15, 40, 121])
+def test_extension_l4_identity_on_both_sides_of_the_route_bound(monkeypatch, size):
+    # |V|^2 <= 2 * 11^2 = 242 up to |V| = 15: sizes 10, 14 and 15 take the
+    # energy, 40 and all of F_11^2 the transform
+    V = rand_plane_subset(11, size, seed=size)
+    assert energy_route_runs(V) == (size <= 15)
+    assert_identity(monkeypatch, gaussian_function(V, seed=size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_extension_l4_identity_property(p, n, data):
+    idx = data.draw(st.sets(st.integers(0, p**n - 1), min_size=1, max_size=min(p**n, 30)))
+    part = st.floats(-10, 10, allow_nan=False, allow_subnormal=False)
+    vals = data.draw(st.lists(st.tuples(part, part), min_size=len(idx), max_size=len(idx)))
+    vals = np.array([complex(a, b) for a, b in vals])
+    if not np.abs(vals).max() > 1e-3:
+        return
+    V = PointSet.build(PrimeField(p), n, np.array(np.unravel_index(sorted(idx), (p,) * n)).T)
+    f = fourier.SurfaceFunction(V, vals)
+    assert fourier.extension_ratio(f, 4.0) == pytest.approx(transform_l4_ratio(f), rel=1e-12)
+
+
+def test_extension_ratio_cap_and_empty_variety_on_both_routes():
+    S = enum_sphere(PrimeField(7), 2, 1)  # 8 points: 64 <= 2 * 49, the energy route
+    for r_exp in (4.0, 3.0):
+        with pytest.raises(ResourceLimitError, match="transform-table entries: 49"):
+            fourier.extension_ratio(fourier.SurfaceFunction.constant(S), r_exp, cap=48)
+    empty = PointSet.build(PrimeField(7), 2, [])
+    with pytest.raises(ValueError, match="empty variety"):
+        fourier.extension_ratio(fourier.SurfaceFunction(empty, np.zeros(0)), 4.0)
+
+
+def stats_by_enumeration(field, n, trials, seed, radius=None):
+    """extension_ratio_stats at r = 4 as it was written before the norm-table
+    spheres and the energy route: one enum_sphere per new radius, the L^4
+    norm from the dense transform."""
+    rng = np.random.default_rng(seed)
+    ratios, spheres = [], {}
+    for _ in range(trials):
+        r = radius if radius is not None else int(rng.integers(1, field.p))
+        if r not in spheres:
+            spheres[r] = enum_sphere(field, n, r)
+        V = spheres[r]
+        if not len(V):
+            continue
+        vals = rng.standard_normal(len(V)) + 1j * rng.standard_normal(len(V))
+        ratios.append(transform_l4_ratio(fourier.SurfaceFunction(V, vals)))
+    return {"p": field.p, "n": n, "r_exp": 4.0, "trials": len(ratios),
+            "max_ratio": max(ratios), "mean_ratio": sum(ratios) / len(ratios)}
+
+
+@pytest.mark.parametrize("p", [23, 43])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("radius", [None, 5, 50])  # 50 >= p: reduced mod p
+def test_extension_stats_match_the_enumerated_loop(p, seed, radius):
+    field = PrimeField(p)
+    got = fourier.extension_ratio_stats(field, 2, 4.0, trials=40, seed=seed, radius=radius)
+    expect = stats_by_enumeration(field, 2, 40, seed, radius)
+    assert got.keys() == expect.keys()
+    for key, value in expect.items():
+        assert got[key] == pytest.approx(value, rel=1e-12), key
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 13), (2, 3), (2, 11), (3, 5), (3, 7), (4, 3)])
+def test_extension_stats_spheres_are_the_enumerated_spheres(monkeypatch, n, p):
+    field = PrimeField(p)
+    seen = []
+    monkeypatch.setattr(fourier, "extension_ratio", lambda f, r_exp, cap=None: seen.append(f.variety) or 1.0)
+    for r in range(p):
+        expect = enum_sphere(field, n, r)
+        if len(expect):
+            fourier.extension_ratio_stats(field, n, trials=1, radius=r)
+            assert seen.pop() == expect
+        else:
+            with pytest.raises(ValueError, match="empty"):
+                fourier.extension_ratio_stats(field, n, trials=1, radius=r)
+
+
+def test_extension_stats_call_extension_ratio_once_per_nonempty_trial(monkeypatch):
+    """Each nonempty trial calls fourier.extension_ratio through the module
+    attribute (which a wrapper can see); the draws are the radius, then two
+    standard_normal(|V|), and an empty sphere draws nothing more."""
+    field, seed, trials = PrimeField(13), 4, 30
+    ratios = []
+    original = fourier.extension_ratio
+    monkeypatch.setattr(fourier, "extension_ratio", lambda *a: ratios.append(original(*a)) or ratios[-1])
+    stats = fourier.extension_ratio_stats(field, n=1, trials=trials, seed=seed)
+    rng, nonempty = np.random.default_rng(seed), 0
+    for _ in range(trials):
+        size = len(enum_sphere(field, 1, int(rng.integers(1, 13))))
+        if size:
+            nonempty += 1
+            rng.standard_normal(size), rng.standard_normal(size)
+    assert 0 < nonempty < trials
+    assert len(ratios) == stats["trials"] == nonempty
+    assert stats["max_ratio"] == max(ratios)
+
+
+def test_extension_stats_reject_no_trials():
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            fourier.extension_ratio_stats(PrimeField(7), trials=trials)
 
 
 def test_spectral_apex_bound_cases():

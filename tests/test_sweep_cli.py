@@ -358,6 +358,8 @@ def test_cli_sweep_bad_values_exit_2_before_running(tmp_path, capsys, monkeypatc
         (["extension-ratio", "--p", "7", "--n", "1", "--radius", "3", "--trials", "2"], "empty"),
         (["extension-ratio", "--p", "7", "--r-exp", "0", "--trials", "2"], "r_exp"),
         (["mpprp-check", "--primes", "7", "--exponent", "inf"], "exponent"),
+        (["extension-ratio", "--p", "7", "--trials", "0"], "trials must be >= 1"),
+        (["extension-ratio", "--p", "7", "--trials", "-3"], "trials must be >= 1"),
     ],
 )
 def test_cli_unusable_arguments_exit_2(capsys, argv, missing):
