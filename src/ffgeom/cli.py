@@ -98,6 +98,8 @@ def cmd_fourier_verify(args) -> int:
 
 
 def cmd_extension_ratio(args) -> int:
+    if args.n < 1:  # before the default exponent (2n + 4)/n divides by it
+        raise ValueError("sphere needs dimension >= 1")
     stats = fourier.extension_ratio_stats(
         PrimeField(args.p),
         n=args.n,

@@ -25,13 +25,35 @@ h(xi) = sum_{x + y = xi} f(x) f(y), so Plancherel gives
 
     sum_c |(f dsigma)^vee (c)|^4 = p^n |V|^(-4) sum_xi |h(xi)|^2,
 
-the additive energy of f (Mockenhaupt-Tao 2004, Iosevich-Koh 2010). h is two
-weighted bincounts of the |V|^2 pair sums over p^n bins. `extension_ratio`
-takes that route when r = 4 and |V|^2 <= n p^n, where the pair work is at
-most one pass per axis over the table; other exponents and denser varieties
-take the dense transform. Both routes hold p^n bins, and the energy route's
-pair arrays |V|^2 <= n p^n entries, so the cap on the table's p^n entries
-bounds them both.
+the additive energy of f (Mockenhaupt-Tao 2004, Iosevich-Koh 2010).
+
+On a sphere ||x|| = r != 0 in dimension n <= 2 the energy takes O(|V|). For
+xi != 0, a point x of V with xi - x in V has ||xi - x|| = ||x||, that is
+2 xi.x = ||xi||: a line (a point when n = 1). A conic of nonzero radius
+holds no line (on x = a + tv, ||x|| is constant only if ||v|| = a.v = 0,
+which puts a on the isotropic line through v and makes ||a|| = 0), so the
+line meets V in at most two points, and x -> xi - x swaps them. So h(xi) is
+f(x)^2 at xi = 2x, 2 f(x) f(y) for the one unordered pair {x, y} with
+x + y = xi, or 0. With a = |f|^2,
+
+    sum_xi |h(xi)|^2 = 2 (sum a)^2 - sum a^2 - 2 sum_x a_x a_(-x)
+                       + |sum_x f(x) f(-x)|^2,
+
+the last two sums over the x in V with -x in V: the pairs at xi = 0.
+
+`extension_ratio` takes one of three routes:
+
+- r = 4 on one sphere of nonzero radius in n <= 2 (circles, their subsets,
+  the two-point spheres of n = 1): the identity above, from the antipodal
+  pairs that `_antipodes` caches per PointSet;
+- r = 4 on any other V with |V|^2 <= n p^n: h as two weighted bincounts of
+  the |V|^2 pair sums over p^n bins, in row blocks of about p^n pairs (so
+  at most n blocks, each about one pass over the table);
+- every other exponent and denser variety: the dense transform.
+
+Each route checks the cap on the table's p^n entries first. It bounds the
+transform, and the pair-sum route's bins and blocks, which peak under three
+complex tables at the route bound.
 """
 
 from __future__ import annotations
@@ -200,25 +222,70 @@ def inverse_surface_transform(f: SurfaceFunction, cap: int | None = None) -> Spe
 
 def _pair_sum_energy(f: SurfaceFunction) -> float:
     """sum_xi |h(xi)|^2 with h(xi) = sum_{x + y = xi} f(x) f(y) over V^2:
-    two weighted bincounts of the |V|^2 pair-sum indices over p^n bins."""
+    two weighted bincounts of the pair-sum indices over p^n bins, taken in
+    row blocks of about p^n pairs, so a block's index and weights hold about
+    one complex table next to the two accumulators."""
     V = f.variety
     p = V.field.p
+    size = p**V.dim
     wrap = np.arange(2 * p - 1) % p  # a + b mod p for coordinates a, b < p
-    idx = np.zeros((len(V), len(V)), dtype=np.int64)
-    for col in V.array.T:  # flat index of x + y, coordinatewise mod p
-        idx *= p
-        idx += wrap[np.add.outer(col, col)]
-    idx = idx.reshape(-1)
-    w = np.multiply.outer(f.values, f.values).reshape(-1)
-    h_re = np.bincount(idx, weights=w.real, minlength=p**V.dim)
-    h_im = np.bincount(idx, weights=w.imag, minlength=p**V.dim)
+    re, im = f.values.real, f.values.imag
+    vals = np.column_stack([re, im])
+    to_re, to_im = np.stack([re, -im]), np.stack([im, re])  # vals[x] @ to_re[:, y] = Re f(x) f(y)
+    h_re, h_im = np.zeros(size), np.zeros(size)
+    step = max(1, size // len(V))
+    for lo in range(0, len(V), step):
+        block = slice(lo, lo + step)
+        idx = np.zeros((len(vals[block]), len(V)), dtype=np.int64)
+        for col_x, col in zip(V.array[block].T, V.array.T):  # flat index of x + y, coordinatewise mod p
+            idx *= p
+            idx += wrap[np.add.outer(col_x, col)]
+        idx = idx.reshape(-1)
+        w = vals[block] @ to_re
+        h_re += np.bincount(idx, weights=w.reshape(-1), minlength=size)
+        np.matmul(vals[block], to_im, out=w)
+        h_im += np.bincount(idx, weights=w.reshape(-1), minlength=size)
+        del idx, w  # before the next block's index is built
     return float(h_re @ h_re + h_im @ h_im)
+
+
+@lru_cache(maxsize=128)
+def _antipodes(V: PointSet) -> tuple[np.ndarray, np.ndarray] | None:
+    """For V on one sphere ||x|| = r != 0 in dimension n <= 2: the rows x of
+    V whose antipode -x is in V, and the row of -x for each. None for every
+    other V, where a pair sum may come from more than one pair."""
+    p, n = V.field.p, V.dim
+    if n > 2:
+        return None
+    norms = _norms(V.array, p)
+    if norms[0] == 0 or (norms != norms[0]).any():
+        return None
+    place = p ** np.arange(n - 1, -1, -1)
+    flat = V.array @ place  # increasing: the rows are sorted
+    neg = (-V.array % p) @ place
+    at = np.minimum(np.searchsorted(flat, neg), len(V) - 1)
+    rows = np.flatnonzero(flat[at] == neg)
+    partners = at[rows]
+    rows.setflags(write=False)
+    partners.setflags(write=False)
+    return rows, partners
+
+
+def _antipodal_energy(f: SurfaceFunction, rows: np.ndarray, partners: np.ndarray) -> float:
+    """sum_xi |h(xi)|^2 on a sphere of nonzero radius in dimension n <= 2,
+    from the antipodal pairs of `_antipodes` in O(|V|) (module docstring)."""
+    vals = f.values
+    a = vals.real**2 + vals.imag**2
+    h0 = vals[rows] @ vals[partners]
+    return float(2 * a.sum() ** 2 - a @ a - 2 * (a[rows] @ a[partners]) + (h0.real**2 + h0.imag**2))
 
 
 def extension_ratio(f: SurfaceFunction, r_exp: float, cap: int | None = None) -> float:
     """L^r norm (counting measure) of (f dsigma)^vee over the L^2 norm of f
-    under the normalized surface measure. At r = 4 on a variety with |V|^2 <=
-    n p^n the L^4 norm is the additive energy of f (module docstring)."""
+    under the normalized surface measure. At r = 4 the L^4 norm is the
+    additive energy of f: from the antipodal pairs on a sphere of nonzero
+    radius in dimension n <= 2, from the pair sums on any other variety with
+    |V|^2 <= n p^n (module docstring)."""
     if not 0 < r_exp < np.inf:  # also rejects nan
         raise ValueError(f"r_exp must be finite and > 0, got {r_exp}")
     V = f.variety
@@ -228,9 +295,13 @@ def extension_ratio(f: SurfaceFunction, r_exp: float, cap: int | None = None) ->
     if denom_sq == 0.0:
         raise ValueError("extension ratio undefined for the zero function")
     p, n = V.field.p, V.dim
-    if r_exp == 4 and len(V) ** 2 <= n * p**n:
+    # a sphere of nonzero radius in n <= 2 has at most p + 1 points: larger
+    # sets stay out of the cache
+    antipodes = _antipodes(V) if r_exp == 4 and len(V) <= p + 1 else None
+    if antipodes is not None or (r_exp == 4 and len(V) ** 2 <= n * p**n):
         _check_cap(p**n, cap, "transform-table entries")
-        num = (float(p) ** n * _pair_sum_energy(f)) ** 0.25 / len(V)
+        energy = _pair_sum_energy(f) if antipodes is None else _antipodal_energy(f, *antipodes)
+        num = (float(p) ** n * energy) ** 0.25 / len(V)
     else:
         g = inverse_surface_transform(f, cap).flat
         num = float(((g.real**2 + g.imag**2) ** (r_exp / 2)).sum()) ** (1.0 / r_exp)

@@ -280,6 +280,164 @@ def test_extension_ratio_cap_and_empty_variety_on_both_routes():
         fourier.extension_ratio(fourier.SurfaceFunction(empty, np.zeros(0)), 4.0)
 
 
+# p = 3, 7, 23 are 3 mod 4 and 5, 13, 17 are 1 mod 4: circles of p + 1 and
+# p - 1 points, without and with isotropic directions
+ANTIPODAL_PRIMES = [3, 5, 7, 13, 17, 23]
+
+
+def nonzero_spheres(p, n):
+    """Every nonempty sphere of nonzero radius in F_p^n."""
+    spheres = (enum_sphere(PrimeField(p), n, radius) for radius in range(1, p))
+    return [V for V in spheres if len(V)]
+
+
+def assert_antipodal_identity(f):
+    """The antipodal energy equals the pair-sum energy, and the r = 4 ratio
+    the transform's L^4 ratio, each to 1e-12 relative. Returns the number of
+    points of V whose antipode is in V."""
+    pairs = fourier._antipodes(f.variety)
+    assert pairs is not None
+    energy = fourier._antipodal_energy(f, *pairs)
+    assert energy == pytest.approx(fourier._pair_sum_energy(f), rel=1e-12)
+    assert fourier.extension_ratio(f, 4.0) == pytest.approx(transform_l4_ratio(f), rel=1e-12)
+    return len(pairs[0])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", ANTIPODAL_PRIMES)
+def test_antipodal_identity_on_every_nonzero_sphere(n, p):
+    spheres = nonzero_spheres(p, n)
+    assert len(spheres) == (p - 1 if n == 2 else (p - 1) // 2)
+    missed = 0
+    for i, V in enumerate(spheres):
+        assert assert_antipodal_identity(gaussian_function(V, seed=i)) == len(V)
+        for size in sorted({1, len(V) // 2, len(V) - 1} - {0}):
+            sub = random_subset(V, size, seed=100 * i + size)
+            missed += len(sub) - assert_antipodal_identity(gaussian_function(sub, seed=size))
+    assert missed > 0  # some subsets hold a point without its antipode
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ANTIPODAL_PRIMES), st.integers(1, 2), st.data())
+def test_antipodal_identity_property(p, n, data):
+    V = data.draw(st.sampled_from(nonzero_spheres(p, n)))
+    idx = data.draw(st.sets(st.integers(0, len(V) - 1), min_size=1))
+    part = st.floats(-10, 10, allow_nan=False, allow_subnormal=False)
+    vals = data.draw(st.lists(st.tuples(part, part), min_size=len(idx), max_size=len(idx)))
+    vals = np.array([complex(a, b) for a, b in vals])
+    if not np.abs(vals).max() > 1e-3:
+        return
+    sub = PointSet.build(V.field, n, V.array[sorted(idx)])
+    assert_antipodal_identity(fourier.SurfaceFunction(sub, vals))
+
+
+def count_routes(monkeypatch):
+    """Count the calls of the antipodal energy, the pair-sum energy and the
+    transform, each still computing its value."""
+    calls = {"antipodal": 0, "pairs": 0, "transform": 0}
+    for key, name in [("antipodal", "_antipodal_energy"), ("pairs", "_pair_sum_energy"), ("transform", "_transform")]:
+        original = getattr(fourier, name)
+
+        def counted(*a, original=original, key=key, **kw):
+            calls[key] += 1
+            return original(*a, **kw)
+
+        monkeypatch.setattr(fourier, name, counted)
+    return calls
+
+
+def two_circles(p, r1, r2):
+    f = PrimeField(p)
+    return enum_sphere(f, 2, r1).union(enum_sphere(f, 2, r2))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: enum_sphere(PrimeField(13), 2, 0), id="radius0-two-lines"),
+        pytest.param(lambda: enum_sphere(PrimeField(7), 2, 0), id="radius0-origin"),
+        pytest.param(lambda: enum_sphere(PrimeField(5), 3, 1), id="n3-sphere"),
+        pytest.param(lambda: random_subset(enum_sphere(PrimeField(7), 3, 2), 12, seed=1), id="n3-sphere-subset"),
+        pytest.param(lambda: random_subset(two_circles(7, 1, 2), 5, seed=0), id="mixed-radius-subset"),
+        pytest.param(lambda: two_circles(7, 1, 3), id="mixed-radius-circles"),
+    ],
+)
+def test_antipodal_route_declines(monkeypatch, make):
+    # off one sphere of nonzero radius in n <= 2, r = 4 takes today's routes:
+    # the pair sums while |V|^2 <= n p^n, the transform beyond
+    V = make()
+    assert fourier._antipodes(V) is None
+    f = gaussian_function(V, seed=len(V))
+    expect = transform_l4_ratio(f)
+    calls = count_routes(monkeypatch)
+    assert fourier.extension_ratio(f, 4.0) == pytest.approx(expect, rel=1e-12)
+    pairs = energy_route_runs(V)
+    assert calls == {"antipodal": 0, "pairs": int(pairs), "transform": int(not pairs)}
+
+
+def test_antipodal_route_takes_only_r4(monkeypatch):
+    f = gaussian_function(enum_sphere(PrimeField(13), 2, 3), seed=2)
+    calls = count_routes(monkeypatch)
+    for r_exp in (2.0, 3.0, 4.5):
+        fourier.extension_ratio(f, r_exp)
+    assert calls == {"antipodal": 0, "pairs": 0, "transform": 3}
+    fourier.extension_ratio(f, 4.0)
+    assert calls == {"antipodal": 1, "pairs": 0, "transform": 3}
+
+
+def test_antipodal_cache_keeps_no_set_above_p_plus_1_points():
+    # no sphere of nonzero radius in n <= 2 has more than p + 1 points, so a
+    # larger set is not looked up, and the cache does not keep it alive
+    fourier._antipodes.cache_clear()
+    for size in (12, 40):  # p + 1 and above, in F_11^2
+        V = rand_plane_subset(11, size, seed=size)
+        fourier.extension_ratio(gaussian_function(V, seed=size), 4.0)
+    assert fourier._antipodes.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("n,p", [(1, 13), (2, 23), (2, 29)])
+def test_extension_stats_on_circles_build_no_table(monkeypatch, n, p):
+    calls = count_routes(monkeypatch)
+    stats = fourier.extension_ratio_stats(PrimeField(p), n=n, trials=40, seed=1)
+    assert calls == {"antipodal": stats["trials"], "pairs": 0, "transform": 0}
+
+
+def pair_sum_energy_in_one_block(f):
+    """The pair-sum energy as it was before the row blocks: every pair's
+    index and complex weight at once."""
+    V = f.variety
+    p = V.field.p
+    wrap = np.arange(2 * p - 1) % p
+    idx = np.zeros((len(V), len(V)), dtype=np.int64)
+    for col in V.array.T:
+        idx *= p
+        idx += wrap[np.add.outer(col, col)]
+    idx = idx.reshape(-1)
+    w = np.multiply.outer(f.values, f.values).reshape(-1)
+    h_re = np.bincount(idx, weights=w.real, minlength=p**V.dim)
+    h_im = np.bincount(idx, weights=w.imag, minlength=p**V.dim)
+    return float(h_re @ h_re + h_im @ h_im)
+
+
+def test_pair_sum_energy_in_row_blocks_holds_three_tables():
+    """At the route bound, |V|^2 <= 2 * 401^2 for 567 points of F_401^2, the
+    pairs come in row blocks of about p^n pairs: the energy peaks at no more
+    than three complex p^n tables (it held five) and is unchanged."""
+    p = 401
+    V = rand_plane_subset(p, 567, seed=5)
+    assert energy_route_runs(V) and fourier._antipodes(V) is None
+    f = gaussian_function(V, seed=5)
+    energy, peak = _traced_peak(fourier._pair_sum_energy, f)
+    assert peak <= 3 * p**2 * 16
+    assert energy == pytest.approx(pair_sum_energy_in_one_block(f), rel=1e-12)
+
+
+@pytest.mark.parametrize("p,n,size", [(11, 2, 15), (7, 3, 30), (13, 1, 3), (5, 2, 7)])
+def test_pair_sum_energy_blocks_match_one_block(p, n, size):
+    f = gaussian_function(random_subset(space(p, n), size, seed=size), seed=p)
+    assert fourier._pair_sum_energy(f) == pytest.approx(pair_sum_energy_in_one_block(f), rel=1e-12)
+
+
 def stats_by_enumeration(field, n, trials, seed, radius=None):
     """extension_ratio_stats at r = 4 as it was written before the norm-table
     spheres and the energy route: one enum_sphere per new radius, the L^4

@@ -360,6 +360,7 @@ def test_cli_sweep_bad_values_exit_2_before_running(tmp_path, capsys, monkeypatc
         (["mpprp-check", "--primes", "7", "--exponent", "inf"], "exponent"),
         (["extension-ratio", "--p", "7", "--trials", "0"], "trials must be >= 1"),
         (["extension-ratio", "--p", "7", "--trials", "-3"], "trials must be >= 1"),
+        (["extension-ratio", "--p", "7", "--n", "0", "--trials", "2"], "dimension >= 1"),
     ],
 )
 def test_cli_unusable_arguments_exit_2(capsys, argv, missing):
