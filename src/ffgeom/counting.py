@@ -44,14 +44,22 @@ twice for (y, z) and (z, y), plus the n diagonal pairs. With w = y - z:
 * D* removes the triples with x.y = x.z over the base-zero pairs, that is
   x.u = 0: the same lookup with target 0, u the class of the full y - z.
 * So one histogram of x.u per distinct class u answers every pair. Both
-  pair lists share one class table (grouped with a lexsort), and the
-  histograms are built in the same byte-sized blocks of classes. In the
+  pair lists share one class table (grouped by a sort of packed keys), and
+  the histograms are built in the same byte-sized blocks of classes. In the
   plane there are at most 2 classes, the slope +-i lines; in high dimension
   the class count can approach the pair count and takes the same path.
+* Pairs that share a difference y - z share u and t. Beyond a block of
+  pairs, each point is packed once into keys of base-2p digits, so the
+  difference of two points' keys has digits y_c - z_c in (-p, p) and
+  determines y - z: one word a pair (per key), sorted once. The class and
+  1 / (2t) are then found once per distinct difference, and a pair only
+  gathers them. On the lifted constructions many pairs share a difference;
+  on a random set nearly every pair has its own, the memory worst case.
 * c_both (all three sides zero) is trace(Z^3) for the zero-distance matrix
   Z, diagonal included: n + 6m + 6T, with m the zero pairs i < j and T the
   triangles of their graph: 3T sums over the edges (i, j) the common
-  neighbours popcount(bits[i] & bits[j]) in a packed n x ceil(n/8) adjacency.
+  neighbours popcount(bits[i] & bits[j]) in a packed adjacency of n rows of
+  n bits, padded to 64-bit words so that the popcount takes whole words.
 
 A diagonal pair agrees at every apex, so the diagonal adds n^2 to c_base and
 to the D* correction. No n x n array is allocated: the zero-pair lists,
@@ -59,13 +67,21 @@ their per-pair arrays and the adjacency are held within ZERO_PAIR_BYTE_CAP,
 and the rest within a few blocks of _BLOCK_BYTES, O(n) words and p-entry
 tables, which the default enumeration cap bounds (2p entries for `profile`).
 
-Every block is a BLAS float64 product cast to int64 and reduced mod p by
-floor division. It is exact while the number of columns times the largest
-entries of the two factors stays below 2^53 (for the distance block,
-(d + 2) 2 (p - 1)^2, so p up to about 2^26 / sqrt(d + 2)): every partial sum
-is then an integer float64 holds, whatever the summation order. Above that
-the product is taken in int64, and from 2^63, where int64 would wrap,
-`_gram_blocks` raises ResourceLimitError (exit 2 on the command line).
+Every block is a BLAS product in the narrowest exact tier, cast to
+integers of the same width and reduced mod p by integer floor division. The
+tier follows from bound = columns x max|A| x max|B|, which bounds every
+partial sum (for the distance block (d + 2) 2 (p - 1)^2):
+
+* bound < 2^24: float32, int32 blocks (the distance block up to p = 1447 in
+  the plane, and the Gram block up to p = 2897 in F_p^2);
+* bound < 2^53: float64, int64 blocks (p up to about 2^26 / sqrt(d + 2));
+* bound < 2^63: an int64 product;
+* beyond, int64 would wrap: `_gram_blocks` raises ResourceLimitError (exit
+  2 on the command line).
+
+Below each float limit every partial sum is an integer the float type holds,
+so the product is exact whatever the summation order. The narrower tier
+moves half the bytes through the product, the cast and the reduction.
 
 Counts are returned as Python ints (arbitrary precision); numpy int64 is
 used only for intermediates whose ranges stay well inside 63 bits at the
@@ -108,25 +124,33 @@ def _gram_blocks(A: np.ndarray, B: np.ndarray, p: int):
     about _BLOCK_BYTES, each in one buffer that the next step overwrites.
 
     No entry of a product exceeds bound = A.shape[1] max|A| max|B| in
-    absolute value, nor does any partial sum. Below 2^53 every one is an
-    integer that float64 holds exactly, so a BLAS float64 product is exact
-    in any summation order; up to 2^63 the product is taken in int64, and
-    beyond it int64 would wrap, so that raises ResourceLimitError, at the
-    call and so before the caller's p-sized tables."""
+    absolute value, nor does any partial sum. Below 2^24 every one is an
+    integer that float32 holds exactly, so a BLAS float32 product is exact
+    in any summation order and the block is int32 (where p - 1 fits it too);
+    below 2^53 the same holds for float64 and an int64 block; up to 2^63 the
+    product is taken in int64, and beyond it int64 would wrap, so that
+    raises ResourceLimitError, at the call and so before the caller's
+    p-sized tables."""
     bound = A.shape[1] * int(np.abs(A).max(initial=0)) * int(np.abs(B).max(initial=0))
     if bound >= 1 << 63:
         raise ResourceLimitError(f"dot products up to {bound} overflow int64 at p = {p}")
-    dtype = np.float64 if bound < 1 << 53 else np.int64
+    if bound < 1 << 24 and p < 1 << 31:
+        dtype = np.float32
+    else:
+        dtype = np.float64 if bound < 1 << 53 else np.int64
     return _reduced_blocks(A.astype(dtype), B.T.astype(dtype), p)
 
 
 def _reduced_blocks(a: np.ndarray, bt: np.ndarray, p: int):
-    """The blocks of `_gram_blocks`, from its factors cast to one dtype."""
+    """The blocks of `_gram_blocks`, from its factors cast to one dtype: int32
+    blocks from float32, int64 from float64 and int64."""
     rows = _block_rows(8 * max(bt.shape[1], p))
-    buf = np.empty((2, min(rows, len(a)), bt.shape[1]), dtype=np.int64)  # reused: fresh blocks cost page faults
+    # reused: fresh blocks cost page faults; the product goes through the
+    # quotient's bytes, so the block's integers have the factors' item size
+    buf = np.empty((2, min(rows, len(a)), bt.shape[1]), dtype=f"i{a.itemsize}")
     for lo in range(0, len(a), rows):
         block, quot = buf[0, : len(a) - lo], buf[1, : len(a) - lo]
-        prod = quot.view(a.dtype)  # the product goes through the quotient's bytes
+        prod = quot.view(a.dtype)
         np.matmul(a[lo : lo + rows], bt, out=prod)
         np.copyto(block, prod, casting="unsafe")
         np.floor_divide(block, p, out=quot)  # mod p in place: // by a scalar beats %
@@ -138,7 +162,8 @@ def _reduced_blocks(a: np.ndarray, bt: np.ndarray, p: int):
 def _row_histograms(block: np.ndarray, p: int) -> np.ndarray:
     """(rows, p) array: the histogram of each row's values; overwrites block."""
     rows = block.shape[0]
-    block += p * np.arange(rows, dtype=np.int64)[:, None]
+    # a block of two or more rows has rows * p <= _BLOCK_BYTES / 8: int32 holds it
+    block += np.arange(0, p * rows, p, dtype=block.dtype)[:, None]
     return np.bincount(block.ravel(), minlength=p * rows).reshape(rows, p)
 
 
@@ -237,35 +262,49 @@ def _upper_zeros(lo: int, block: np.ndarray, target: int | np.ndarray = 0) -> np
 
 def _pair_bytes(dim: int) -> int:
     """Bytes `profile` holds per zero pair at its peak: the pair's two
-    indices, its class row u of dim words, and at most six more words of
-    leading-coordinate inverse, target, class index and sort scratch."""
+    indices, and, when every pair has its own difference y - z, that
+    difference's class row u of dim words and at most six more words of key,
+    sort scratch, class index and leading-coordinate inverse."""
     return 8 * (dim + 8)
 
 
-def _row_classes(u: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(classes, cls): the distinct rows of u (entries in [0, p)) in
-    lexicographic order, and the index in classes of each row of u.
-
-    Each key packs k consecutive coordinates as base-p digits, the first
-    most significant, with k the largest such that p^k < 2^63; comparing
-    the keys in turn compares the rows lexicographically."""
-    d, k = u.shape[1], 1
-    while p ** (k + 1) < 1 << 63:
+def _packed_keys(rows: np.ndarray, base: int) -> list[np.ndarray]:
+    """Keys that pack k consecutive columns of rows (entries in [0, base)) as
+    base-`base` digits, the first most significant, with k the largest such
+    that base^k < 2^63; comparing the keys in turn compares the rows
+    lexicographically."""
+    d, k = rows.shape[1], 1
+    while base ** (k + 1) < 1 << 63:
         k += 1
-    weights = p ** np.arange(k - 1, -1, -1)  # p^(k-1), ..., p, 1
-    keys = [u[:, c : c + k] @ weights[max(0, c + k - d) :] for c in range(0, d, k)]
-    order = np.lexsort(keys[::-1])
-    new = np.zeros(len(u), dtype=bool)
+    weights = base ** np.arange(k - 1, -1, -1)  # base^(k-1), ..., base, 1
+    return [rows[:, c : c + k] @ weights[max(0, c + k - d) :] for c in range(0, d, k)]
+
+
+def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(first, pos): the index of one entry of each distinct key tuple, in
+    increasing order of the tuples, and the position in first of each
+    entry's tuple. Empties keys, so its arrays go before pos is built."""
+    # one key: argsort's quicksort beats the merge sort of lexsort
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    new = np.zeros(len(order), dtype=bool)
     new[:1] = True
     for key in keys:
         key = key[order]
         new[1:] |= key[1:] != key[:-1]
-    del keys, key  # before the class index: the peak stays within _pair_bytes
+    keys.clear()
+    del key  # the peak stays within _pair_bytes
     ids = np.cumsum(new)
     ids -= 1
-    cls = np.empty_like(order)
-    cls[order] = ids
-    return u[order[new]], cls
+    pos = np.empty_like(order)
+    pos[order] = ids
+    return order[new], pos
+
+
+def _row_classes(u: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, cls): the distinct rows of u (entries in [0, p)) in
+    lexicographic order, and the index in classes of each row of u."""
+    first, cls = _distinct(_packed_keys(u, p))
+    return u[first], cls
 
 
 def _class_agreements(arr, nrm, p, pairs, k, base_from):
@@ -274,21 +313,36 @@ def _class_agreements(arr, nrm, p, pairs, k, base_from):
     off_base sums, over the distance-zero pairs e < k, the apexes x with
     x.u = (||y|| - ||z||) / (2t); off_star sums, over the base-zero pairs
     e >= base_from, the x with x.u = 0, where y - z = t u and u is the
-    class of y - z (module docstring). The dels keep the peak per pair
-    within `_pair_bytes`.
+    class of y - z (module docstring). Past a block of d-wide rows the
+    pairs are grouped by their difference y - z, from one packed key a
+    pair, so that u and 1 / (2t) are found once per distinct difference.
+    The dels keep the peak per pair within `_pair_bytes`.
     """
     i, j = pairs
-    u = arr[i]
     step = _block_rows(8 * arr.shape[1])
-    for lo in range(0, len(u), step):
-        u[lo : lo + step] -= arr[j[lo : lo + step]]
-    u %= p
-    inv = _inverses(u[np.arange(len(u)), (u != 0).argmax(axis=1)], p)
-    u *= inv[:, None]
-    u %= p
-    target = (nrm[i[:k]] - nrm[j[:k]]) * inv[:k] % p * ((p + 1) // 2) % p
+    if len(i) > step:  # more d-wide rows than a block holds: one row per distinct difference
+        # a point's base-2p key packs digits in [0, p), so the difference of
+        # two keys packs digits y_c - z_c in (-p, p) and determines y - z
+        first, diff = _distinct([key[i] - key[j] for key in _packed_keys(arr, 2 * p)])
+        y, z = i[first], j[first]
+        del first
+    else:
+        (y, z), diff = pairs, slice(None)
+    w = arr[y]
+    for lo in range(0, len(w), step):
+        w[lo : lo + step] -= arr[z[lo : lo + step]]
+    del y, z
+    w %= p
+    inv = _inverses(w[np.arange(len(w)), (w != 0).argmax(axis=1)], p)
+    w *= inv[:, None]
+    w %= p
+    classes, cls = _row_classes(w, p)
+    del w
+    cls = cls[diff]
+    inv = (inv * ((p + 1) // 2) % p)[diff][:k]  # 1 / (2t)
+    del diff
+    target = (nrm[i[:k]] - nrm[j[:k]]) * inv % p
     del inv
-    classes, cls = _row_classes(u, p)
     base_counts = np.bincount(cls[base_from:], minlength=len(classes))
     # (class, target) of each distance-zero pair as one sorted flat index, so
     # the pairs of a block of classes form one span
@@ -302,17 +356,24 @@ def _class_agreements(arr, nrm, p, pairs, k, base_from):
     return off_base, off_star, len(classes)
 
 
+def _adjacency_width(n: int) -> int:
+    """Bytes a row of the packed n-vertex adjacency takes: n bits, padded to
+    whole 64-bit words."""
+    return 8 * -(-n // 64)
+
+
 def _triangles(i: np.ndarray, j: np.ndarray, n: int) -> int:
     """Triangles of the graph on n vertices with the edges (i, j), i < j,
     each met on its three edges as a common neighbour of the ends (module
     docstring); the edges go in chunks of about _BLOCK_BYTES."""
-    width = -(-n // 8)
+    width = _adjacency_width(n)
     bits = np.zeros((n, width), dtype=np.uint8)
     for a, b in ((i, j), (j, i)):
         np.bitwise_or.at(bits, (a, b >> 3), np.left_shift(1, b & 7).astype(np.uint8))
+    words = bits.view(np.uint64)
     step = _block_rows(3 * width)
     chunks = (slice(lo, lo + step) for lo in range(0, len(i), step))
-    return sum(int(np.bitwise_count(bits[i[c]] & bits[j[c]]).sum()) for c in chunks) // 3
+    return sum(int(np.bitwise_count(words[i[c]] & words[j[c]]).sum()) for c in chunks) // 3
 
 
 def profile(E: PointSet) -> Profile:
@@ -344,7 +405,7 @@ def profile(E: PointSet) -> Profile:
         if scan_base:
             base_found.append(_upper_zeros(lo, dist, square[last[lo : lo + len(dist), None] + p - last[lo:]]))
             m_base += base_found[-1].shape[1]
-        held = (m + m_base) * _pair_bytes(E.dim) + (n * -(-n // 8) if m else 0)
+        held = (m + m_base) * _pair_bytes(E.dim) + (n * _adjacency_width(n) if m else 0)
         if held > ZERO_PAIR_BYTE_CAP:
             raise ResourceLimitError(f"zero pairs of {n} points exceed {ZERO_PAIR_BYTE_CAP} bytes")
         hist = _row_histograms(gram, p)

@@ -330,7 +330,8 @@ def extension_ratio_stats(
     _check_cap(p ** (n - 1) * 2, cap, "sphere points")
     _check_cap(p**n, cap, "transform-table entries")
     norms = _freq_norms(p, n)
-    order = np.argsort(norms, kind="stable")
+    # the same stable order from the narrowest unsigned type that holds p - 1
+    order = np.argsort(norms.astype(np.min_scalar_type(p - 1)), kind="stable")
     starts = np.concatenate([[0], np.cumsum(np.bincount(norms, minlength=p))])
     rng = np.random.default_rng(seed)
     ratios = []

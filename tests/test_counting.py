@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from ffgeom import counting, oracle
-from ffgeom.constructions import construct_odd_3mod4, isotropic_lines_set
+from ffgeom.constructions import (
+    construct_even_0mod4,
+    construct_even_2mod4,
+    construct_odd_3mod4,
+    isotropic_lines_set,
+)
 from ffgeom.field import PrimeField
 from ffgeom.varieties import (
     PointSet,
@@ -282,9 +287,57 @@ def test_small_row_blocks_match_oracles(monkeypatch):
     assert classes_crossed  # and some had more than one block of classes
 
 
+def assert_profile_matches_oracles(E):
+    pr = counting.profile(E)
+    assert pr.triangles.as_dict() == oracle.oracle_triangles(E)
+    assert pr.D == oracle.oracle_D(E)
+    assert pr.D_star == oracle.oracle_D_star(E, allow_ambient_base=True)
+    assert set(pr.dots.as_dict()) == oracle.oracle_product(E)
+    if len(E) <= oracle.CAP_QUAD:
+        assert pr.dots.energy == oracle.oracle_M(E)
+    return pr
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: construct_even_2mod4(PrimeField(3), 6, 2), id="even2mod4"),
+        pytest.param(lambda: construct_even_0mod4(PrimeField(5), 4, 4), id="even0mod4"),
+        pytest.param(lambda: construct_odd_3mod4(PrimeField(3), 7, 2), id="odd3mod4"),
+        pytest.param(lambda: isotropic_lines_set(PrimeField(13), 3, 10), id="lines"),
+    ],
+)
+def test_difference_keys_match_oracles(monkeypatch, make):
+    """With 7-row blocks, more than 7 zero pairs are grouped by their packed
+    difference keys before the classes are found; on the paraboloid lifts and
+    the isotropic lines, where many pairs share a difference, every count
+    matches the oracles."""
+    monkeypatch.setattr(counting, "_block_rows", lambda row_bytes: 7)
+    E = make()
+    pr = assert_profile_matches_oracles(E)
+    assert pr.zero_pairs + pr.base_zero_pairs > 7
+
+
+@pytest.mark.parametrize("p", [1447, 1451])
+def test_profile_matches_oracles_across_the_float32_bound(monkeypatch, p):
+    """The planar distance block's bound 4 (p - 1) 2 (p - 1) is just under
+    2^24 at p = 1447, where the blocks are float32 products, and just over
+    it at p = 1451, where they are float64; with coordinates that reach
+    p - 1, every count matches the oracles on both sides."""
+    rng = np.random.default_rng(p)
+    pts = np.vstack([rng.integers(0, p, (27, 2)), [[p - 1, 0], [0, p - 1], [p - 1, p - 1]]])
+    E = PointSet.build(PrimeField(p), 2, pts)
+    assert int(E.array.max()) == p - 1
+    factors = []
+    reduced = counting._reduced_blocks
+    monkeypatch.setattr(counting, "_reduced_blocks", lambda a, bt, p: factors.append(a.dtype) or reduced(a, bt, p))
+    assert_profile_matches_oracles(E)
+    assert factors == [np.float32, np.float32 if p == 1447 else np.float64]  # the Gram, then the distance stream
+
+
 def test_zero_pair_byte_cap(monkeypatch):
     X = isotropic_lines_set(PrimeField(13), 2, 5, seed=0)  # 20 pairs at distance zero
-    budget = 20 * counting._pair_bytes(2) + 10 * 2  # and the 10 x 2-byte adjacency
+    budget = 20 * counting._pair_bytes(2) + 10 * 8  # and the adjacency: 10 rows of one 8-byte word
     # the index lists alone (16 bytes a pair) no longer fit: the class rows,
     # targets and sort arrays count too
     for cap in (16 * 20, budget - 1):
@@ -295,18 +348,23 @@ def test_zero_pair_byte_cap(monkeypatch):
     assert counting.profile(X).triangles.t_zero_triples >= 2 * 5**3
 
 
-@pytest.mark.parametrize("kind", ["lines", "odd3mod4"])
+@pytest.mark.parametrize("kind", ["lines", "odd3mod4", "paraboloid"])
 def test_zero_pair_budget_bounds_traced_peak(monkeypatch, kind):
     """The bytes profile allocates stay within _pair_bytes per table row.
 
     8-row blocks and 8-edge chunks make the per-pair arrays dominate the
     O(block * (n + p)) rest, so an array of a word per pair that escaped the
-    budget would show.
+    budget would show. The zero pairs go through the grouping by packed
+    difference keys; on the random paraboloid subset about four in five have
+    a difference y - z of their own, which is the grouping's worst case:
+    a class row for nearly every pair.
     """
     if kind == "lines":
         E = isotropic_lines_set(PrimeField(149), 2, 149, seed=0)  # 22 201 pairs
-    else:
+    elif kind == "odd3mod4":
         E = construct_odd_3mod4(PrimeField(11), 7, 5, seed=0)  # 72 600 rows
+    else:
+        E = rand_paraboloid_subset(13, 4, 250, seed=0)  # 5 056 rows
     monkeypatch.setattr(counting, "_block_rows", lambda row_bytes: 8)
     counting.profile(E)  # lazy set-up (E.array, numpy's first calls) outside the trace
     tracemalloc.start()
@@ -319,16 +377,19 @@ def test_zero_pair_budget_bounds_traced_peak(monkeypatch, kind):
     # class-table rows: the distance-zero pairs, plus the base-zero pairs on a
     # paraboloid (off one they are the same pairs)
     rows = pr.zero_pairs + (pr.base_zero_pairs if on_paraboloid(E) else 0)
-    assert rows > 50 * len(E)
+    # over p = 13, with many more rows a point most pairs would share their
+    # difference with others, and the grouping's worst case would not show
+    assert rows > (20 if kind == "paraboloid" else 50) * len(E)
     assert peak <= rows * counting._pair_bytes(E.dim)
 
 
 def test_zero_pair_byte_cap_counts_the_adjacency(monkeypatch):
     # 101 points on the line y = 2x of F_101^2, anisotropic, and (1, 10) with
     # 10^2 = -1: two pairs at distance zero, with (0, 0) and with (69, 37),
-    # whose two class-table rows take less than the 102 x 13-byte adjacency
+    # whose two class-table rows take less than the adjacency: 102 rows of
+    # 102 bits, padded to two 8-byte words
     X = PointSet.build(PrimeField(101), 2, [(x, 2 * x) for x in range(101)] + [(1, 10)])
-    rows, bitmap = 2 * counting._pair_bytes(2), 102 * 13
+    rows, bitmap = 2 * counting._pair_bytes(2), 102 * 16
     assert counting.profile(X).zero_pairs == 2 and rows < bitmap
     for cap in (bitmap - 1, rows + bitmap - 1):
         monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", cap)
@@ -482,6 +543,8 @@ def _python_gram_mod(A, B, p):
 @pytest.mark.parametrize(
     "a_max, b_max",
     [
+        (4_097, 1_365),  # 3 a b = 2^24 - 1, the largest bound below 2^24: float32, int32 blocks
+        (5_592_406, 1),  # 3 a b = 2^24 + 2: float64
         (134_217_730, 22_369_621),  # 3 a b = 2^53 - 2, the largest bound below 2^53: float64
         (28_059_810_762_433, 107),  # 3 a b = 2^53 + 1, the smallest at or above it: int64
         (2_147_483_647, 1_431_655_766),  # 3 a b = 2^63 - 2, the largest int64 holds
@@ -489,17 +552,20 @@ def _python_gram_mod(A, B, p):
 )
 def test_gram_blocks_exact_at_the_bounds(a_max, b_max):
     """Every block equals the Python-int product mod p when the bound
-    3 max|A| max|B| sits on either side of 2^53 and just below 2^63. The
-    rows reach the extremes, B's signs included (the -2y columns of the
-    distance stream), so sums of +-bound and odd values near 2^53, which
+    3 max|A| max|B| sits on either side of 2^24 and of 2^53 and just below
+    2^63, and the blocks are int32 exactly below 2^24. The rows reach the
+    extremes, B's signs included (the -2y columns of the distance stream),
+    so sums of +-bound and odd values near 2^24 and 2^53, which float32 and
     float64 cannot hold, occur."""
     rng = np.random.default_rng(a_max % 1000)
-    A = np.vstack([np.full((2, 3), a_max), rng.integers(0, a_max + 1, (10, 3)), [[a_max, 1, 0]]])
+    A = np.vstack([np.full((2, 3), a_max), rng.integers(0, a_max + 1, (10, 3)), [[a_max, 1, 0], [a_max, a_max, a_max - 1]]])
     B = np.vstack([np.full((1, 3), b_max), np.full((1, 3), -b_max), rng.integers(-b_max, b_max + 1, (9, 3))])
-    assert 3 * a_max * b_max in (2**53 - 2, 2**53 + 1, 2**63 - 2)
+    bound = 3 * a_max * b_max
+    assert bound in (2**24 - 1, 2**24 + 2, 2**53 - 2, 2**53 + 1, 2**63 - 2)
     for p in (101, 2**31 - 1):
         got = np.zeros((len(A), len(B)), dtype=np.int64)
         for lo, block in counting._gram_blocks(A, B, p):
+            assert block.dtype == (np.int32 if bound < 2**24 else np.int64)
             got[lo : lo + len(block)] = block
         assert got.tolist() == _python_gram_mod(A, B, p)
 

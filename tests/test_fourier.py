@@ -469,7 +469,9 @@ def test_extension_stats_match_the_enumerated_loop(p, seed, radius):
         assert got[key] == pytest.approx(value, rel=1e-12), key
 
 
-@pytest.mark.parametrize("n,p", [(1, 7), (1, 13), (2, 3), (2, 11), (3, 5), (3, 7), (4, 3)])
+# the norm table is sorted as uint8 at p = 251 (p - 1 = 250 <= 255) and as
+# uint16 at p = 257, just past that limit, and at 401
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 13), (2, 3), (2, 11), (3, 5), (3, 7), (4, 3), (2, 251), (2, 257), (2, 401)])
 def test_extension_stats_spheres_are_the_enumerated_spheres(monkeypatch, n, p):
     field = PrimeField(p)
     seen = []
