@@ -271,7 +271,7 @@ def main(argv=None) -> int:
             setattr(args, key, value)
     try:
         return args.fn(args)
-    except (ValueError, OSError, ResourceLimitError, constructions.FrameSearchError) as e:
+    except (ValueError, OSError, ResourceLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -2,89 +2,34 @@
 families whose dot products collapse to the image of a + a^2, built over
 totally isotropic frames, plus the isotropic-slope lines obstruction set.
 
+The frame is written down, not searched for: (p, m) decides a maximal
+totally isotropic subspace of F_p^m up to isometry (Witt's extension
+theorem), so every dot product and count of a lift is the same whichever
+frame spans it, and `isotropic_frame` returns one fixed frame.
+
 Each guarantee is checked once, where it is made; a violated one raises.
 `mult_subgroup` checks for k distinct roots of x^k - 1, hence exactly the
-subgroup of order k; `isotropic_frame` checks orthogonality and full rank;
-the paraboloid constructions check the emitted set's size, its paraboloid
-membership and its products against {a + a^2}; `isotropic_lines_set` checks
-that no two lines' points overlap. `construction_report` records these
-facts for the sidecar without raising.
+subgroup of order k; `isotropic_frame` checks that its vectors are
+isotropic and mutually orthogonal; the paraboloid constructions check the
+emitted set's size (which a dependent frame would fall short of), its
+paraboloid membership and its products against {a + a^2};
+`isotropic_lines_set` checks that no two lines' points overlap.
+`construction_report` records these facts for the sidecar without raising.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import numpy as np
 
 from .counting import product_set, profile
 from .field import PrimeField
-from .varieties import PointSet, _check_cap, _space, on_paraboloid
-
-FRAME_SEARCH_BUDGET = 20_000  # random candidates per frame vector, before the exhaustive scan
-FRAME_EXHAUSTIVE_LIMIT = 1_000_000
-
-
-class FrameSearchError(RuntimeError):
-    """Isotropic-frame search exhausted its budget without a witness."""
+from .varieties import PointSet, _check_cap, _space, enum_sphere, on_paraboloid
 
 
 class ConstructionError(RuntimeError):
     """A construction's postcondition failed verification."""
-
-
-# -- linear algebra over F_p (small dimensions) ----------------------------
-
-
-def rank_mod_p(vectors, p: int) -> int:
-    rows = list(vectors)
-    if not rows:
-        return 0
-    dim = len(rows[0])
-    return dim - len(kernel_basis(rows, p, dim))
-
-
-def kernel_basis(constraints, p: int, dim: int) -> list[tuple[int, ...]]:
-    """Basis of {v : v . c = 0 for every constraint row c}."""
-    rows = [list(c) for c in constraints]
-    if not rows:
-        return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    # reduced row echelon form
-    pivots = []
-    rank = 0
-    for col in range(dim):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [c * inv % p for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * dim
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rows[r][fc]) % p
-        basis.append(tuple(v))
-    return basis
-
-
-def _combine(coeffs, basis, p: int) -> tuple[int, ...]:
-    dim = len(basis[0])
-    out = [0] * dim
-    for c, b in zip(coeffs, basis):
-        if c:
-            for i in range(dim):
-                out[i] = (out[i] + c * b[i]) % p
-    return tuple(out)
 
 
 # -- subgroups and isotropic frames ---------------------------------------
@@ -105,57 +50,38 @@ def mult_subgroup(field: PrimeField, k: int) -> tuple[int, ...]:
     return tuple(sorted(elements))
 
 
-def isotropic_frame(field: PrimeField, ambient_dim: int, count: int, seed: int = 0) -> tuple[tuple[int, ...], ...]:
-    """Greedy search for count independent, isotropic, mutually orthogonal
-    vectors, one at a time: FRAME_SEARCH_BUDGET randomized tries, then an
-    exhaustive scan when the candidate space is small. Failure means "not
-    found within budget", never a nonexistence claim."""
-    if count > ambient_dim // 2:
-        raise ValueError(f"at most dim/2 = {ambient_dim // 2} mutually isotropic vectors")
-    p = field.p
-    vectors: list[tuple[int, ...]] = []
-    rng = random.Random(seed)
-    while len(vectors) < count:
-        v = _extend_frame(field, ambient_dim, vectors, rng)
-        if v is None:
-            raise FrameSearchError(
-                f"isotropic frame of {count} vectors in dim {ambient_dim} over "
-                f"F_{p}: not found within budget"
-            )
-        vectors.append(v)
-    for i, u in enumerate(vectors):
-        for v in vectors[i:]:
+def isotropic_frame(field: PrimeField, ambient_dim: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """The first count vectors of one fixed frame of independent, isotropic,
+    mutually orthogonal vectors of F_p^ambient_dim. For p = 1 mod 4 it is
+    e_2j + i e_2j+1 with i^2 = -1. Otherwise, with a^2 + b^2 = -1, each block
+    of four coordinates holds (a, b, 1, 0) and (b, -a, 0, 1), and three
+    leftover coordinates hold (a, b, 1). The frame reaches the Witt index of
+    F_p^m, m = ambient_dim: m//2, less one when p = 3 mod 4 and m = 2 mod 4.
+    A larger count asks for a subspace that does not exist."""
+    p, m = field.p, ambient_dim
+    i = field.sqrt_minus_one()
+    if i is not None:
+        blocks = [(j, (1, i)) for j in range(0, m - 1, 2)]
+    else:
+        a, b = (int(c) for c in enum_sphere(field, 2, p - 1).array[0])
+        blocks = [(j, v) for j in range(0, m - 3, 4) for v in ((a, b, 1, 0), (b, -a % p, 0, 1))]
+        if m % 4 == 3:
+            blocks.append((m - 3, (a, b, 1)))
+    if count > len(blocks):
+        raise ValueError(
+            f"F_{p}^{m} has no totally isotropic subspace of dimension {count}: "
+            f"its Witt index is {len(blocks)}"
+        )
+    vectors = []
+    for j, block in blocks[:count]:
+        v = [0] * m
+        v[j : j + len(block)] = block
+        vectors.append(tuple(v))
+    for idx, u in enumerate(vectors):
+        for v in vectors[idx:]:
             if field.dot(u, v) != 0:
                 raise ConstructionError(f"frame vectors {u} and {v} not orthogonal")
-    if rank_mod_p(vectors, p) != count:
-        raise ConstructionError("frame vectors linearly dependent")
     return tuple(vectors)
-
-
-def _extend_frame(field, dim, vectors, rng):
-    p = field.p
-    basis = kernel_basis(vectors, p, dim)
-    kdim = len(basis)
-    if not kdim:
-        return None
-
-    def admissible(v):
-        return (
-            any(v)
-            and field.norm(v) == 0
-            and rank_mod_p(vectors + [v], p) == len(vectors) + 1
-        )
-
-    for _ in range(FRAME_SEARCH_BUDGET):
-        v = _combine([rng.randrange(p) for _ in range(kdim)], basis, p)
-        if admissible(v):
-            return v
-    if p**kdim <= FRAME_EXHAUSTIVE_LIMIT:
-        for coeffs in itertools.product(range(p), repeat=kdim):
-            v = _combine(coeffs, basis, p)
-            if admissible(v):
-                return v
-    return None
 
 
 def span_points(field: PrimeField, vectors, dim: int) -> np.ndarray:
@@ -183,14 +109,14 @@ def _ap_a2(field: PrimeField, elements) -> set[int]:
     return {(a + a * a) % field.p for a in elements}
 
 
-def _isotropic_lift(field: PrimeField, d: int, k: int, seed: int, cap: int | None, span_dim: int, label: str) -> PointSet:
+def _isotropic_lift(field: PrimeField, d: int, k: int, cap: int | None, span_dim: int, label: str) -> PointSet:
     """E = {(s, 0...0, a, a^2) : s in the span of a maximal isotropic frame of
     F_p^span_dim, a in A}. Every product is ab + (ab)^2, since s.s' = 0."""
     p = field.p
     A = mult_subgroup(field, k)
     m = span_dim // 2
-    _check_cap(k * p**m, cap, "lifted span points")  # before the frame search and the k p^m points
-    frame = isotropic_frame(field, span_dim, m, seed) if m else ()  # m = 0: no search, no RNG
+    _check_cap(k * p**m, cap, "lifted span points")  # before the frame and the k p^m points
+    frame = isotropic_frame(field, span_dim, m) if m else ()  # m = 0: no circle lookup
     S = span_points(field, frame, span_dim)
     rows = np.zeros((len(S), k, d), dtype=np.int64)  # rows[i, j] = (S[i], 0...0, a_j, a_j^2)
     rows[:, :, :span_dim] = S[:, None]
@@ -202,26 +128,29 @@ def _isotropic_lift(field: PrimeField, d: int, k: int, seed: int, cap: int | Non
 
 def construct_even_2mod4(field: PrimeField, d: int, k: int, seed: int = 0, cap: int | None = None) -> PointSet:
     """E = (totally isotropic subspace of F_p^(d-2)) x {(a, a^2) : a in A}
-    for d = 2 mod 4; dot products land in {a + a^2 : a in A}."""
+    for d = 2 mod 4; dot products land in {a + a^2 : a in A}. A lift makes no
+    random choice: seed only keeps the BUILDERS call shape."""
     if d % 4 != 2 or d < 2:
         raise ValueError("construction requires d = 2 mod 4")
-    return _isotropic_lift(field, d, k, seed, cap, d - 2, "even_2mod4")
+    return _isotropic_lift(field, d, k, cap, d - 2, "even_2mod4")
 
 
 def construct_odd_3mod4(field: PrimeField, d: int, k: int, seed: int = 0, cap: int | None = None) -> PointSet:
     """Odd-dimension variant, d = 3 mod 4: pad the isotropic subspace of
-    F_p^(d-3) with a zero coordinate; at d = 3 this is {(0, a, a^2)}."""
+    F_p^(d-3) with a zero coordinate; at d = 3 this is {(0, a, a^2)}. A lift
+    makes no random choice: seed only keeps the BUILDERS call shape."""
     if field.p % 4 != 3:
         raise ValueError("construction requires p = 3 mod 4")
     if d % 4 != 3 or d < 3:
         raise ValueError("construction requires d = 3 mod 4")
-    return _isotropic_lift(field, d, k, seed, cap, d - 3, "odd_3mod4")
+    return _isotropic_lift(field, d, k, cap, d - 3, "odd_3mod4")
 
 
 def construct_even_0mod4(field: PrimeField, d: int, k: int, seed: int = 0, cap: int | None = None) -> PointSet:
     """d = 0 mod 4 variant: F_p^(d-2) holds an isotropic subspace of dimension
     d/2 - 1 only when -1 is a square, hence p = 1 mod 4. As for d = 2 mod 4 the
-    products are c + c^2; construction_report records which of c +- c^2 hold."""
+    products are c + c^2; construction_report records which of c +- c^2 hold.
+    A lift makes no random choice: seed only keeps the BUILDERS call shape."""
     if field.p % 4 != 1:
         raise ValueError(
             "construction requires p = 1 mod 4: an isotropic subspace of F_p^(d-2) of "
@@ -229,7 +158,7 @@ def construct_even_0mod4(field: PrimeField, d: int, k: int, seed: int = 0, cap: 
         )
     if d % 4 != 0 or d < 4:
         raise ValueError("construction requires d = 0 mod 4")
-    return _isotropic_lift(field, d, k, seed, cap, d - 2, "even_0mod4")
+    return _isotropic_lift(field, d, k, cap, d - 2, "even_0mod4")
 
 
 BUILDERS = {

@@ -19,7 +19,7 @@ of points, so the enumeration cap bounds the table's p^n entries. The
 zero-sphere transform takes its Gauss-sum closed form where (n, p) admit it,
 n = 2 mod 4 and p = 3 mod 4 (Iosevich-Rudnev 2007), and the DFT elsewhere.
 
-Extension ratios at r = 4 need no transform. With F(c) = sum_{x in V}
+The r = 4 extension ratio is an additive energy. With F(c) = sum_{x in V}
 chi(c.x) f(x), F(c)^2 = sum_xi h(xi) chi(c.xi) for the additive convolution
 h(xi) = sum_{x + y = xi} f(x) f(y), so Plancherel gives
 
@@ -41,19 +41,14 @@ x + y = xi, or 0. With a = |f|^2,
 
 the last two sums over the x in V with -x in V: the pairs at xi = 0.
 
-`extension_ratio` takes one of three routes:
+`extension_ratio` takes one of two routes:
 
 - r = 4 on one sphere of nonzero radius in n <= 2 (circles, their subsets,
   the two-point spheres of n = 1): the identity above, from the antipodal
   pairs that `_antipodes` caches per PointSet;
-- r = 4 on any other V with |V|^2 <= n p^n: h as two weighted bincounts of
-  the |V|^2 pair sums over p^n bins, in row blocks of about p^n pairs (so
-  at most n blocks, each about one pass over the table);
-- every other exponent and denser variety: the dense transform.
+- every other exponent and variety: the dense transform.
 
-Each route checks the cap on the table's p^n entries first. It bounds the
-transform, and the pair-sum route's bins and blocks, which peak under three
-complex tables at the route bound.
+Each route checks the cap on the transform table's p^n entries first.
 """
 
 from __future__ import annotations
@@ -220,35 +215,6 @@ def inverse_surface_transform(f: SurfaceFunction, cap: int | None = None) -> Spe
     return SpectralTable(V.field, n, table)
 
 
-def _pair_sum_energy(f: SurfaceFunction) -> float:
-    """sum_xi |h(xi)|^2 with h(xi) = sum_{x + y = xi} f(x) f(y) over V^2:
-    two weighted bincounts of the pair-sum indices over p^n bins, taken in
-    row blocks of about p^n pairs, so a block's index and weights hold about
-    one complex table next to the two accumulators."""
-    V = f.variety
-    p = V.field.p
-    size = p**V.dim
-    wrap = np.arange(2 * p - 1) % p  # a + b mod p for coordinates a, b < p
-    re, im = f.values.real, f.values.imag
-    vals = np.column_stack([re, im])
-    to_re, to_im = np.stack([re, -im]), np.stack([im, re])  # vals[x] @ to_re[:, y] = Re f(x) f(y)
-    h_re, h_im = np.zeros(size), np.zeros(size)
-    step = max(1, size // len(V))
-    for lo in range(0, len(V), step):
-        block = slice(lo, lo + step)
-        idx = np.zeros((len(vals[block]), len(V)), dtype=np.int64)
-        for col_x, col in zip(V.array[block].T, V.array.T):  # flat index of x + y, coordinatewise mod p
-            idx *= p
-            idx += wrap[np.add.outer(col_x, col)]
-        idx = idx.reshape(-1)
-        w = vals[block] @ to_re
-        h_re += np.bincount(idx, weights=w.reshape(-1), minlength=size)
-        np.matmul(vals[block], to_im, out=w)
-        h_im += np.bincount(idx, weights=w.reshape(-1), minlength=size)
-        del idx, w  # before the next block's index is built
-    return float(h_re @ h_re + h_im @ h_im)
-
-
 @lru_cache(maxsize=128)
 def _antipodes(V: PointSet) -> tuple[np.ndarray, np.ndarray] | None:
     """For V on one sphere ||x|| = r != 0 in dimension n <= 2: the rows x of
@@ -283,9 +249,8 @@ def _antipodal_energy(f: SurfaceFunction, rows: np.ndarray, partners: np.ndarray
 def extension_ratio(f: SurfaceFunction, r_exp: float, cap: int | None = None) -> float:
     """L^r norm (counting measure) of (f dsigma)^vee over the L^2 norm of f
     under the normalized surface measure. At r = 4 the L^4 norm is the
-    additive energy of f: from the antipodal pairs on a sphere of nonzero
-    radius in dimension n <= 2, from the pair sums on any other variety with
-    |V|^2 <= n p^n (module docstring)."""
+    additive energy of f, taken from the antipodal pairs on a sphere of
+    nonzero radius in dimension n <= 2 (module docstring)."""
     if not 0 < r_exp < np.inf:  # also rejects nan
         raise ValueError(f"r_exp must be finite and > 0, got {r_exp}")
     V = f.variety
@@ -298,10 +263,9 @@ def extension_ratio(f: SurfaceFunction, r_exp: float, cap: int | None = None) ->
     # a sphere of nonzero radius in n <= 2 has at most p + 1 points: larger
     # sets stay out of the cache
     antipodes = _antipodes(V) if r_exp == 4 and len(V) <= p + 1 else None
-    if antipodes is not None or (r_exp == 4 and len(V) ** 2 <= n * p**n):
+    if antipodes is not None:
         _check_cap(p**n, cap, "transform-table entries")
-        energy = _pair_sum_energy(f) if antipodes is None else _antipodal_energy(f, *antipodes)
-        num = (float(p) ** n * energy) ** 0.25 / len(V)
+        num = (float(p) ** n * _antipodal_energy(f, *antipodes)) ** 0.25 / len(V)
     else:
         g = inverse_surface_transform(f, cap).flat
         num = float(((g.real**2 + g.imag**2) ** (r_exp / 2)).sum()) ** (1.0 / r_exp)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,34 +31,79 @@ def test_mult_subgroup_is_the_kth_roots_of_unity(p, k):
     assert A == tuple(x for x in range(1, p) if pow(x, k, p) == 1)
 
 
-def test_rank_and_kernel():
-    p = 7
-    assert cn.rank_mod_p([(1, 2, 3), (2, 4, 6), (0, 1, 0)], p) == 2
-    basis = cn.kernel_basis([(1, 0, 0), (0, 1, 0)], p, 3)
-    assert len(basis) == 1 and basis[0][2] != 0
-    assert cn.kernel_basis([], p, 2) == [(1, 0), (0, 1)]
+def witt_index(p, m):
+    """m//2, less one when -1 is a nonsquare (p = 3 mod 4) and m = 2 mod 4."""
+    return m // 2 - (p % 4 == 3 and m % 4 == 2)
 
 
-def test_isotropic_frame_found_and_verified():
+def brute_witt_index(p, m):
+    """Grow a totally isotropic subspace of F_p^m one vector at a time over
+    every vector in lexicographic order, until no isotropic vector orthogonal
+    to it lies outside it. Witt's theorem makes every such maximal subspace
+    the same size."""
+    space = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64)
+    place = p ** np.arange(m - 1, -1, -1)  # row index of a vector: its base-p digits
+    open_ = (space * space).sum(axis=1) % p == 0
+    basis = []
+    while True:
+        open_[cn.span_points(PrimeField(p), basis, m) @ place] = False
+        if not open_.any():
+            return len(basis)
+        v = space[np.argmax(open_)]
+        basis.append(tuple(v))
+        open_ &= space @ v % p == 0
+
+
+def test_isotropic_frame_found_and_verified(monkeypatch):
+    # a^2 + b^2 = -1 first at (a, b) = (2, 3) in F_7
     f7 = PrimeField(7)
-    fr1 = cn.isotropic_frame(f7, 4, 1, seed=0)
-    assert f7.norm(fr1[0]) == 0 and any(fr1[0])
-    fr2 = cn.isotropic_frame(f7, 4, 2, seed=0)
-    assert cn.rank_mod_p(fr2, 7) == 2
-    for u in fr2:
-        for v in fr2:
-            assert f7.dot(u, v) == 0
+    assert cn.isotropic_frame(f7, 4, 2) == ((2, 3, 1, 0), (3, 5, 0, 1))
+    assert cn.isotropic_frame(f7, 7, 3) == ((2, 3, 1, 0, 0, 0, 0), (3, 5, 0, 1, 0, 0, 0), (0, 0, 0, 0, 2, 3, 1))
+    f13 = PrimeField(13)  # i = 5
+    assert cn.isotropic_frame(f13, 5, 2) == ((1, 5, 0, 0, 0), (0, 0, 1, 5, 0))
+    assert cn.isotropic_frame(f13, 5, 0) == ()
+    monkeypatch.setattr(f13, "sqrt_minus_one", lambda: 4)  # 16 = 3: not isotropic
+    with pytest.raises(cn.ConstructionError, match="not orthogonal"):
+        cn.isotropic_frame(f13, 4, 1)
 
 
 def test_isotropic_frame_not_found():
-    # x^2 + y^2 is anisotropic for p = 3 mod 4: exhaustive scan of 49 vectors
-    with pytest.raises(cn.FrameSearchError, match="not found within budget"):
-        cn.isotropic_frame(PrimeField(7), 2, 1, seed=0)
+    # x^2 + y^2 is anisotropic for p = 3 mod 4: F_7^2 holds no isotropic line
+    with pytest.raises(ValueError, match="F_7\\^2 has no totally isotropic subspace of dimension 1"):
+        cn.isotropic_frame(PrimeField(7), 2, 1)
 
 
 def test_isotropic_frame_witt_ceiling():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Witt index is 2"):
         cn.isotropic_frame(PrimeField(7), 4, 3)
+    with pytest.raises(ValueError, match="Witt index is 2"):  # 6 = 2 mod 4 and p = 3 mod 4
+        cn.isotropic_frame(PrimeField(7), 6, 3)
+    assert len(cn.isotropic_frame(PrimeField(13), 6, 3)) == 3
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_isotropic_frame_reaches_the_witt_index(p):
+    field = PrimeField(p)
+    for m in range(1, 10):
+        w = witt_index(p, m)
+        frame = cn.isotropic_frame(field, m, w)
+        assert len(frame) == w
+        assert all(field.dot(u, v) == 0 for u in frame for v in frame)
+        span = cn.span_points(field, frame, m)
+        assert len(np.unique(span @ p ** np.arange(m, dtype=np.int64))) == p**w
+        assert (w >= 1) == field.isotropic(m)
+        with pytest.raises(ValueError, match=f"Witt index is {w}"):
+            cn.isotropic_frame(field, m, w + 1)
+        if p**m <= 2401:
+            assert brute_witt_index(p, m) == w, (p, m)
+
+
+@pytest.mark.parametrize(
+    "kind, p, d, k", [("even2mod4", 7, 6, 3), ("even0mod4", 5, 8, 2), ("odd3mod4", 11, 7, 5), ("odd3mod4", 3, 11, 2)]
+)
+def test_builders_ignore_the_seed(kind, p, d, k):
+    sets = {cn.BUILDERS[kind](PrimeField(p), d, k, seed) for seed in range(6)}
+    assert len(sets) == 1
 
 
 def test_even_2mod4_example():

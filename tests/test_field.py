@@ -16,6 +16,26 @@ def test_rejects_non_prime_and_even():
             PrimeField(bad)
 
 
+def trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if trial_division(n)]
+
+
+def test_is_prime_large_moduli():
+    assert not is_prime(3_215_031_751)  # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 3)
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
+
+
+def test_rejects_a_modulus_above_int64():
+    with pytest.raises(ValueError, match="does not fit int64"):
+        PrimeField(2**64 + 13)
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+
+
 def test_sqrt_examples():
     assert PrimeField(13).sqrt_minus_one() == 5  # 25 = -1 mod 13
     assert PrimeField(7).sqrt_minus_one() is None

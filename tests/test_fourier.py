@@ -209,8 +209,9 @@ def gaussian_function(V, seed):
 
 
 def energy_route_runs(V):
-    p, n = V.field.p, V.dim
-    return len(V) ** 2 <= n * p**n
+    """Whether r = 4 takes the antipodal energy: V lies on one sphere of
+    nonzero radius in dimension n <= 2."""
+    return fourier._antipodes(V) is not None
 
 
 def assert_identity(monkeypatch, f):
@@ -238,17 +239,25 @@ def test_extension_l4_identity_on_spheres(monkeypatch, n, p, radius):
 
 
 def test_extension_l4_identity_on_a_paraboloid(monkeypatch):
-    V = enum_paraboloid(PrimeField(11), 2)
-    assert energy_route_runs(V)
+    V = enum_paraboloid(PrimeField(11), 2)  # y = x^2: no sphere, the transform
+    assert not energy_route_runs(V)
     assert_identity(monkeypatch, gaussian_function(V, seed=1))
 
 
 @pytest.mark.parametrize("size", [10, 14, 15, 40, 121])
 def test_extension_l4_identity_on_both_sides_of_the_route_bound(monkeypatch, size):
-    # |V|^2 <= 2 * 11^2 = 242 up to |V| = 15: sizes 10, 14 and 15 take the
-    # energy, 40 and all of F_11^2 the transform
-    V = rand_plane_subset(11, size, seed=size)
-    assert energy_route_runs(V) == (size <= 15)
+    # the circle ||x|| = 1 of F_11^2 has p + 1 = 12 points, the most a sphere
+    # of nonzero radius in n <= 2 holds: size 10 is part of it and takes the
+    # antipodal energy; 14, 15, 40 and all of F_11^2 hold the whole circle and
+    # points off it, and take the transform
+    circle = enum_sphere(PrimeField(11), 2, 1)
+    if size <= 12:
+        V = random_subset(circle, size, seed=size)
+    else:
+        F = plane(11).array
+        off = PointSet.build(circle.field, 2, F[(F * F).sum(axis=1) % 11 != 1])
+        V = circle.union(random_subset(off, size - 12, seed=size))
+    assert len(V) == size and energy_route_runs(V) == (size <= 12)
     assert_identity(monkeypatch, gaussian_function(V, seed=size))
 
 
@@ -271,7 +280,7 @@ def test_extension_l4_identity_property(p, n, data):
 
 
 def test_extension_ratio_cap_and_empty_variety_on_both_routes():
-    S = enum_sphere(PrimeField(7), 2, 1)  # 8 points: 64 <= 2 * 49, the energy route
+    S = enum_sphere(PrimeField(7), 2, 1)  # a circle: the antipodal route
     for r_exp in (4.0, 3.0):
         with pytest.raises(ResourceLimitError, match="transform-table entries: 49"):
             fourier.extension_ratio(fourier.SurfaceFunction.constant(S), r_exp, cap=48)
@@ -291,14 +300,31 @@ def nonzero_spheres(p, n):
     return [V for V in spheres if len(V)]
 
 
+def pair_sum_energy_in_one_block(f):
+    """The additive energy sum_xi |h(xi)|^2 by definition: every pair's sum
+    index and complex weight f(x) f(y) at once, binned over the p^n sums."""
+    V = f.variety
+    p = V.field.p
+    wrap = np.arange(2 * p - 1) % p
+    idx = np.zeros((len(V), len(V)), dtype=np.int64)
+    for col in V.array.T:
+        idx *= p
+        idx += wrap[np.add.outer(col, col)]
+    idx = idx.reshape(-1)
+    w = np.multiply.outer(f.values, f.values).reshape(-1)
+    h_re = np.bincount(idx, weights=w.real, minlength=p**V.dim)
+    h_im = np.bincount(idx, weights=w.imag, minlength=p**V.dim)
+    return float(h_re @ h_re + h_im @ h_im)
+
+
 def assert_antipodal_identity(f):
-    """The antipodal energy equals the pair-sum energy, and the r = 4 ratio
-    the transform's L^4 ratio, each to 1e-12 relative. Returns the number of
-    points of V whose antipode is in V."""
+    """The antipodal energy equals the energy by definition, and the r = 4
+    ratio the transform's L^4 ratio, each to 1e-12 relative. Returns the
+    number of points of V whose antipode is in V."""
     pairs = fourier._antipodes(f.variety)
     assert pairs is not None
     energy = fourier._antipodal_energy(f, *pairs)
-    assert energy == pytest.approx(fourier._pair_sum_energy(f), rel=1e-12)
+    assert energy == pytest.approx(pair_sum_energy_in_one_block(f), rel=1e-12)
     assert fourier.extension_ratio(f, 4.0) == pytest.approx(transform_l4_ratio(f), rel=1e-12)
     return len(pairs[0])
 
@@ -332,10 +358,10 @@ def test_antipodal_identity_property(p, n, data):
 
 
 def count_routes(monkeypatch):
-    """Count the calls of the antipodal energy, the pair-sum energy and the
-    transform, each still computing its value."""
-    calls = {"antipodal": 0, "pairs": 0, "transform": 0}
-    for key, name in [("antipodal", "_antipodal_energy"), ("pairs", "_pair_sum_energy"), ("transform", "_transform")]:
+    """Count the calls of the antipodal energy and the transform, each still
+    computing its value."""
+    calls = {"antipodal": 0, "transform": 0}
+    for key, name in [("antipodal", "_antipodal_energy"), ("transform", "_transform")]:
         original = getattr(fourier, name)
 
         def counted(*a, original=original, key=key, **kw):
@@ -363,16 +389,14 @@ def two_circles(p, r1, r2):
     ],
 )
 def test_antipodal_route_declines(monkeypatch, make):
-    # off one sphere of nonzero radius in n <= 2, r = 4 takes today's routes:
-    # the pair sums while |V|^2 <= n p^n, the transform beyond
+    # off one sphere of nonzero radius in n <= 2, r = 4 takes the transform
     V = make()
     assert fourier._antipodes(V) is None
     f = gaussian_function(V, seed=len(V))
     expect = transform_l4_ratio(f)
     calls = count_routes(monkeypatch)
     assert fourier.extension_ratio(f, 4.0) == pytest.approx(expect, rel=1e-12)
-    pairs = energy_route_runs(V)
-    assert calls == {"antipodal": 0, "pairs": int(pairs), "transform": int(not pairs)}
+    assert calls == {"antipodal": 0, "transform": 1}
 
 
 def test_antipodal_route_takes_only_r4(monkeypatch):
@@ -380,9 +404,9 @@ def test_antipodal_route_takes_only_r4(monkeypatch):
     calls = count_routes(monkeypatch)
     for r_exp in (2.0, 3.0, 4.5):
         fourier.extension_ratio(f, r_exp)
-    assert calls == {"antipodal": 0, "pairs": 0, "transform": 3}
+    assert calls == {"antipodal": 0, "transform": 3}
     fourier.extension_ratio(f, 4.0)
-    assert calls == {"antipodal": 1, "pairs": 0, "transform": 3}
+    assert calls == {"antipodal": 1, "transform": 3}
 
 
 def test_antipodal_cache_keeps_no_set_above_p_plus_1_points():
@@ -399,43 +423,7 @@ def test_antipodal_cache_keeps_no_set_above_p_plus_1_points():
 def test_extension_stats_on_circles_build_no_table(monkeypatch, n, p):
     calls = count_routes(monkeypatch)
     stats = fourier.extension_ratio_stats(PrimeField(p), n=n, trials=40, seed=1)
-    assert calls == {"antipodal": stats["trials"], "pairs": 0, "transform": 0}
-
-
-def pair_sum_energy_in_one_block(f):
-    """The pair-sum energy as it was before the row blocks: every pair's
-    index and complex weight at once."""
-    V = f.variety
-    p = V.field.p
-    wrap = np.arange(2 * p - 1) % p
-    idx = np.zeros((len(V), len(V)), dtype=np.int64)
-    for col in V.array.T:
-        idx *= p
-        idx += wrap[np.add.outer(col, col)]
-    idx = idx.reshape(-1)
-    w = np.multiply.outer(f.values, f.values).reshape(-1)
-    h_re = np.bincount(idx, weights=w.real, minlength=p**V.dim)
-    h_im = np.bincount(idx, weights=w.imag, minlength=p**V.dim)
-    return float(h_re @ h_re + h_im @ h_im)
-
-
-def test_pair_sum_energy_in_row_blocks_holds_three_tables():
-    """At the route bound, |V|^2 <= 2 * 401^2 for 567 points of F_401^2, the
-    pairs come in row blocks of about p^n pairs: the energy peaks at no more
-    than three complex p^n tables (it held five) and is unchanged."""
-    p = 401
-    V = rand_plane_subset(p, 567, seed=5)
-    assert energy_route_runs(V) and fourier._antipodes(V) is None
-    f = gaussian_function(V, seed=5)
-    energy, peak = _traced_peak(fourier._pair_sum_energy, f)
-    assert peak <= 3 * p**2 * 16
-    assert energy == pytest.approx(pair_sum_energy_in_one_block(f), rel=1e-12)
-
-
-@pytest.mark.parametrize("p,n,size", [(11, 2, 15), (7, 3, 30), (13, 1, 3), (5, 2, 7)])
-def test_pair_sum_energy_blocks_match_one_block(p, n, size):
-    f = gaussian_function(random_subset(space(p, n), size, seed=size), seed=p)
-    assert fourier._pair_sum_energy(f) == pytest.approx(pair_sum_energy_in_one_block(f), rel=1e-12)
+    assert calls == {"antipodal": stats["trials"], "transform": 0}
 
 
 def stats_by_enumeration(field, n, trials, seed, radius=None):

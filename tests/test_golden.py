@@ -3,7 +3,11 @@ sets, hashed. The first digests were recorded before the point sets became
 arrays and the zero-pair scans became gated on isotropy; any change to a
 count, a sampled subset or the serialization shows here. The construction
 digests (point text and verification report) were recorded before the three
-paraboloid constructions became one recipe."""
+paraboloid constructions became one recipe. The isotropic frame is now written
+down, not drawn by a seeded search: any two maximal isotropic frames differ by
+an isometry, so every count and report digest held, and only the point text of
+odd3mod4_11_7, even2mod4_7_6 and even0mod4_5_8 was re-recorded (for
+even0mod4_13_4 the search had drawn the same isotropic line of F_13^2)."""
 
 import hashlib
 import json
@@ -48,11 +52,11 @@ GOLDEN_CONSTRUCTIONS = {
 # sha256 of the set's to_text() and of its construction_report JSON
 GOLDEN_CONSTRUCTION_SHA256 = {
     "odd3mod4_11_7": (
-        "a0b940396e2f40b009a9f1dbd295f00fc88a999be8b5bd32fbdf51e58daeceb0",
+        "66403182bb442ba6be4d475db918ead9cb7e4884b49149bb6e62de5937eba708",
         "ae5b92134d43c1e55231e2754fc9367fb3314ab8fa36c5c8482a5c8102504ae2",
     ),
     "even2mod4_7_6": (
-        "6c11f990434946afc86dfa64c0ab4d42ac057b12c7a62370b3109d7e068c95b8",
+        "8a0e3e5d08cc00837e7f33e323750a199ba35c66332c73f2b4a0e6987825870d",
         "d16e1cd880c2c3f96103aa2b0892e818cd63b937054dab62fae6a6bf17d24b3f",
     ),
     "even0mod4_13_4": (
@@ -60,7 +64,7 @@ GOLDEN_CONSTRUCTION_SHA256 = {
         "d86894af70204acd9221b8002493398fb00740e47d5e23aa66cf06d7415a9588",
     ),
     "even0mod4_5_8": (
-        "784fd77a85a3a17c4c346e61913bf10e9105e48881cd01212b2848e39fa34799",
+        "7097dd5d406306205b4082d01413dd8f0e42149369bc899529a389a3bd9286f6",
         "075a95de1ce9c6f18681a5263510f003b7802e9ab6aad1f8778be8eb490b3d11",
     ),
 }

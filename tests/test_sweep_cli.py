@@ -2,12 +2,13 @@ import ast
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 import ffgeom
-from ffgeom import cli, constructions, counting, sweep
+from ffgeom import cli, counting, sweep
 from ffgeom.constructions import isotropic_lines_set
 from ffgeom.field import PrimeField
 from ffgeom.varieties import PointSet, enum_plane, random_subset
@@ -218,15 +219,26 @@ def test_cli_construct_usage_error():
     assert cli.main(["construct", "--kind", "odd3mod4", "--p", "13", "--d", "3", "--k", "3"]) == 2
 
 
-def test_cli_construct_frame_search_failure_exit_2(capsys, monkeypatch):
-    def exhausted(*args, **kwargs):
-        raise constructions.FrameSearchError("not found within budget")
+def test_cli_construct_seed_leaves_the_lift_unchanged(tmp_path):
+    texts = []
+    for seed in ("0", "5"):
+        out = tmp_path / f"e{seed}.txt"
+        argv = ["construct", "--kind", "even2mod4", "--p", "7", "--d", "6", "--k", "3", "--seed", seed]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
 
-    monkeypatch.setattr(constructions, "isotropic_frame", exhausted)
-    argv = ["construct", "--kind", "even2mod4", "--p", "7", "--d", "6", "--k", "3"]
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert err == "error: not found within budget\n"
+
+def test_cli_count_refuses_a_large_prime_header_quickly(tmp_path, capsys):
+    # p = 10^18 + 3 is prime, and its p-sized tables exceed the cap; p >= 2^63
+    # does not fit the int64 points at all
+    for p, msg in [(10**18 + 3, "exceeds cap"), (2**64 + 13, "does not fit int64")]:
+        path = tmp_path / f"{p}.txt"
+        path.write_text(f"{p} 2 2\n1 2\n3 4\n")
+        start = time.perf_counter()
+        assert cli.main(["count", "--in", str(path)]) == 2
+        assert time.perf_counter() - start < 5
+        assert msg in capsys.readouterr().err
 
 
 def test_cli_fourier_verify(capsys):
