@@ -9,12 +9,14 @@ frame spans it, and `isotropic_frame` returns one fixed frame.
 
 Each guarantee is checked once, where it is made; a violated one raises.
 `mult_subgroup` checks for k distinct roots of x^k - 1, hence exactly the
-subgroup of order k; `isotropic_frame` checks that its vectors are
-isotropic and mutually orthogonal; the paraboloid constructions check the
-emitted set's size (which a dependent frame would fall short of), its
-paraboloid membership and its products against {a + a^2};
+subgroup A of order k; `isotropic_frame` checks that its vectors are
+isotropic and mutually orthogonal; the paraboloid constructions check, in
+O(|E|), the emitted set's size (which a dependent frame would fall short
+of) and its paraboloid membership. Those facts make every product of a
+lift ab + (ab)^2 with ab in A, so no lift re-walks its |E|^2 pairs;
 `isotropic_lines_set` checks that no two lines' points overlap.
-`construction_report` records these facts for the sidecar without raising.
+`construction_report` records the facts for the sidecar without raising,
+and its own `product_set(E)` is the one independent products check.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import random
 import numpy as np
 
 from .counting import product_set, profile
-from .field import PrimeField
+from .field import PrimeField, prime_factors
 from .varieties import PointSet, _check_cap, _space, enum_sphere, on_paraboloid
 
 
@@ -37,11 +39,17 @@ class ConstructionError(RuntimeError):
 
 def mult_subgroup(field: PrimeField, k: int) -> tuple[int, ...]:
     """The unique multiplicative subgroup of order k (k must divide p-1), as
-    the sorted tuple of its elements."""
+    the sorted tuple of its elements. It is generated by h = g^((p-1)/k) for
+    the first g = 2, 3, ... with h^(k/q) = g^((p-1)/q) != 1 for every prime
+    q | k, which gives h order exactly k: only k is factored, never p - 1."""
     p = field.p
     if k < 1 or (p - 1) % k != 0:
         raise ValueError(f"subgroup order {k} does not divide p-1 = {p - 1}")
-    base = pow(field.primitive_root(), (p - 1) // k, p)
+    qs = prime_factors(k)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
+        g += 1
+    base = pow(g, (p - 1) // k, p)
     elements = [pow(base, i, p) for i in range(k)]
     if len(set(elements)) != k:
         raise ConstructionError("subgroup has wrong size")
@@ -95,34 +103,25 @@ def span_points(field: PrimeField, vectors, dim: int) -> np.ndarray:
 # -- the constructions -----------------------------------------------------
 
 
-def _verify(E: PointSet, expected_size: int, allowed_products: set[int], label: str) -> None:
-    if len(E) != expected_size:
-        raise ConstructionError(f"{label}: size {len(E)} != expected {expected_size}")
-    if not on_paraboloid(E):
-        raise ConstructionError(f"{label}: a point misses the paraboloid")
-    prods = product_set(E)
-    if not prods <= allowed_products:
-        raise ConstructionError(f"{label}: products {prods - allowed_products} escape")
-
-
-def _ap_a2(field: PrimeField, elements) -> set[int]:
-    return {(a + a * a) % field.p for a in elements}
-
-
 def _isotropic_lift(field: PrimeField, d: int, k: int, cap: int | None, span_dim: int, label: str) -> PointSet:
     """E = {(s, 0...0, a, a^2) : s in the span of a maximal isotropic frame of
-    F_p^span_dim, a in A}. Every product is ab + (ab)^2, since s.s' = 0."""
+    F_p^span_dim, a in A}. Every product is ab + (ab)^2, since s.s' = 0: with
+    the frame and A checked where they are made, the k p^m distinct rows
+    that the size check counts are all the lift needs."""
     p = field.p
-    A = mult_subgroup(field, k)
     m = span_dim // 2
-    _check_cap(k * p**m, cap, "lifted span points")  # before the frame and the k p^m points
+    _check_cap(k * p**m, cap, "lifted span points")  # before the subgroup, the frame and the k p^m points
+    A = mult_subgroup(field, k)
     frame = isotropic_frame(field, span_dim, m) if m else ()  # m = 0: no circle lookup
     S = span_points(field, frame, span_dim)
     rows = np.zeros((len(S), k, d), dtype=np.int64)  # rows[i, j] = (S[i], 0...0, a_j, a_j^2)
     rows[:, :, :span_dim] = S[:, None]
     rows[:, :, -2:] = [(a, a * a % p) for a in A]  # a^2 in Python ints: no int64 wrap
     E = PointSet.build(field, d, rows.reshape(-1, d))
-    _verify(E, k * p**m, _ap_a2(field, A), label)
+    if len(E) != k * p**m:
+        raise ConstructionError(f"{label}: size {len(E)} != expected {k * p**m}")
+    if not on_paraboloid(E):
+        raise ConstructionError(f"{label}: a point misses the paraboloid")
     return E
 
 
@@ -216,7 +215,7 @@ def construction_report(
     }
     if kind in BUILDERS:
         A = mult_subgroup(field, k)
-        plus, minus = _ap_a2(field, A), {(a - a * a) % field.p for a in A}
+        plus, minus = {(a + a * a) % field.p for a in A}, {(a - a * a) % field.p for a in A}
         report["k"] = k
         report["on_paraboloid"] = on_paraboloid(E)
         report["products_in_a_plus_a2"] = prods <= plus

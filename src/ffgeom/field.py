@@ -2,7 +2,9 @@
 
 Scalars are plain Python ints reduced into [0, p); vectors are tuples of
 such ints. The canonical additive character chi(a) = exp(2*pi*i*a/p) is
-served from a precomputed table of complex unit-circle values.
+served from a precomputed table of complex unit-circle values. The square
+root of -1 comes from Euler's criterion, not from a generator of the
+multiplicative group, so p - 1 is never factored.
 
 A PrimeField instance is immutable after construction and safe to share
 across threads; every method is a pure function of its arguments.
@@ -67,7 +69,6 @@ class PrimeField:
         if p == 2:
             raise ValueError("modulus must be an odd prime")
         self.p = p
-        self._primitive_root: int | None = None
         self._chi_table: np.ndarray | None = None
 
     def __repr__(self) -> str:
@@ -89,9 +90,12 @@ class PrimeField:
         """The smaller square root of -1, or None when p = 3 mod 4."""
         if self.p % 4 != 1:
             return None
-        # g^((p-1)/4) has order 4 for a generator g, so its square is -1
-        r = pow(self.primitive_root(), (self.p - 1) // 4, self.p)
-        return min(r, self.p - r)
+        # Euler's criterion: the least c with c^((p-1)/2) = -1 is a non-residue,
+        # so r = c^((p-1)/4) has r^2 = -1
+        p = self.p
+        c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        r = pow(c, (p - 1) // 4, p)
+        return min(r, p - r)
 
     # -- additive character --------------------------------------------------
 
@@ -114,15 +118,3 @@ class PrimeField:
     def norm(self, v: tuple[int, ...]) -> int:
         """The quantity v_1^2 + ... + v_n^2 mod p (not a metric)."""
         return sum(a * a for a in v) % self.p
-
-    # -- multiplicative structure ---------------------------------------
-
-    def primitive_root(self) -> int:
-        """Smallest generator of the multiplicative group, cached."""
-        if self._primitive_root is None:
-            factors = prime_factors(self.p - 1)
-            g = 2
-            while any(pow(g, (self.p - 1) // f, self.p) == 1 for f in factors):
-                g += 1
-            self._primitive_root = g
-        return self._primitive_root

@@ -244,10 +244,9 @@ def _resolve_k(family: Family, p: int) -> int:
         if (p - 1) % family.k:
             raise ValueError(f"k={family.k} does not divide p-1={p - 1}")
         return family.k
-    divisors = [k for k in range(1, p) if (p - 1) % k == 0]
     if family.k_rule == "max_leq_sqrt":
-        return max(k for k in divisors if k * k <= p - 1)
-    return max(k for k in divisors if k < p - 1)  # max_proper
+        return next(k for k in range(math.isqrt(p - 1), 0, -1) if (p - 1) % k == 0)
+    return (p - 1) // 2  # max_proper: p is odd, so (p - 1)/2 is the largest proper divisor
 
 
 def build_cell_set(field: PrimeField, d: int, family: Family, seed: int, cap: int | None):

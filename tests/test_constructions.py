@@ -1,11 +1,16 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from ffgeom import counting, constructions as cn
 from ffgeom.field import PrimeField
-from ffgeom.varieties import PointSet, on_paraboloid
+from ffgeom.oracle import oracle_product
+from ffgeom.varieties import PointSet, ResourceLimitError, on_paraboloid
+
+# p - 1 = 2q and 4q with q prime: trial division of p - 1 would run to sqrt(q) ~ 5e8
+SAFE_PRIME_3MOD4, SAFE_PRIME_1MOD4 = 1000000000000007243, 1000000000000014653
 
 
 def test_mult_subgroup_examples():
@@ -29,6 +34,13 @@ def test_mult_subgroup_is_the_kth_roots_of_unity(p, k):
     A = cn.mult_subgroup(PrimeField(p), k)
     assert isinstance(A, tuple) and list(A) == sorted(A)
     assert A == tuple(x for x in range(1, p) if pow(x, k, p) == 1)
+
+
+@pytest.mark.parametrize("p", [SAFE_PRIME_3MOD4, SAFE_PRIME_1MOD4])
+def test_mult_subgroup_never_factors_p_minus_1(p):
+    start = time.perf_counter()
+    assert cn.mult_subgroup(PrimeField(p), 2) == (1, p - 1)
+    assert time.perf_counter() - start < 1
 
 
 def witt_index(p, m):
@@ -96,6 +108,29 @@ def test_isotropic_frame_reaches_the_witt_index(p):
             cn.isotropic_frame(field, m, w + 1)
         if p**m <= 2401:
             assert brute_witt_index(p, m) == w, (p, m)
+
+
+LIFT_CASES = [
+    ("even2mod4", 7, 6, 3),
+    ("even2mod4", 5, 2, 4),
+    ("even2mod4", 13, 6, 6),
+    ("even0mod4", 13, 4, 3),
+    ("even0mod4", 5, 8, 2),
+    ("even0mod4", 17, 4, 16),
+    ("odd3mod4", 11, 7, 5),
+    ("odd3mod4", 3, 11, 2),
+]
+
+
+@pytest.mark.parametrize("kind, p, d, k", LIFT_CASES)
+def test_lift_products_are_exactly_a_plus_a2(kind, p, d, k):
+    # the builders no longer walk their pairs: this is the independent check
+    field = PrimeField(p)
+    E = cn.BUILDERS[kind](field, d, k)
+    expect = {(c + c * c) % p for c in cn.mult_subgroup(field, k)}
+    assert counting.product_set(E) == expect
+    if len(E) <= 60:
+        assert oracle_product(E) == expect
 
 
 @pytest.mark.parametrize(
@@ -182,13 +217,29 @@ def test_even_0mod4_rejects_3mod4():
 
 
 def test_even_0mod4_postcondition_is_a_plus_a2(monkeypatch):
-    # isotropic vectors of F_5^2 that are not mutually orthogonal:
-    # (1, 2).(1, 3) = 2, so with A = F_5^* the products reach 2 + c + c^2 = 3,
-    # outside {c + c^2} = {0, 1, 2} (but inside {c +- c^2}, which is all of F_5)
-    S = np.array([(0, 0), (1, 2), (2, 4), (1, 3), (2, 1)])
-    monkeypatch.setattr(cn, "span_points", lambda field, frame, dim: S)
-    with pytest.raises(cn.ConstructionError, match="escape"):
-        cn.construct_even_0mod4(PrimeField(5), 4, 4)
+    # products stay in {c + c^2} because the frame is isotropic: a frame that
+    # is not (4^2 = 3 in F_13) is refused where it is made, before any lift
+    f13 = PrimeField(13)
+    monkeypatch.setattr(f13, "sqrt_minus_one", lambda: 4)
+    with pytest.raises(cn.ConstructionError, match="not orthogonal"):
+        cn.construct_even_0mod4(f13, 4, 3)
+
+
+def test_lift_checks_the_cap_before_the_subgroup(monkeypatch):
+    def refuse(field, k):
+        raise AssertionError("subgroup built before the cap was checked")
+
+    monkeypatch.setattr(cn, "mult_subgroup", refuse)
+    with pytest.raises(ResourceLimitError, match="exceeds cap 10"):
+        cn.construct_odd_3mod4(PrimeField(7), 7, 3, cap=10)  # 3 * 7^2 = 147 points
+
+
+def test_lift_reaches_a_million_points():
+    start = time.perf_counter()
+    E = cn.construct_even_2mod4(PrimeField(101), 6, 100)
+    assert time.perf_counter() - start < 20
+    assert len(E) == 100 * 101**2 == 1_020_100
+    assert on_paraboloid(E)
 
 
 def test_lines_set_counts():

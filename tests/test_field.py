@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,16 @@ def test_sqrt_minus_one_iff_residue_class():
         p += 2
 
 
+def test_sqrt_minus_one_never_factors_p_minus_1():
+    # p - 1 = 4q with q prime: trial division of p - 1 would run to sqrt(q) ~ 5e8
+    p = 1000000000000014653
+    start = time.perf_counter()
+    i = PrimeField(p).sqrt_minus_one()
+    assert time.perf_counter() - start < 1
+    assert i * i % p == p - 1 and i < p - i
+    assert PrimeField(1000000000000007243).sqrt_minus_one() is None
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_isotropy_rule_matches_brute_force(p, m):
@@ -95,24 +106,6 @@ def test_dot_and_norm_examples():
     assert f.norm((0, 0, 0)) == 0
     with pytest.raises(ValueError):
         f.dot((1, 2), (1, 2, 3))
-
-
-def test_primitive_root_examples():
-    assert PrimeField(7).primitive_root() == 3
-    assert PrimeField(3).primitive_root() == 2
-    g = PrimeField(5).primitive_root()
-    assert pow(g, 2, 5) != 1 and pow(g, 4, 5) == 1
-
-
-def test_primitive_root_has_full_order():
-    p = 3
-    while p < 200:
-        if is_prime(p):
-            f = PrimeField(p)
-            g = f.primitive_root()
-            order = next(m for m in range(1, p) if pow(g, m, p) == 1)
-            assert order == p - 1
-        p += 2
 
 
 @settings(max_examples=50)

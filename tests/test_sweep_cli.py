@@ -10,7 +10,7 @@ import pytest
 import ffgeom
 from ffgeom import cli, counting, sweep
 from ffgeom.constructions import isotropic_lines_set
-from ffgeom.field import PrimeField
+from ffgeom.field import PrimeField, is_prime
 from ffgeom.varieties import PointSet, enum_plane, random_subset
 
 MINIMAL = {
@@ -147,6 +147,12 @@ def test_k_rule_resolution():
     assert sweep._resolve_k(fam, 23) == 2
     fam2 = sweep.Family("construction", construction="odd3mod4", k_rule="max_proper")
     assert sweep._resolve_k(fam2, 7) == 3
+    for p in filter(is_prime, range(3, 500)):
+        divisors = [k for k in range(1, p) if (p - 1) % k == 0]
+        assert sweep._resolve_k(fam, p) == max(k for k in divisors if k * k <= p - 1)
+        assert sweep._resolve_k(fam2, p) == max(k for k in divisors if k < p - 1)
+    assert sweep._resolve_k(fam, 10_000_019) == 3046  # no O(p) divisor scan
+    assert sweep._resolve_k(fam2, 10_000_019) == 5_000_009
     fam3 = sweep.Family("construction", construction="odd3mod4", k=5)
     with pytest.raises(ValueError):
         sweep._resolve_k(fam3, 7)
@@ -239,6 +245,23 @@ def test_cli_count_refuses_a_large_prime_header_quickly(tmp_path, capsys):
         assert cli.main(["count", "--in", str(path)]) == 2
         assert time.perf_counter() - start < 5
         assert msg in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "odd3mod4", "--p", "1000000000000007243", "--d", "3", "--k", "1"],
+        ["--kind", "even0mod4", "--p", "1000000000000014653", "--d", "4", "--k", "1"],
+        ["--kind", "lines", "--p", "1000000000000014653", "--lines", "1", "--per-line", "2"],
+    ],
+)
+def test_cli_construct_refuses_a_safe_prime_quickly(argv, capsys):
+    # p - 1 = 2q or 4q with q prime: no step may factor p - 1 by trial division
+    start = time.perf_counter()
+    assert cli.main(["construct", *argv]) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_fourier_verify(capsys):
