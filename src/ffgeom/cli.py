@@ -12,9 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import constructions, counting, fourier, oracle, sweep
+from . import constructions, counting, fourier, oracle, sweep, varieties
 from .field import PrimeField
-from .varieties import PointSet, ResourceLimitError, enum_paraboloid, enum_plane, random_subset
+from .varieties import PointSet, ResourceLimitError, enum_paraboloid
 
 DEFAULT_VERIFY_PAIRS = "2:3,2:7,2:11,2:19,6:3"
 
@@ -34,7 +34,7 @@ def _load_set(args) -> PointSet:
         return enum_paraboloid(PrimeField(p), d, args.cap)
     if args.random_paraboloid:
         p, d, size = args.random_paraboloid
-        return random_subset(enum_paraboloid(PrimeField(p), d, args.cap), size, args.seed)
+        return varieties.random_paraboloid_subset(PrimeField(p), d, size, args.seed, args.cap)
     raise ValueError("one of --in / --full-paraboloid / --random-paraboloid is required")
 
 
@@ -175,7 +175,7 @@ def cmd_mpprp(args) -> int:
     elif args.p is None or args.size is None:
         raise ValueError("mpprp-check needs --primes, or --p and --size")
     else:
-        X = random_subset(enum_plane(PrimeField(args.p)), args.size, args.seed)
+        X = varieties.random_space_subset(PrimeField(args.p), 2, args.size, args.seed)
         reports = [sweep.planar_triangle_check(X)]
     keys = ("p", "size", "t_star", "excess", "min_bound", "ratio", "ok")
     rows = [{k: getattr(r, k) for k in keys} for r in reports]

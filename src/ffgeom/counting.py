@@ -449,13 +449,8 @@ def profile(E: PointSet) -> Profile:
     )
 
 
-def apex(field: PrimeField, x: tuple[int, ...]) -> tuple[int, ...]:
-    """Map a paraboloid point to -xbar / (2 ||xbar||) one dimension down."""
-    return tuple(_apexes(np.array([x], dtype=np.int64), field.p)[0].tolist())
-
-
 def _apexes(arr: np.ndarray, p: int) -> np.ndarray:
-    """`apex` of every row of arr, as an array one column narrower."""
+    """`oracle.apex` of every row of arr, as an array one column narrower."""
     base = arr[:, :-1]
     nb = (base * base).sum(axis=1) % p
     if not nb.all():
@@ -466,25 +461,6 @@ def _apexes(arr: np.ndarray, p: int) -> np.ndarray:
 def apex_set(E: PointSet) -> PointSet:
     """Apply the apex map to every point (all must have nonzero base norm)."""
     return PointSet.build(E.field, E.dim - 1, _apexes(E.array, E.field.p))
-
-
-def reduction_equiv(
-    field: PrimeField,
-    x: tuple[int, ...],
-    y: tuple[int, ...],
-    z: tuple[int, ...],
-) -> tuple[bool, bool]:
-    """Evaluate both sides of the dot-product-to-distance reduction.
-
-    Returns (x.y == x.z, ||a - ybar|| == ||a - zbar||) where a is the apex
-    of x; the two booleans agree for every triple on a paraboloid.
-    """
-    lhs = field.dot(x, y) == field.dot(x, z)
-    a = apex(field, x)
-    dy = tuple(u - v for u, v in zip(a, y[:-1]))
-    dz = tuple(u - v for u, v in zip(a, z[:-1]))
-    rhs = field.norm(dy) == field.norm(dz)
-    return lhs, rhs
 
 
 def _equal_pairs(keys: np.ndarray) -> int:

@@ -60,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from .field import PrimeField
-from .varieties import PointSet, _check_cap, _norms, _space, enum_sphere
+from .varieties import PointSet, _check_cap, _norms, _space, enum_sphere, random_space_subset
 
 
 @lru_cache(maxsize=32)
@@ -356,21 +356,12 @@ def degenerate_pairs_fourier(X: PointSet) -> float:
     return float(val.real)
 
 
-def _verify_sample(field: PrimeField, n: int, seed: int) -> PointSet:
-    """`random_subset` of all of F_p^n (4p points) without building F_p^n:
-    its points in lexicographic order are the base-p digits of 0..p^n-1."""
-    p = field.p
-    size = min(p**n, 4 * p)
-    idx = random.Random(random.Random(seed).randrange(2**32)).sample(range(p**n), size)
-    return PointSet.build(field, n, np.array(np.unravel_index(sorted(idx), (p,) * n)).T)
-
-
 def verify_report(field: PrimeField, n: int, seed: int = 0, cap: int | None = None) -> dict:
     """One row of the fourier-verify table for a (n, p) pair; the work is
     O(p^n), so the cap bounds p^n before anything is built."""
     p = field.p
     _check_cap(p**n, cap, "transform-table entries")
     max_err = zero_sphere_max_error(field, n)
-    X = _verify_sample(field, n, seed)
+    X = random_space_subset(field, n, min(p**n, 4 * p), random.Random(seed).randrange(2**32))
     perr = plancherel_error(fourier_indicator(X), X)
     return {"n": n, "p": p, "max_abs_err": max_err, "plancherel_err": perr}

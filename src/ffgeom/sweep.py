@@ -6,6 +6,9 @@ regardless of thread count. Cells are seeded from (global seed, cell index)
 with a splitmix-style derivation, computed independently, and merged in cell
 order. Cell runtimes are only measured when the config opts in (timing: true),
 because measured times would break the byte-determinism guarantee.
+
+Random cells draw their points from indices (`random_paraboloid_subset`),
+so no cell enumerates a paraboloid, and the cap bounds the sample size.
 """
 
 from __future__ import annotations
@@ -17,12 +20,11 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from functools import lru_cache
 from pathlib import Path
 
 from . import constructions, counting
 from .field import PrimeField, is_prime
-from .varieties import enum_paraboloid, enum_plane, random_subset
+from .varieties import random_paraboloid_subset, random_space_subset
 
 # Default primes for product-ratio sweeps: ratios stabilize by here while
 # cells stay seconds-scale. All are 3 mod 4.
@@ -234,11 +236,6 @@ class SweepRow:
 CSV_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
-@lru_cache(maxsize=8)
-def _paraboloid(p: int, d: int, cap: int | None):
-    return enum_paraboloid(PrimeField(p), d, cap)
-
-
 def _resolve_k(family: Family, p: int) -> int:
     if family.k is not None:
         if (p - 1) % family.k:
@@ -252,9 +249,8 @@ def _resolve_k(family: Family, p: int) -> int:
 def build_cell_set(field: PrimeField, d: int, family: Family, seed: int, cap: int | None):
     p = field.p
     if family.kind == "random_paraboloid_subset":
-        P = _paraboloid(p, d, cap)
-        size = min(math.ceil(p**family.alpha), len(P))
-        return random_subset(P, size, seed)
+        size = min(math.ceil(p**family.alpha), p ** (d - 1))
+        return random_paraboloid_subset(field, d, size, seed, cap)
     if family.kind == "construction":
         k = _resolve_k(family, p)
         return constructions.BUILDERS[family.construction](field, d, k, seed, cap)
@@ -390,9 +386,8 @@ def planar_triangle_sweep(
         raise ValueError(f"exponent {exponent} outside (0, 4/3]: the check needs |X| <= p^(4/3)")
     reports = []
     for idx, p in enumerate(primes):
-        grid = enum_plane(PrimeField(p))
+        field, size = PrimeField(p), min(math.ceil(p**exponent), p * p)
         for trial in range(trials):
-            size = min(math.ceil(p**exponent), len(grid))
-            X = random_subset(grid, size, derive_seed(seed, idx * 1000 + trial))
+            X = random_space_subset(field, 2, size, derive_seed(seed, idx * 1000 + trial))
             reports.append(planar_triangle_check(X))
     return reports

@@ -9,6 +9,10 @@ share across threads; `points`, the rows as tuples, is built on first use.
 The paraboloid in dimension d is the graph of the squared length of the
 first d-1 coordinates; the sphere of radius r in dimension n is the level
 set of the sum of n squares.
+
+Random subsets of F_p^n and of paraboloids are drawn from indices: row i of
+F_p^n in lexicographic order is i in base p, and the paraboloid's rows follow
+their base points, so no sample needs its variety enumerated.
 """
 
 from __future__ import annotations
@@ -182,10 +186,39 @@ def enum_sphere(field: PrimeField, n: int, r: int, cap: int | None = None) -> Po
 
 def random_subset(source: PointSet, size: int, seed: int) -> PointSet:
     """Uniform sample without replacement, reproducible from seed."""
-    if size > len(source):
-        raise ValueError(f"sample size {size} exceeds population {len(source)}")
-    idx = random.Random(seed).sample(range(len(source)), size)
-    return PointSet.build(source.field, source.dim, source.array[sorted(idx)])
+    return PointSet.build(source.field, source.dim, source.array[_sample(len(source), size, seed)])
+
+
+def _sample(count: int, size: int, seed: int) -> np.ndarray:
+    """The sorted indices of the `size` of `count` rows that seed draws."""
+    if size > count:
+        raise ValueError(f"sample size {size} exceeds population {count}")
+    return np.array(sorted(random.Random(seed).sample(range(count), size)), dtype=np.int64)
+
+
+def _space_sample(p: int, n: int, size: int, seed: int) -> np.ndarray:
+    """The rows `random_subset` draws from F_p^n, from their indices alone."""
+    if p**n >= 1 << 63:  # random.sample takes the len() of range(p^n)
+        raise ValueError(f"F_p^{n} at p = {p} has {p**n} points, too many to sample by index")
+    return np.array(np.unravel_index(_sample(p**n, size, seed), (p,) * n)).T
+
+
+def random_space_subset(field: PrimeField, n: int, size: int, seed: int) -> PointSet:
+    """`random_subset` of all of F_p^n without building F_p^n."""
+    return PointSet.build(field, n, _space_sample(field.p, n, size, seed))
+
+
+def random_paraboloid_subset(field: PrimeField, d: int, size: int, seed: int, cap: int | None = None) -> PointSet:
+    """`random_subset(enum_paraboloid(field, d), size, seed)` without the
+    paraboloid: the same draw of base points, norms appended. The cap bounds size."""
+    if d < 2:
+        raise ValueError("paraboloid needs dimension >= 2")
+    p = field.p
+    _check_cap(size, cap, "paraboloid points")
+    if (d - 1) * (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"paraboloid norms overflow int64 at p = {p}, d = {d}")
+    base = _space_sample(p, d - 1, size, seed)
+    return PointSet.build(field, d, np.column_stack([base, _norms(base, p)]))
 
 
 def bar_projection(ps: PointSet) -> PointSet:

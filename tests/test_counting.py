@@ -21,6 +21,7 @@ from ffgeom.varieties import (
     enum_paraboloid,
     enum_plane,
     on_paraboloid,
+    random_space_subset,
     random_subset,
     restrict_nonzero_base,
 )
@@ -105,15 +106,15 @@ def test_d_star_requires_paraboloid():
 
 def test_apex_example():
     f = PrimeField(7)
-    assert counting.apex(f, (1, 2, 5)) == (2, 4)
+    assert oracle.apex(f, (1, 2, 5)) == (2, 4)
     with pytest.raises(ValueError):
-        counting.apex(f, (0, 0, 0))
+        oracle.apex(f, (0, 0, 0))
 
 
 def test_apex_unit_base():
     f = PrimeField(11)
     x = (1, 0, 1)
-    assert counting.apex(f, x) == (-pow(2, -1, 11) % 11, 0)  # -1/2 = 5
+    assert oracle.apex(f, x) == (-pow(2, -1, 11) % 11, 0)  # -1/2 = 5
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -128,13 +129,13 @@ def test_reduction_equiv_trivial_and_counterexample():
     P = enum_paraboloid(f, 3)
     x = (1, 2, 5)
     y, z = (0, 1, 1), (0, 1, 1)
-    assert counting.reduction_equiv(f, x, y, z) == (True, True)
+    assert oracle.reduction_equiv(f, x, y, z) == (True, True)
     # any triple with x.y != x.z must report (False, False)
     found = False
     for y in P.points:
         for z in P.points:
             if f.dot(x, y) != f.dot(x, z):
-                assert counting.reduction_equiv(f, x, y, z) == (False, False)
+                assert oracle.reduction_equiv(f, x, y, z) == (False, False)
                 found = True
                 break
         if found:
@@ -150,7 +151,7 @@ def test_reduction_equiv_exhaustive_small(p):
     for x in apexes:
         for y in P.points:
             for z in P.points:
-                lhs, rhs = counting.reduction_equiv(f, x, y, z)
+                lhs, rhs = oracle.reduction_equiv(f, x, y, z)
                 assert lhs == rhs
 
 
@@ -161,6 +162,17 @@ def test_scan_matches_scalar_reduction():
     apex_count = sum(1 for x in P.points if f.norm(x[:2]) != 0)
     assert checked == apex_count * len(P) ** 2
     assert mismatches == 0
+    Er = restrict_nonzero_base(P)
+    assert counting.apex_set(Er).points == tuple(sorted(oracle.apex(f, x) for x in Er.points))
+    # off a paraboloid the two sides disagree, and the scan counts the triples
+    # whose scalar definitions differ
+    f5 = PrimeField(5)
+    X = random_space_subset(f5, 3, 30, seed=1)
+    apexes = [x for x in X.points if f5.norm(x[:2]) != 0]
+    triples = [(x, y, z) for x in apexes for y in X.points for z in X.points]
+    expect = sum(lhs != rhs for lhs, rhs in (oracle.reduction_equiv(f5, *t) for t in triples))
+    assert expect > 0
+    assert counting.scan_reduction_identity(X) == (len(triples), expect)
 
 
 def test_two_point_triangle_taxonomy():

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from ffgeom import counting, fourier, oracle
 from ffgeom.field import PrimeField
-from ffgeom.varieties import PointSet, ResourceLimitError, enum_paraboloid, enum_plane, enum_sphere, random_subset
+from ffgeom.varieties import (
+    PointSet,
+    ResourceLimitError,
+    enum_paraboloid,
+    enum_plane,
+    enum_sphere,
+    random_space_subset,
+    random_subset,
+)
 
 
 def plane(p):
@@ -599,9 +607,10 @@ def test_verify_report_rows_unchanged(n, p, seed):
 
 @pytest.mark.parametrize("n, p, seed", [(2, 7, 0), (2, 43, 7), (3, 5, 4), (6, 3, 2)])
 def test_verify_sample_is_subset_of_space(n, p, seed):
-    size = min(p**n, 4 * p)
-    expect = random_subset(space(p, n), size, seed=random.Random(seed).randrange(2**32))
-    assert fourier._verify_sample(PrimeField(p), n, seed) == expect
+    # verify_report samples 4p points with a seed derived from its own
+    size, derived = min(p**n, 4 * p), random.Random(seed).randrange(2**32)
+    expect = random_subset(space(p, n), size, seed=derived)
+    assert random_space_subset(PrimeField(p), n, size, derived) == expect
 
 
 def test_verify_report_memory_stays_off_the_space():
@@ -615,7 +624,7 @@ def test_verify_report_memory_stays_off_the_space():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        fourier._verify_sample(f, n, seed=0)
+        random_space_subset(f, n, 4 * f.p, random.Random(0).randrange(2**32))
         sample_peak = tracemalloc.get_traced_memory()[1] - start
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]

@@ -11,7 +11,7 @@ import ffgeom
 from ffgeom import cli, counting, sweep
 from ffgeom.constructions import isotropic_lines_set
 from ffgeom.field import PrimeField, is_prime
-from ffgeom.varieties import PointSet, enum_plane, random_subset
+from ffgeom.varieties import PointSet, enum_plane, on_paraboloid, random_subset
 
 MINIMAL = {
     "primes": [7],
@@ -329,6 +329,35 @@ def test_cli_sweep_seed_and_cap_flags_win(tmp_path, capsys):
     assert all(e.startswith(f"ResourceLimitError: {w}") for e, w in zip(errors("--cap", "1"), what, strict=True))
 
 
+def test_random_cell_cap_bounds_the_sample():
+    # 1016 points of the 101^3-point paraboloid in F_101^4
+    family = sweep.Family("random_paraboloid_subset", alpha=1.5)
+    E = sweep.build_cell_set(PrimeField(101), 4, family, seed=3, cap=100_000)
+    assert len(E) == 1016 and on_paraboloid(E)
+    assert sweep.run_cell(101, 4, family, 0, 3, 100_000, False).error == ""
+    row = sweep.run_cell(101, 4, family, 0, 3, 10, False)
+    assert row.error == "ResourceLimitError: paraboloid points: 1016 exceeds cap 10"
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["mpprp-check", "--p", "100003", "--size", "10"], 10),
+        (["mpprp-check", "--primes", "100003", "--exponent", "0.5"], 317),
+        (["triangles", "--random-paraboloid", "100003", "3", "10"], 10),
+    ],
+    ids=["mpprp-p", "mpprp-primes", "triangles"],
+)
+def test_cli_samples_a_few_points_of_a_huge_variety(capsys, argv, size):
+    # 10^10 points in the plane and on the paraboloid: drawn from indices,
+    # never enumerated
+    t0 = time.perf_counter()
+    assert cli.main(argv) == 0
+    assert time.perf_counter() - t0 < 5
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc[0]["size"] if argv[0] == "mpprp-check" else doc["set_size"]) == size
+
+
 def test_cli_sweep_config_error(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text('{"prims": [7]}')
@@ -396,6 +425,10 @@ def test_cli_sweep_bad_values_exit_2_before_running(tmp_path, capsys, monkeypatc
         (["extension-ratio", "--p", "7", "--trials", "0"], "trials must be >= 1"),
         (["extension-ratio", "--p", "7", "--trials", "-3"], "trials must be >= 1"),
         (["extension-ratio", "--p", "7", "--n", "0", "--trials", "2"], "dimension >= 1"),
+        # 10^27 base points: more indices than random.sample can take
+        (["count", "--random-paraboloid", "1000000007", "4", "10"], "too many to sample"),
+        (["count", "--random-paraboloid", "7", "1", "3"], "paraboloid needs dimension >= 2"),
+        (["count", "--random-paraboloid", "7", "3", "50"], "sample size 50 exceeds population 49"),
     ],
 )
 def test_cli_unusable_arguments_exit_2(capsys, argv, missing):
@@ -414,6 +447,8 @@ CAP_CASES = [
     (["construct", "--kind", "even2mod4", "--p", "101", "--d", "14", "--k", "5"], "lifted span points: 5307600753005"),
     (["--cap", "10", "construct", "--kind", "odd3mod4", "--p", "11", "--d", "7", "--k", "5"], "lifted span points: 605"),
     (["--cap", "5", "construct", "--kind", "lines", "--p", "13", "--lines", "2", "--per-line", "3"], "line points: 6"),
+    # a random paraboloid subset's cap bounds the sample, not the paraboloid
+    (["--cap", "10", "count", "--random-paraboloid", "7", "3", "11"], "paraboloid points: 11"),
 ]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from ffgeom.varieties import (
     enum_plane,
     enum_sphere,
     on_paraboloid,
+    random_paraboloid_subset,
+    random_space_subset,
     random_subset,
     restrict_nonzero_base,
 )
@@ -185,7 +188,7 @@ def test_array_is_read_only_and_build_copies():
     assert PointSet.build(f, 2, ps.array) == ps
 
 
-@pytest.mark.parametrize("make", ["paraboloid", "plane", "sphere", "subset", "projection", "text"])
+@pytest.mark.parametrize("make", ["paraboloid", "plane", "sphere", "subset", "sample", "projection", "text"])
 def test_constructors_give_canonical_sets(make):
     f = PrimeField(13)
     P = enum_paraboloid(f, 3)
@@ -194,6 +197,7 @@ def test_constructors_give_canonical_sets(make):
         "plane": lambda: enum_plane(f),
         "sphere": lambda: enum_sphere(f, 3, 5),
         "subset": lambda: random_subset(P, 40, seed=1),
+        "sample": lambda: random_paraboloid_subset(f, 3, 40, seed=1),
         "projection": lambda: bar_projection(random_subset(P, 40, seed=1)),
         "text": lambda: PointSet.from_text(random_subset(P, 40, seed=1).to_text()),
     }[make]()
@@ -216,6 +220,41 @@ def test_random_subset_same_indices_as_sample():
     P = enum_paraboloid(PrimeField(11), 3)
     idx = random.Random(7).sample(range(len(P)), 30)
     assert random_subset(P, 30, seed=7).points == tuple(sorted(P.points[i] for i in idx))
+
+
+@pytest.mark.parametrize(
+    "p, d, size, seed",
+    [(23, 3, 66, 1), (401, 3, 1500, 7), (101, 4, 10201, 3), (7, 5, 300, 2), (13, 2, 5, 9), (11, 3, 0, 4), (11, 3, 121, 5)],
+)
+def test_paraboloid_sample_is_the_enumerated_draw(p, d, size, seed):
+    # the last two cases are the empty sample and the whole paraboloid
+    F = PrimeField(p)
+    expect = random_subset(enum_paraboloid(F, d), size, seed).to_text()
+    assert random_paraboloid_subset(F, d, size, seed).to_text() == expect
+
+
+def test_space_sample_is_the_enumerated_draw():
+    F = PrimeField(31)
+    assert random_space_subset(F, 2, 100, 4) == random_subset(enum_plane(F), 100, 4)
+
+
+def test_paraboloid_sample_refuses_wrapping_norms():
+    # p^(d-1) fits int64 here, but a norm up to (p - 1)^2 would wrap
+    with pytest.raises(ValueError, match="overflow int64"):
+        random_paraboloid_subset(PrimeField(10**18 + 3), 2, 3, seed=0)
+
+
+def test_paraboloid_sample_memory_is_in_the_sample():
+    # 20 000 points of the 10^12-point paraboloid over F_10007^4
+    size = 20_000
+    tracemalloc.start()
+    try:
+        E = random_paraboloid_subset(PrimeField(10007), 4, size, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(E) == size and on_paraboloid(E)
+    assert peak < 400 * size
 
 
 @settings(max_examples=40, deadline=None)
