@@ -35,8 +35,6 @@ from .fourier import (
     inverse_surface_transform,
     plancherel_error,
     spectral_apex_bound,
-    zero_sphere_hat,
-    zero_sphere_hat_direct,
 )
 from .oracle import apex, reduction_equiv
 from .varieties import (
@@ -96,6 +94,4 @@ __all__ = [
     "scan_reduction_identity",
     "spectral_apex_bound",
     "triangle_bound_report",
-    "zero_sphere_hat",
-    "zero_sphere_hat_direct",
 ]

@@ -85,10 +85,11 @@ def isotropic_frame(field: PrimeField, ambient_dim: int, count: int) -> tuple[tu
         v = [0] * m
         v[j : j + len(block)] = block
         vectors.append(tuple(v))
-    for idx, u in enumerate(vectors):
-        for v in vectors[idx:]:
-            if field.dot(u, v) != 0:
-                raise ConstructionError(f"frame vectors {u} and {v} not orthogonal")
+    frame = np.array(vectors, dtype=object).reshape(count, m)  # Python ints: no int64 wrap
+    bad = np.argwhere(frame @ frame.T % p != 0)
+    if len(bad):
+        u, v = bad[0]
+        raise ConstructionError(f"frame vectors {vectors[u]} and {vectors[v]} not orthogonal")
     return tuple(vectors)
 
 

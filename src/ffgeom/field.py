@@ -1,18 +1,17 @@
 """Prime-field arithmetic for an odd prime modulus p.
 
-Scalars are plain Python ints reduced into [0, p); vectors are tuples of
-such ints. The canonical additive character chi(a) = exp(2*pi*i*a/p) is
-served from a precomputed table of complex unit-circle values. The square
-root of -1 comes from Euler's criterion, not from a generator of the
-multiplicative group, so p - 1 is never factored.
+Scalars are plain Python ints reduced into [0, p). A PrimeField holds only
+p; vectors and their dot products live in numpy arrays in the library and in
+tuples in the oracle. The square root of -1 comes from Euler's criterion,
+not from a generator of the multiplicative group, so p - 1 is never factored.
 
-A PrimeField instance is immutable after construction and safe to share
-across threads; every method is a pure function of its arguments.
+A PrimeField is a frozen dataclass, safe to share across threads; every
+method is a pure function of its arguments.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
 
 
 def is_prime(n: int) -> bool:
@@ -58,27 +57,19 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+@dataclass(frozen=True)
 class PrimeField:
     """The field Z/pZ for an odd prime p."""
 
-    def __init__(self, p: int):
-        if p >= 2**63:
-            raise ValueError(f"modulus {p} does not fit int64 points: need p < 2^63")
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        if p == 2:
+    p: int
+
+    def __post_init__(self):
+        if self.p >= 2**63:
+            raise ValueError(f"modulus {self.p} does not fit int64 points: need p < 2^63")
+        if not is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
+        if self.p == 2:
             raise ValueError("modulus must be an odd prime")
-        self.p = p
-        self._chi_table: np.ndarray | None = None
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
 
     # -- quadratic residues --------------------------------------------------
 
@@ -96,25 +87,3 @@ class PrimeField:
         c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
         r = pow(c, (p - 1) // 4, p)
         return min(r, p - r)
-
-    # -- additive character --------------------------------------------------
-
-    @property
-    def chi_table(self) -> np.ndarray:
-        """chi(a) for a in [0, p) as a read-only complex128 array."""
-        if self._chi_table is None:
-            tbl = np.exp(2j * np.pi * np.arange(self.p) / self.p)
-            tbl.setflags(write=False)
-            self._chi_table = tbl
-        return self._chi_table
-
-    # -- vectors ---------------------------------------------------------
-
-    def dot(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
-        if len(u) != len(v):
-            raise ValueError(f"vector length mismatch: {len(u)} vs {len(v)}")
-        return sum(a * b for a, b in zip(u, v)) % self.p
-
-    def norm(self, v: tuple[int, ...]) -> int:
-        """The quantity v_1^2 + ... + v_n^2 mod p (not a metric)."""
-        return sum(a * a for a in v) % self.p

@@ -60,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from .field import PrimeField
-from .varieties import PointSet, _check_cap, _norms, _space, enum_sphere, random_space_subset
+from .varieties import PointSet, _check_cap, _norms, enum_sphere, random_space_subset
 
 
 @lru_cache(maxsize=32)
@@ -73,10 +73,6 @@ def _freq_norms(p: int, n: int) -> np.ndarray:
     out = out.reshape(-1)
     out.setflags(write=False)
     return out
-
-
-def all_frequencies(field: PrimeField, n: int) -> list[tuple[int, ...]]:
-    return [tuple(row) for row in _space(field.p, n).tolist()]
 
 
 @lru_cache(maxsize=32)
@@ -103,9 +99,6 @@ class SpectralTable:
     field: PrimeField
     n: int
     values: np.ndarray  # shape (p,)*n, complex128
-
-    def __getitem__(self, m) -> complex:
-        return complex(self.values[tuple(c % self.field.p for c in m)])
 
     @property
     def flat(self) -> np.ndarray:
@@ -145,14 +138,6 @@ def plancherel_error(table: SpectralTable, X: PointSet) -> float:
 # -- the zero-radius sphere ----------------------------------------------
 
 
-def zero_sphere_hat_direct(field: PrimeField, n: int, m) -> complex:
-    """p^(-n) sum over the zero sphere of chi(m.y), by enumeration."""
-    S0 = _zero_sphere(field.p, n)
-    p = field.p
-    dots = (S0.array @ np.array(m, dtype=np.int64)) % p
-    return complex(field.chi_table[dots].sum() * float(p) ** (-n))
-
-
 def _zero_sphere_closed(p: int, n: int) -> tuple[float, float, float]:
     """The zero-sphere transform's closed form: 1/p - (p-1)s at m = 0, -(p-1)s
     on the rest of the cone ||m|| = 0 and s off it, s = p^(-(n+2)/2). A Gauss
@@ -162,14 +147,6 @@ def _zero_sphere_closed(p: int, n: int) -> tuple[float, float, float]:
     s = float(p) ** (-(n + 2) // 2)
     cone = -((p - 1) * s)
     return 1.0 / p + cone, cone, s
-
-
-def zero_sphere_hat(field: PrimeField, n: int, m) -> complex:
-    """The closed form of `_zero_sphere_closed` at the frequency m."""
-    origin, cone, off = _zero_sphere_closed(field.p, n)
-    if not any(c % field.p for c in m):
-        return complex(origin)
-    return complex(cone if field.norm(m) == 0 else off)
 
 
 def zero_sphere_hat_table(field: PrimeField, n: int) -> np.ndarray:

@@ -2,8 +2,11 @@
 definitions, used as ground truth in tests.
 
 Everything here is deliberately dumb: nested Python loops over the defining
-predicates, no histogram algebra, no numpy. The only shared code is the
-field module. Size caps keep the loops honest about their cost.
+predicates, no histogram algebra, no numpy. Points are tuples of Python
+ints, so no sum wraps at any p; `dot`, `norm` and the paraboloid check are
+this module's own, and the library keeps no copy of them. The only shared
+code is the field module and the PointSet that carries the points. Size caps
+keep the loops honest about their cost.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .field import PrimeField
-from .varieties import PointSet, on_paraboloid
+from .varieties import PointSet
 
 CAP_TRIPLE = 60
 CAP_QUAD = 30
@@ -30,18 +33,24 @@ def _cap(E: PointSet, limit: int, what: str) -> None:
         raise OracleCapError(f"{what} oracle capped at {limit} points, got {len(E)}")
 
 
-def _dot(u, v, p):
-    return sum(a * b for a, b in zip(u, v)) % p
+def dot(u: tuple[int, ...], v: tuple[int, ...], p: int) -> int:
+    """u_1 v_1 + ... + u_n v_n mod p; vectors of unequal length raise ValueError."""
+    return sum(a * b for a, b in zip(u, v, strict=True)) % p
+
+
+def norm(v: tuple[int, ...], p: int) -> int:
+    """The quantity v_1^2 + ... + v_n^2 mod p (not a metric)."""
+    return sum(a * a for a in v) % p
 
 
 def _dist(u, v, p):
-    return sum((a - b) * (a - b) for a, b in zip(u, v)) % p
+    return norm([a - b for a, b in zip(u, v)], p)
 
 
 def apex(field: PrimeField, x: tuple[int, ...]) -> tuple[int, ...]:
     """Map a paraboloid point to -xbar / (2 ||xbar||) one dimension down."""
     p, xbar = field.p, x[:-1]
-    nb = _dot(xbar, xbar, p)
+    nb = norm(xbar, p)
     if nb == 0:
         raise ValueError("apex undefined: base norm is zero")
     scale = -pow(2 * nb, -1, p)
@@ -60,13 +69,13 @@ def reduction_equiv(
     of x; the two booleans agree for every triple on a paraboloid.
     """
     p, a = field.p, apex(field, x)
-    return _dot(x, y, p) == _dot(x, z, p), _dist(a, y[:-1], p) == _dist(a, z[:-1], p)
+    return dot(x, y, p) == dot(x, z, p), _dist(a, y[:-1], p) == _dist(a, z[:-1], p)
 
 
 def oracle_product(E: PointSet, F: PointSet | None = None) -> set[int]:
     F = E if F is None else F
     p = E.field.p
-    return {_dot(x, y, p) for x in E.points for y in F.points}
+    return {dot(x, y, p) for x in E.points for y in F.points}
 
 
 def oracle_M(E: PointSet) -> int:
@@ -74,11 +83,11 @@ def oracle_M(E: PointSet) -> int:
     p = E.field.p
     pts = E.points
     # w.z for every (w, z), row w, computed once rather than once per (x, y)
-    wz = [[_dot(w, z, p) for z in pts] for w in pts]
+    wz = [[dot(w, z, p) for z in pts] for w in pts]
     count = 0
     for x in pts:
         for y in pts:
-            t = _dot(x, y, p)
+            t = dot(x, y, p)
             for w_row in wz:
                 for s in w_row:
                     if s == t:
@@ -93,9 +102,9 @@ def oracle_D(E: PointSet) -> int:
     count = 0
     for x in pts:
         for y in pts:
-            t = _dot(x, y, p)
+            t = dot(x, y, p)
             for z in pts:
-                if _dot(x, z, p) == t:
+                if dot(x, z, p) == t:
                     count += 1
     return count
 
@@ -103,7 +112,7 @@ def oracle_D(E: PointSet) -> int:
 def oracle_D_star(E: PointSet, allow_ambient_base: bool = False) -> int:
     _cap(E, CAP_TRIPLE, "triple")
     p = E.field.p
-    if on_paraboloid(E):
+    if all(pt[-1] == norm(pt[:-1], p) for pt in E.points):
         base = {pt: pt[:-1] for pt in E.points}
     elif allow_ambient_base:
         base = {pt: pt for pt in E.points}
@@ -112,9 +121,9 @@ def oracle_D_star(E: PointSet, allow_ambient_base: bool = False) -> int:
     count = 0
     for x in E.points:
         for y in E.points:
-            t = _dot(x, y, p)
+            t = dot(x, y, p)
             for z in E.points:
-                if _dot(x, z, p) == t and _dist(base[y], base[z], p) != 0:
+                if dot(x, z, p) == t and _dist(base[y], base[z], p) != 0:
                     count += 1
     return count
 
@@ -174,7 +183,7 @@ def oracle_fourier(X: PointSet, n: int | None = None) -> dict[tuple[int, ...], c
     for m in itertools.product(range(p), repeat=n):
         acc = 0j
         for x in X.points:
-            acc += cmath.exp(-2j * cmath.pi * (_dot(m, x, p)) / p)
+            acc += cmath.exp(-2j * cmath.pi * (dot(m, x, p)) / p)
         out[m] = acc * scale
     return out
 
@@ -228,6 +237,9 @@ def run_battery(seed: int = 0, instances: int = 20) -> list[OracleReport]:
     from .field import PrimeField
     from .varieties import enum_paraboloid, random_subset
 
+    if instances < 1:
+        raise ValueError("instances must be >= 1")
+
     rng = random.Random(seed)
     reports: list[OracleReport] = []
 
@@ -260,7 +272,7 @@ def run_battery(seed: int = 0, instances: int = 20) -> list[OracleReport]:
                 lambda: {
                     m: complex(v)
                     for m, v in zip(
-                        fourier.all_frequencies(fld, 2), fourier.fourier_indicator(X2).flat
+                        itertools.product(range(p), repeat=2), fourier.fourier_indicator(X2).flat
                     )
                 },
                 lambda: oracle_fourier(X2),

@@ -365,6 +365,8 @@ def planar_triangle_check(X) -> PlanarTriangleReport:
     if p % 4 != 3:
         raise ValueError("planar check requires p = 3 mod 4")
     n = len(X)
+    if n == 0:
+        raise ValueError("planar check needs a nonempty set")
     if n**3 > p**4:
         raise ValueError(f"|X| = {n} violates the hypothesis |X| <= p^(4/3)")
     t_star = counting.profile(X).triangles.t_star
@@ -384,6 +386,8 @@ def planar_triangle_sweep(
     """Random subsets of F_p^2 of size ceil(p^exponent) across a prime list."""
     if not 0 < exponent <= 4 / 3:
         raise ValueError(f"exponent {exponent} outside (0, 4/3]: the check needs |X| <= p^(4/3)")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     reports = []
     for idx, p in enumerate(primes):
         field, size = PrimeField(p), min(math.ceil(p**exponent), p * p)

@@ -40,7 +40,11 @@ def _space(p: int, k: int) -> np.ndarray:
 
 
 def _norms(arr: np.ndarray, p: int) -> np.ndarray:
-    """The sum of squares of each row mod p."""
+    """The sum of squares of each row mod p, refused where int64 would wrap:
+    entries below p cannot wrap it unless d (p - 1)^2 reaches 2^63."""
+    d = arr.shape[1]
+    if d * (p - 1) ** 2 >= 1 << 63 and d * int(arr.max(initial=0)) ** 2 >= 1 << 63:
+        raise ValueError(f"norms of {d} coordinates overflow int64 at p = {p}")
     return (arr * arr).sum(axis=1) % p
 
 
@@ -86,10 +90,6 @@ class PointSet:
         """The rows of `array` as tuples of ints."""
         return tuple(map(tuple, self.array.tolist()))
 
-    @cached_property
-    def _member(self) -> frozenset:
-        return frozenset(self.points)
-
     def __eq__(self, other: object) -> bool:
         same = isinstance(other, PointSet) and (other.field, other.dim) == (self.field, self.dim)
         return same and np.array_equal(self.array, other.array)
@@ -102,9 +102,6 @@ class PointSet:
 
     def __iter__(self):
         return iter(self.points)
-
-    def __contains__(self, pt) -> bool:
-        return tuple(pt) in self._member
 
     def union(self, other: "PointSet") -> "PointSet":
         if other.field != self.field or other.dim != self.dim:
@@ -215,8 +212,6 @@ def random_paraboloid_subset(field: PrimeField, d: int, size: int, seed: int, ca
         raise ValueError("paraboloid needs dimension >= 2")
     p = field.p
     _check_cap(size, cap, "paraboloid points")
-    if (d - 1) * (p - 1) ** 2 >= 1 << 63:
-        raise ValueError(f"paraboloid norms overflow int64 at p = {p}, d = {d}")
     base = _space_sample(p, d - 1, size, seed)
     return PointSet.build(field, d, np.column_stack([base, _norms(base, p)]))
 

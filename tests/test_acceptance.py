@@ -47,7 +47,7 @@ def test_02_reduction_identity():
     rng = random.Random(2024)
     f7 = PrimeField(7)
     P7 = enum_paraboloid(f7, 3)
-    apexes7 = [x for x in P7.points if f7.norm(x[:2]) != 0]
+    apexes7 = [x for x in P7.points if oracle.norm(x[:2], 7) != 0]
     for _ in range(2000):
         x = rng.choice(apexes7)
         y, z = rng.choice(P7.points), rng.choice(P7.points)
@@ -57,7 +57,7 @@ def test_02_reduction_identity():
     # sampled triples in dimension 5
     f = PrimeField(7)
     P5 = enum_paraboloid(f, 5)
-    apexes = [x for x in P5.points if f.norm(x[:4]) != 0]
+    apexes = [x for x in P5.points if oracle.norm(x[:4], 7) != 0]
     for _ in range(100_000):
         x = rng.choice(apexes)
         y, z = rng.choice(P5.points), rng.choice(P5.points)
@@ -117,7 +117,7 @@ def test_04_oracle_equivalence():
         X = random_subset(plane(p), rng.randint(1, 15), rng.randrange(2**32))
         table = fourier.fourier_indicator(X)
         bad = any(
-            abs(table[m] - v) > 1e-9 for m, v in oracle.oracle_fourier(X).items()
+            abs(table.values[m] - v) > 1e-9 for m, v in oracle.oracle_fourier(X).items()
         )
         if bad:
             mismatches.append("fourier_indicator")

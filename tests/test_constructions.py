@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from ffgeom import counting, constructions as cn
+from ffgeom import counting, constructions as cn, oracle
 from ffgeom.field import PrimeField
 from ffgeom.oracle import oracle_product
 from ffgeom.varieties import PointSet, ResourceLimitError, on_paraboloid
@@ -74,7 +74,7 @@ def test_isotropic_frame_found_and_verified(monkeypatch):
     f13 = PrimeField(13)  # i = 5
     assert cn.isotropic_frame(f13, 5, 2) == ((1, 5, 0, 0, 0), (0, 0, 1, 5, 0))
     assert cn.isotropic_frame(f13, 5, 0) == ()
-    monkeypatch.setattr(f13, "sqrt_minus_one", lambda: 4)  # 16 = 3: not isotropic
+    monkeypatch.setattr(PrimeField, "sqrt_minus_one", lambda self: 4)  # 16 = 3: not isotropic
     with pytest.raises(cn.ConstructionError, match="not orthogonal"):
         cn.isotropic_frame(f13, 4, 1)
 
@@ -83,6 +83,14 @@ def test_isotropic_frame_not_found():
     # x^2 + y^2 is anisotropic for p = 3 mod 4: F_7^2 holds no isotropic line
     with pytest.raises(ValueError, match="F_7\\^2 has no totally isotropic subspace of dimension 1"):
         cn.isotropic_frame(PrimeField(7), 2, 1)
+
+
+def test_isotropic_frame_is_checked_exactly_at_a_large_prime():
+    # p = 1 mod 4: e_2j + i e_2j+1 with i near p / 3, whose int64 Gram wraps
+    p = 1000000000000000009
+    frame = cn.isotropic_frame(PrimeField(p), 6, 3)
+    assert len(frame) == 3
+    assert all(oracle.dot(u, v, p) == 0 for u in frame for v in frame)
 
 
 def test_isotropic_frame_witt_ceiling():
@@ -100,7 +108,7 @@ def test_isotropic_frame_reaches_the_witt_index(p):
         w = witt_index(p, m)
         frame = cn.isotropic_frame(field, m, w)
         assert len(frame) == w
-        assert all(field.dot(u, v) == 0 for u in frame for v in frame)
+        assert all(oracle.dot(u, v, p) == 0 for u in frame for v in frame)
         span = cn.span_points(field, frame, m)
         assert len(np.unique(span @ p ** np.arange(m, dtype=np.int64))) == p**w
         assert (w >= 1) == field.isotropic(m)
@@ -220,7 +228,7 @@ def test_even_0mod4_postcondition_is_a_plus_a2(monkeypatch):
     # products stay in {c + c^2} because the frame is isotropic: a frame that
     # is not (4^2 = 3 in F_13) is refused where it is made, before any lift
     f13 = PrimeField(13)
-    monkeypatch.setattr(f13, "sqrt_minus_one", lambda: 4)
+    monkeypatch.setattr(PrimeField, "sqrt_minus_one", lambda self: 4)
     with pytest.raises(cn.ConstructionError, match="not orthogonal"):
         cn.construct_even_0mod4(f13, 4, 3)
 

@@ -75,39 +75,6 @@ def test_isotropy_rule_matches_brute_force(p, m):
     assert f.isotropic(m) == nonzero_zero
 
 
-@pytest.mark.parametrize("p", SMALL_PRIMES)
-def test_chi_is_additive_homomorphism(p):
-    chi = PrimeField(p).chi_table
-    assert chi[0] == pytest.approx(1.0)
-    for a in range(p):
-        assert abs(abs(chi[a]) - 1.0) < 1e-12
-        for b in range(p):
-            assert chi[a] * chi[b] == pytest.approx(chi[(a + b) % p], abs=1e-12)
-
-
-def test_chi_wraps_mod_p():
-    chi = PrimeField(5).chi_table
-    assert chi[2] * chi[3] == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("p", SMALL_PRIMES)
-def test_chi_orthogonality(p):
-    chi = PrimeField(p).chi_table
-    for t in range(p):
-        s = sum(chi[a * t % p] for a in range(p))
-        expect = p if t == 0 else 0
-        assert abs(s - expect) < 1e-9
-
-
-def test_dot_and_norm_examples():
-    f = PrimeField(7)
-    assert f.dot((1, 2, 3), (4, 5, 6)) == 4  # 32 mod 7
-    assert f.norm((1, 2, 3)) == 0  # 14 mod 7, an isotropic vector
-    assert f.norm((0, 0, 0)) == 0
-    with pytest.raises(ValueError):
-        f.dot((1, 2), (1, 2, 3))
-
-
 @settings(max_examples=50)
 @given(st.integers(2, 10**6))
 def test_prime_factors_multiply_back(n):

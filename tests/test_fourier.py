@@ -1,4 +1,6 @@
 import ast
+import cmath
+import itertools
 import random
 import tracemalloc
 from pathlib import Path
@@ -26,7 +28,12 @@ def plane(p):
 
 
 def space(p, n):
-    return PointSet.build(PrimeField(p), n, fourier.all_frequencies(PrimeField(p), n))
+    return PointSet.build(PrimeField(p), n, itertools.product(range(p), repeat=n))
+
+
+def chi(a, p):
+    """The additive character exp(2 pi i a / p)."""
+    return cmath.exp(2j * cmath.pi * a / p)
 
 
 def rand_plane_subset(p, size, seed):
@@ -74,9 +81,9 @@ def test_indicator_sign_and_scale_against_definition():
     asymmetric = False
     for _ in range(16):
         m = (rng.randrange(p), rng.randrange(p))
-        literal = sum(f.chi_table[-f.dot(m, x) % p] for x in X.points) / p**2
-        assert abs(t[m] - literal) < 1e-9
-        asymmetric |= abs(t[m] - t[(-m[0], -m[1])]) > 1e-6
+        literal = sum(chi(-oracle.dot(m, x, p), p) for x in X.points) / p**2
+        assert abs(t.values[m] - literal) < 1e-9
+        asymmetric |= abs(t.values[m] - t.values[-m[0], -m[1]]) > 1e-6
     assert asymmetric
 
 
@@ -84,16 +91,15 @@ def test_fourier_matches_oracle():
     X = rand_plane_subset(5, 9, seed=2)
     t = fourier.fourier_indicator(X)
     for m, val in oracle.oracle_fourier(X).items():
-        assert abs(t[m] - val) < 1e-9
+        assert abs(t.values[m] - val) < 1e-9
 
 
 def test_zero_sphere_values_small():
-    f = PrimeField(3)
-    assert fourier.zero_sphere_hat(f, 2, (0, 0)) == pytest.approx(1 / 9)
-    assert fourier.zero_sphere_hat_direct(f, 2, (0, 0)) == pytest.approx(1 / 9)
-    # nonzero-norm frequency: -(1/9) * (-1)
-    assert fourier.zero_sphere_hat(f, 2, (1, 0)) == pytest.approx(1 / 9)
-    assert fourier.zero_sphere_hat_direct(f, 2, (1, 0)) == pytest.approx(1 / 9)
+    # the closed form at p = 3, n = 2, and the enumerated sphere's transform
+    for table in (fourier.zero_sphere_hat_table(PrimeField(3), 2), enumerated_zero_sphere_hat(3, 2)):
+        assert table[0] == pytest.approx(1 / 9)  # m = (0, 0)
+        # nonzero-norm frequency m = (1, 0): -(1/9) * (-1)
+        assert table[3] == pytest.approx(1 / 9)
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (2, 7), (2, 11), (6, 3)])
@@ -122,17 +128,17 @@ def test_zero_sphere_table_outside_the_closed_form(n, p):
     table = fourier.zero_sphere_hat_table(PrimeField(p), n)
     assert np.abs(table - enumerated_zero_sphere_hat(p, n)).max() < 1e-12
     m = (1,) + (2,) * (n - 1)
-    direct = fourier.zero_sphere_hat_direct(PrimeField(p), n, m)
+    direct = sum(chi(oracle.dot(m, y, p), p) for y in enum_sphere(PrimeField(p), n, 0)) / p**n
     assert abs(table[np.ravel_multi_index(m, (p,) * n)] - direct) < 1e-12
 
 
 def test_zero_sphere_formula_hypotheses():
     with pytest.raises(ValueError):
-        fourier.zero_sphere_hat(PrimeField(13), 2, (0, 0))  # p = 1 mod 4
+        fourier.zero_sphere_max_error(PrimeField(13), 2)  # p = 1 mod 4
     with pytest.raises(ValueError):
-        fourier.zero_sphere_hat(PrimeField(7), 3, (0, 0, 0))  # n odd
-    # the direct route has no hypotheses
-    fourier.zero_sphere_hat_direct(PrimeField(13), 2, (0, 0))
+        fourier.zero_sphere_max_error(PrimeField(7), 3)  # n odd
+    # the enumerated table has no hypotheses
+    fourier.zero_sphere_hat_table(PrimeField(13), 2)
 
 
 def test_surface_transform_constants():
@@ -140,7 +146,7 @@ def test_surface_transform_constants():
     S = enum_sphere(f, 2, 1)
     ones = fourier.SurfaceFunction.constant(S)
     table = fourier.inverse_surface_transform(ones)
-    assert table[(0, 0)] == pytest.approx(1.0)
+    assert table.values[0, 0] == pytest.approx(1.0)
     pm = delta(S, 2)
     tp = fourier.inverse_surface_transform(pm)
     assert np.allclose(np.abs(tp.flat), 1 / len(S))
@@ -161,9 +167,9 @@ def test_surface_transform_sign_and_scale_against_definition():
     asymmetric = False
     for _ in range(16):
         c = tuple(int(v) for v in rng.integers(0, p, 2))
-        literal = sum(f.chi_table[f.dot(c, x)] * v for x, v in zip(V.points, vals)) / len(V)
-        assert abs(table[c] - literal) < 1e-9
-        asymmetric |= abs(table[c] - table[(-c[0], -c[1])]) > 1e-6
+        literal = sum(chi(oracle.dot(c, x, p), p) * v for x, v in zip(V.points, vals)) / len(V)
+        assert abs(table.values[c] - literal) < 1e-9
+        asymmetric |= abs(table.values[c] - table.values[-c[0], -c[1]]) > 1e-6
     assert asymmetric
 
 
@@ -183,7 +189,7 @@ def test_extension_ratio_against_direct_norms():
     num = 0.0
     for c0 in range(3):
         for c1 in range(3):
-            acc = sum(f.chi_table[(c0 * x + c1 * y) % 3] for x, y in S.points) / len(S)
+            acc = sum(chi(c0 * x + c1 * y, 3) for x, y in S.points) / len(S)
             num += abs(acc) ** 4
     expect = num**0.25 / (sum(1.0 for _ in S.points) / len(S)) ** 0.5
     assert ratio == pytest.approx(expect, abs=1e-9)
@@ -522,7 +528,7 @@ def test_spectral_apex_bound_cases():
         p = 7
         hist = [0] * p
         for x in X.points:
-            hist[f.norm(tuple(a - b for a, b in zip(x, y)))] += 1
+            hist[oracle.norm(tuple(a - b for a, b in zip(x, y)), p)] += 1
         assert lhs == sum(c * c for c in hist[1:])
         assert lhs <= 100 * rhs
 
@@ -664,7 +670,7 @@ def test_indicator_transform_holds_one_table():
     p = 1019
     X = rand_plane_subset(p, 3000, seed=4)
     t, peak = _traced_peak(fourier.fourier_indicator, X)
-    assert t.values.shape == (p, p) and t[(0, 0)] == pytest.approx(3000 / p**2)
+    assert t.values.shape == (p, p) and t.values[0, 0] == pytest.approx(3000 / p**2)
     assert peak < 1.25 * p**2 * 16
 
 
@@ -674,7 +680,7 @@ def test_surface_transform_holds_one_table():
     V = enum_sphere(PrimeField(p), 2, 5)
     vals = np.random.default_rng(3).standard_normal(len(V)) + 0j
     t, peak = _traced_peak(fourier.inverse_surface_transform, fourier.SurfaceFunction(V, vals))
-    assert t.values.shape == (p, p) and t[(0, 0)] == pytest.approx(vals.sum() / len(V))
+    assert t.values.shape == (p, p) and t.values[0, 0] == pytest.approx(vals.sum() / len(V))
     assert peak < 1.25 * p**2 * 16
 
 

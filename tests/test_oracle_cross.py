@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from ffgeom import oracle
@@ -20,7 +23,54 @@ def test_oracle_trivial_values():
     single = PointSet.build(f, 3, [(1, 2, 5)])
     assert oracle.oracle_M(single) == 1
     assert oracle.oracle_D(single) == 1
-    assert oracle.oracle_product(single) == {f.norm((1, 2, 5))}
+    assert oracle.oracle_product(single) == {oracle.norm((1, 2, 5), 7)}
+
+
+def test_dot_and_norm_examples():
+    assert oracle.dot((1, 2, 3), (4, 5, 6), 7) == 4  # 32 mod 7
+    assert oracle.norm((1, 2, 3), 7) == 0  # 14 mod 7, an isotropic vector
+    assert oracle.norm((0, 0, 0), 7) == 0
+    with pytest.raises(ValueError):
+        oracle.dot((1, 2), (1, 2, 3), 7)
+
+
+def test_D_star_paraboloid_check_is_exact_at_a_large_prime():
+    # (p - 1, 1) lies on y = x^2; a norm taken in int64 would wrap
+    p = 10**18 + 3
+    assert oracle.oracle_D_star(PointSet.build(PrimeField(p), 2, [(p - 1, 1)])) == 0
+
+
+def _ffgeom_imports(tree):
+    """The names that a module's top-level statements take from ffgeom."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "ffgeom"):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names if alias.name.split(".")[0] == "ffgeom")
+
+
+def test_tuples_stay_in_the_oracle():
+    """Only oracle.py reads points as tuples (PointSet's own `points` and
+    `__iter__` aside), and at module level it takes nothing from ffgeom but
+    PrimeField and PointSet."""
+    readers, borrowed = [], []
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = set()
+        if path.name == "varieties.py":
+            cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PointSet")
+            own = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name in ("points", "__iter__")]
+            exempt = {id(node) for fn in own for node in ast.walk(fn)}
+        if path.name != "oracle.py":
+            readers += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "points" and id(node) not in exempt
+            ]
+        else:
+            borrowed = [name for name in _ffgeom_imports(tree) if name not in ("PrimeField", "PointSet")]
+    assert not readers, readers
+    assert not borrowed, borrowed
 
 
 def test_battery_all_match():

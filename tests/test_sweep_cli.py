@@ -235,6 +235,15 @@ def test_cli_construct_seed_leaves_the_lift_unchanged(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_cli_count_refuses_norms_that_would_wrap(tmp_path, capsys):
+    # (p - 1, 1) is on y = x^2, and (p - 1)^2 overflows int64
+    path = tmp_path / "wrap.txt"
+    path.write_text(f"{10**18 + 3} 2 1\n{10**18 + 2} 1\n")
+    assert cli.main(["count", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: norms of 1 coordinates overflow int64 at p = 1000000000000000003\n"
+
+
 def test_cli_count_refuses_a_large_prime_header_quickly(tmp_path, capsys):
     # p = 10^18 + 3 is prime, and its p-sized tables exceed the cap; p >= 2^63
     # does not fit the int64 points at all
@@ -429,6 +438,12 @@ def test_cli_sweep_bad_values_exit_2_before_running(tmp_path, capsys, monkeypatc
         (["count", "--random-paraboloid", "1000000007", "4", "10"], "too many to sample"),
         (["count", "--random-paraboloid", "7", "1", "3"], "paraboloid needs dimension >= 2"),
         (["count", "--random-paraboloid", "7", "3", "50"], "sample size 50 exceeds population 49"),
+        # a verification that checks nothing
+        (["mpprp-check", "--p", "7", "--size", "0"], "nonempty set"),
+        (["mpprp-check", "--primes", "7", "--trials", "0"], "trials must be >= 1"),
+        (["mpprp-check", "--primes", "7", "--trials", "-2"], "trials must be >= 1"),
+        (["oracle-diff", "--instances", "0"], "instances must be >= 1"),
+        (["oracle-diff", "--instances", "-1"], "instances must be >= 1"),
     ],
 )
 def test_cli_unusable_arguments_exit_2(capsys, argv, missing):

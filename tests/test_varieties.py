@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffgeom import oracle
 from ffgeom.field import PrimeField
 from ffgeom.varieties import (
     PointSet,
@@ -101,8 +102,7 @@ def test_restrict_nonzero_base():
     E13 = enum_paraboloid(PrimeField(13), 3)
     r13 = restrict_nonzero_base(E13)
     assert len(r13) == 169 - 25
-    f13 = PrimeField(13)
-    assert all(f13.norm(pt[:2]) != 0 for pt in r13)
+    assert all(oracle.norm(pt[:2], 13) != 0 for pt in r13)
 
 
 def test_bar_projection_dedupes():
@@ -236,6 +236,17 @@ def test_paraboloid_sample_is_the_enumerated_draw(p, d, size, seed):
 def test_space_sample_is_the_enumerated_draw():
     F = PrimeField(31)
     assert random_space_subset(F, 2, 100, 4) == random_subset(enum_plane(F), 100, 4)
+
+
+def test_norms_that_would_wrap_are_refused():
+    # (p - 1, 1) lies on y = x^2, but (p - 1)^2 wraps int64 at p = 10^18 + 3
+    p = 10**18 + 3
+    E = PointSet.build(PrimeField(p), 2, [(p - 1, 1)])
+    for fn in (on_paraboloid, restrict_nonzero_base):
+        with pytest.raises(ValueError, match="norms of 1 coordinates overflow int64"):
+            fn(E)
+    # past the p bound, small entries are still exact
+    assert on_paraboloid(PointSet.build(PrimeField(p), 2, [(2, 4), (3, 9)]))
 
 
 def test_paraboloid_sample_refuses_wrapping_norms():
