@@ -23,8 +23,9 @@ Conventions, fixed once for the whole package:
 and `count_M` are the Gram-only path. `profile` streams the Gram matrix
 x.y mod p in row blocks of about _BLOCK_BYTES, which stay in cache
 (`_gram_blocks`, the only place a matrix product is formed; the Gram-only
-path shares it), and the distance block as one more product of
-augmented rows, ||x - y|| = [x, ||x||, 1] . [-2y, 1, ||y||]. One pass takes
+path shares it). One product a block: the distances come from the Gram
+block and the row norms, ||x - y|| = ||x|| + ||y|| - 2 x.y, reduced by
+integer floor division like the Gram itself. One pass takes
 the product histogram (prod and M), per-apex dot histograms (D), per-apex
 distance histograms (isosceles total, zero equal sides, degenerate pairs)
 and the pairs i < j at distance zero and at base distance zero, which on a
@@ -70,11 +71,11 @@ tables, which the default enumeration cap bounds (2p entries for `profile`).
 Every block is a BLAS product in the narrowest exact tier, cast to
 integers of the same width and reduced mod p by integer floor division. The
 tier follows from bound = columns x max|A| x max|B|, which bounds every
-partial sum (for the distance block (d + 2) 2 (p - 1)^2):
+partial sum (for the Gram of a set, d (p - 1)^2 at most), and a pass has
+one tier, its Gram's:
 
-* bound < 2^24: float32, int32 blocks (the distance block up to p = 1447 in
-  the plane, and the Gram block up to p = 2897 in F_p^2);
-* bound < 2^53: float64, int64 blocks (p up to about 2^26 / sqrt(d + 2));
+* bound < 2^24: float32, int32 blocks (up to p = 2897 in the plane);
+* bound < 2^53: float64, int64 blocks (p up to about 2^26.5 / sqrt(d));
 * bound < 2^63: an int64 product;
 * beyond, int64 would wrap: `_gram_blocks` raises ResourceLimitError (exit
   2 on the command line).
@@ -99,6 +100,7 @@ from .varieties import (
     PointSet,
     ResourceLimitError,
     _check_cap,
+    _norms,
     bar_projection,
     on_paraboloid,
     restrict_nonzero_base,
@@ -387,10 +389,8 @@ def profile(E: PointSet) -> Profile:
     # off an isotropic form no two distinct points are at zero (base) distance
     scan_dist = E.field.isotropic(E.dim)
     scan_base = last is not None and E.field.isotropic(E.dim - 1)
-    nrm = (arr * arr).sum(axis=1) % p
-    ones = np.ones(n, dtype=np.int64)
-    left, right = np.column_stack([arr, nrm, ones]), np.column_stack([-2 * arr, ones, nrm])
-    blocks = zip(_gram_blocks(arr, arr, p), _gram_blocks(left, right, p))  # may raise: before the p-sized tables
+    blocks = _gram_blocks(arr, arr, p)  # may raise: before the p-sized tables
+    nrm = _norms(arr, p)
     _check_cap(2 * p, None, "square-table entries")  # square, the largest of them, whatever n
     # square[k + p] = k^2 = ||y - z|| - ||ybar - zbar|| at k = y_d - z_d
     square = np.arange(2 * p) ** 2 % p
@@ -398,7 +398,15 @@ def profile(E: PointSet) -> Profile:
     d_total = total_iso = eq_zero_sides = degenerate = m = m_base = 0
     empty = np.zeros((2, 0), dtype=np.intp)
     dist_found, base_found = [empty], [empty]
-    for (lo, gram), (_, dist) in blocks:
+    for lo, gram in blocks:
+        # ||x - y|| = ||x|| + ||y|| - 2 x.y, each entry in (-2p, 2p) before
+        # it is reduced; in the int32 tier every norm is a diagonal Gram
+        # entry, below the bound 2^24, so the sum cannot wrap
+        norms = nrm.astype(gram.dtype, copy=False)
+        dist = norms[lo : lo + len(gram), None] + norms
+        dist -= gram
+        dist -= gram
+        dist -= dist // p * p  # mod p: // by a scalar beats %
         if scan_dist:
             dist_found.append(_upper_zeros(lo, dist))
             m += dist_found[-1].shape[1]
@@ -450,9 +458,14 @@ def profile(E: PointSet) -> Profile:
 
 
 def _apexes(arr: np.ndarray, p: int) -> np.ndarray:
-    """`oracle.apex` of every row of arr, as an array one column narrower."""
+    """`oracle.apex` of every row of arr, as an array one column narrower.
+    Refuses the p where the products of d coordinates below p, here and in
+    `scan_reduction_identity`, can wrap int64."""
+    d = arr.shape[1]
+    if d * (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"products of {d} coordinates overflow int64 at p = {p}")
     base = arr[:, :-1]
-    nb = (base * base).sum(axis=1) % p
+    nb = _norms(base, p)
     if not nb.all():
         raise ValueError("apex undefined: base norm is zero")
     return base * (p - _inverses(2 * nb % p, p))[:, None] % p
@@ -474,13 +487,13 @@ def scan_reduction_identity(E: PointSet) -> tuple[int, int]:
     restricted to nonzero base norm. Returns (triples checked, mismatches)."""
     p, arr = E.field.p, E.array
     ybar = arr[:, :-1]
-    ynrm = (ybar * ybar).sum(axis=1) % p
+    ynrm = _norms(ybar, p)
     apexes = arr[ynrm != 0]
+    images = _apexes(apexes, p)
     mismatches = 0
-    for x, a in zip(apexes, _apexes(apexes, p)):
+    for x, a, anrm in zip(apexes, images, _norms(images, p)):
         dx = (arr @ x) % p
-        anrm = int((a * a).sum() % p)
-        adist = (anrm - 2 * (ybar @ a) + ynrm) % p
+        adist = (anrm - 2 * (ybar @ a % p) + ynrm) % p
         # pairs where exactly one side holds: |lhs| + |rhs| - 2 |lhs and rhs|
         mismatches += _equal_pairs(dx) + _equal_pairs(adist) - 2 * _equal_pairs(dx * p + adist)
     return len(apexes) * len(E) ** 2, mismatches

@@ -244,8 +244,9 @@ def extension_ratio(f: SurfaceFunction, r_exp: float, cap: int | None = None) ->
         _check_cap(p**n, cap, "transform-table entries")
         num = (float(p) ** n * _antipodal_energy(f, *antipodes)) ** 0.25 / len(V)
     else:
-        g = inverse_surface_transform(f, cap).flat
-        num = float(((g.real**2 + g.imag**2) ** (r_exp / 2)).sum()) ** (1.0 / r_exp)
+        g = np.abs(inverse_surface_transform(f, cap).flat)
+        top = g.max()  # scaled by the max, the sum neither underflows nor overflows at large r
+        num = float(top * ((g / top) ** r_exp).sum() ** (1.0 / r_exp))
     return num / denom_sq**0.5
 
 
@@ -268,6 +269,8 @@ def extension_ratio_stats(
     if n < 1:
         raise ValueError("sphere needs dimension >= 1")
     p = field.p
+    if radius is not None and radius % p == 0:
+        raise ValueError(f"radius must be nonzero mod p = {p}, got {radius}")
     _check_cap(p ** (n - 1) * 2, cap, "sphere points")
     _check_cap(p**n, cap, "transform-table entries")
     norms = _freq_norms(p, n)

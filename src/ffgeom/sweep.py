@@ -114,6 +114,13 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _positive(value, what: str) -> int:
+    """value, which must be a JSON integer >= 1."""
+    if _integer(value, what) < 1:
+        raise ConfigError(f"{what} must be >= 1, got {value}")
+    return value
+
+
 def _parse_alpha(value) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"alpha {value!r} is not a number or a fraction a/b")
@@ -152,14 +159,14 @@ def parse_family(doc: dict, max_dim: int) -> Family:
             raise ConfigError("construction family needs exactly one of 'k' or 'k_rule'")
         if "k_rule" in doc and doc["k_rule"] not in ("max_leq_sqrt", "max_proper"):
             raise ConfigError(f"unknown k_rule {doc['k_rule']!r}")
-        k = _integer(doc["k"], "'k'") if "k" in doc else None
+        k = _positive(doc["k"], "'k'") if "k" in doc else None
         return Family(kind, construction=name, k=k, k_rule=doc.get("k_rule"))
     if doc.get("lines") is None or doc.get("per_line") is None:
         raise ConfigError("lines family needs 'lines' and 'per_line'")
     return Family(
         kind,
-        num_lines=_integer(doc["lines"], "'lines'"),
-        points_per_line=_integer(doc["per_line"], "'per_line'"),
+        num_lines=_positive(doc["lines"], "'lines'"),
+        points_per_line=_positive(doc["per_line"], "'per_line'"),
     )
 
 

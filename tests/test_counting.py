@@ -175,6 +175,22 @@ def test_scan_matches_scalar_reduction():
     assert counting.scan_reduction_identity(X) == (len(triples), expect)
 
 
+@pytest.mark.parametrize("pt", [(10**18 + 2, 1), (3 * 10**9, 1)])
+def test_apex_products_that_would_wrap_are_refused(pt):
+    """Over p = 10^18 + 3 int64 products of coordinates below p wrap:
+    (p - 1)^2, and base * (p - inverse) for the base 3 10^9, whose norm
+    9 10^18 alone fits. Both apex kernels refuse the p, where they answered
+    wrongly; at p = 2^31 - 1, where 2 (p - 1)^2 < 2^63, they are exact."""
+    E = PointSet.build(PrimeField(10**18 + 3), 2, [pt])
+    for fn in (counting.apex_set, counting.scan_reduction_identity):
+        with pytest.raises(ValueError, match="overflow int64"):
+            fn(E)
+    f = PrimeField(2**31 - 1)
+    P = PointSet.build(f, 2, [(x, x * x % f.p) for x in (f.p - 1, f.p - 2, 3 * 10**4)])
+    assert counting.apex_set(P).points == tuple(sorted(oracle.apex(f, x) for x in P.points))
+    assert counting.scan_reduction_identity(P) == (27, 0)
+
+
 def test_two_point_triangle_taxonomy():
     f = PrimeField(7)
     X = PointSet.build(f, 2, [(0, 0), (1, 0)])
@@ -330,12 +346,13 @@ def test_difference_keys_match_oracles(monkeypatch, make):
     assert pr.zero_pairs + pr.base_zero_pairs > 7
 
 
-@pytest.mark.parametrize("p", [1447, 1451])
+@pytest.mark.parametrize("p", [2897, 2903])
 def test_profile_matches_oracles_across_the_float32_bound(monkeypatch, p):
-    """The planar distance block's bound 4 (p - 1) 2 (p - 1) is just under
-    2^24 at p = 1447, where the blocks are float32 products, and just over
-    it at p = 1451, where they are float64; with coordinates that reach
-    p - 1, every count matches the oracles on both sides."""
+    """The planar Gram bound 2 (p - 1)^2 is just under 2^24 at p = 2897,
+    where the block is a float32 product, and just over it at p = 2903,
+    where it is float64; with coordinates that reach p - 1, every count
+    matches the oracles on both sides, from one product a block: the
+    distances are derived from the Gram block and the norms."""
     rng = np.random.default_rng(p)
     pts = np.vstack([rng.integers(0, p, (27, 2)), [[p - 1, 0], [0, p - 1], [p - 1, p - 1]]])
     E = PointSet.build(PrimeField(p), 2, pts)
@@ -344,7 +361,7 @@ def test_profile_matches_oracles_across_the_float32_bound(monkeypatch, p):
     reduced = counting._reduced_blocks
     monkeypatch.setattr(counting, "_reduced_blocks", lambda a, bt, p: factors.append(a.dtype) or reduced(a, bt, p))
     assert_profile_matches_oracles(E)
-    assert factors == [np.float32, np.float32 if p == 1447 else np.float64]  # the Gram, then the distance stream
+    assert factors == [np.float32 if p == 2897 else np.float64]
 
 
 def test_zero_pair_byte_cap(monkeypatch):
@@ -414,9 +431,9 @@ def test_zero_pair_byte_cap_counts_the_adjacency(monkeypatch):
 @pytest.mark.parametrize("block_bytes", [1 << 18, None])
 def test_profile_memory_is_blocks(monkeypatch, block_bytes):
     """Without zero pairs, profile holds four row blocks of about
-    _BLOCK_BYTES (a Gram and a distance block, each with its quotient) and
-    O(n) words: on 3000 points of the anisotropic plane over p = 103,
-    512-row blocks held 12 MB each."""
+    _BLOCK_BYTES (the Gram block and the distances derived from it, each
+    with its quotient) and O(n) words: on 3000 points of the anisotropic
+    plane over p = 103, 512-row blocks held 12 MB each."""
     if block_bytes:
         monkeypatch.setattr(counting, "_BLOCK_BYTES", block_bytes)
     E = rand_plane_subset(103, 3000, seed=2)
@@ -566,9 +583,8 @@ def test_gram_blocks_exact_at_the_bounds(a_max, b_max):
     """Every block equals the Python-int product mod p when the bound
     3 max|A| max|B| sits on either side of 2^24 and of 2^53 and just below
     2^63, and the blocks are int32 exactly below 2^24. The rows reach the
-    extremes, B's signs included (the -2y columns of the distance stream),
-    so sums of +-bound and odd values near 2^24 and 2^53, which float32 and
-    float64 cannot hold, occur."""
+    extremes, B's signs included, so sums of +-bound and odd values near
+    2^24 and 2^53, which float32 and float64 cannot hold, occur."""
     rng = np.random.default_rng(a_max % 1000)
     A = np.vstack([np.full((2, 3), a_max), rng.integers(0, a_max + 1, (10, 3)), [[a_max, 1, 0], [a_max, a_max, a_max - 1]]])
     B = np.vstack([np.full((1, 3), b_max), np.full((1, 3), -b_max), rng.integers(-b_max, b_max + 1, (9, 3))])

@@ -195,6 +195,20 @@ def test_extension_ratio_against_direct_norms():
     assert ratio == pytest.approx(expect, abs=1e-9)
 
 
+def test_extension_ratio_decreases_to_the_max():
+    """On one fixed f the L^r norm of (f dsigma)^vee does not increase with
+    r and tends to max |g|: scaled by the max, the sum of |g|^r neither
+    underflows to 0 at large r nor overflows."""
+    S = enum_sphere(PrimeField(23), 2, 1)
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(len(S)) + 1j * rng.standard_normal(len(S))
+    f = fourier.SurfaceFunction(S, vals)
+    ratios = [fourier.extension_ratio(f, r) for r in (1, 2, 4, 10, 100, 1000, 2000, 1e5, 1e308)]
+    assert all(a >= b for a, b in zip(ratios, ratios[1:]))
+    top = np.abs(fourier.inverse_surface_transform(f).flat).max()
+    assert ratios[-1] == pytest.approx(top / np.mean(np.abs(vals) ** 2) ** 0.5, rel=1e-12)
+
+
 def test_extension_ratio_scale_invariant_and_zero_rejected():
     f = PrimeField(7)
     S = enum_sphere(f, 2, 3)
@@ -478,7 +492,11 @@ def test_extension_stats_spheres_are_the_enumerated_spheres(monkeypatch, n, p):
     field = PrimeField(p)
     seen = []
     monkeypatch.setattr(fourier, "extension_ratio", lambda f, r_exp, cap=None: seen.append(f.variety) or 1.0)
-    for r in range(p):
+    # the statistics promise spheres of nonzero radius: the zero sphere is refused
+    with pytest.raises(ValueError, match="radius must be nonzero mod p"):
+        fourier.extension_ratio_stats(field, n, trials=1, radius=0)
+    assert not seen
+    for r in range(1, p):
         expect = enum_sphere(field, n, r)
         if len(expect):
             fourier.extension_ratio_stats(field, n, trials=1, radius=r)

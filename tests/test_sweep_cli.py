@@ -410,6 +410,11 @@ def _never_run(config):
         ({"families": [{"kind": ["lines"]}]}, []),
         ({"families": [{"kind": "random_paraboloid_subset", "alpha": True}]}, []),
         ({"out": 5}, []),
+        # sizes below 1: each row would record an error, and the sweep exit 0
+        ({"families": [{"kind": "construction", "construction": "odd3mod4", "k": 0}]}, []),
+        ({"families": [{"kind": "construction", "construction": "even2mod4", "k": -1}]}, []),
+        ({"families": [{"kind": "lines", "lines": 0, "per_line": 2}]}, []),
+        ({"families": [{"kind": "lines", "lines": 2, "per_line": 0}]}, []),
     ],
 )
 def test_cli_sweep_bad_values_exit_2_before_running(tmp_path, capsys, monkeypatch, doc, flags):
@@ -444,6 +449,9 @@ def test_cli_sweep_bad_values_exit_2_before_running(tmp_path, capsys, monkeypatc
         (["mpprp-check", "--primes", "7", "--trials", "-2"], "trials must be >= 1"),
         (["oracle-diff", "--instances", "0"], "instances must be >= 1"),
         (["oracle-diff", "--instances", "-1"], "instances must be >= 1"),
+        # the zero sphere, which the statistics promise never to sample
+        (["extension-ratio", "--p", "7", "--radius", "0", "--trials", "2"], "radius must be nonzero mod p"),
+        (["extension-ratio", "--p", "7", "--radius", "14", "--trials", "2"], "radius must be nonzero mod p"),
     ],
 )
 def test_cli_unusable_arguments_exit_2(capsys, argv, missing):
@@ -485,9 +493,8 @@ def test_cli_zero_pair_byte_cap_exit_2(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "command, dim",
-    # at p = 2^31 - 1 int64 would wrap: the distance block in the plane,
-    # (2 + 2) 2 (p - 1)^2 > 2^63, and the Gram in F_p^3, 3 (p - 1)^2 > 2^63
-    [("count", 2), ("product", 3)],
+    # at p = 2^31 - 1 int64 would wrap: the Gram in F_p^3, 3 (p - 1)^2 > 2^63
+    [("count", 3), ("product", 3)],
 )
 def test_cli_int64_overflow_exit_2(tmp_path, capsys, command, dim):
     p = 2**31 - 1
