@@ -22,8 +22,10 @@ Conventions, fixed once for the whole package:
 `Profile` it returns. `dot_histogram`, `product_set` (both also for E x F)
 and `count_M` are the Gram-only path. `profile` streams the Gram matrix
 x.y mod p in row blocks of about _BLOCK_BYTES, which stay in cache
-(`_gram_blocks`, the only place a matrix product is formed; the Gram-only
-path shares it). One product a block: the distances come from the Gram
+(`_gram_blocks`, which forms every product of two point arrays here; the
+Gram-only path and the class histograms share it, and only the int64
+matrix-vector products of `_packed_keys` and `scan_reduction_identity` are
+formed elsewhere). One product a block: the distances come from the Gram
 block and the row norms, ||x - y|| = ||x|| + ||y|| - 2 x.y, reduced by
 integer floor division like the Gram itself. One pass takes
 the product histogram (prod and M), per-apex dot histograms (D), per-apex
@@ -58,9 +60,10 @@ twice for (y, z) and (z, y), plus the n diagonal pairs. With w = y - z:
   on a random set nearly every pair has its own, the memory worst case.
 * c_both (all three sides zero) is trace(Z^3) for the zero-distance matrix
   Z, diagonal included: n + 6m + 6T, with m the zero pairs i < j and T the
-  triangles of their graph: 3T sums over the edges (i, j) the common
-  neighbours popcount(bits[i] & bits[j]) in a packed adjacency of n rows of
-  n bits, padded to 64-bit words so that the popcount takes whole words.
+  triangles of their graph. Row i of a packed adjacency holds the
+  neighbours j > i as n bits, padded to 64-bit words so that the popcount
+  takes whole words; T sums popcount(bits[i] & bits[j]) over the edges
+  (i, j), which meets each triangle i < j < k once, at its edge (i, j).
 
 A diagonal pair agrees at every apex, so the diagonal adds n^2 to c_base and
 to the D* correction. No n x n array is allocated: the zero-pair lists,
@@ -95,7 +98,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .field import PrimeField
 from .varieties import (
     PointSet,
     ResourceLimitError,
@@ -180,7 +182,6 @@ def _inverses(a: np.ndarray, p: int) -> np.ndarray:
 class DotHistogram:
     """r(t) = number of ordered pairs (x, y) in E x F with x.y = t."""
 
-    field: PrimeField
     counts: tuple[int, ...]
 
     @property
@@ -206,7 +207,7 @@ def dot_histogram(E: PointSet, F: PointSet | None = None) -> DotHistogram:
     counts = np.zeros(p, dtype=np.int64)
     for _, gram in blocks:
         counts += np.bincount(gram.ravel(), minlength=p)
-    return DotHistogram(E.field, tuple(int(c) for c in counts))
+    return DotHistogram(tuple(int(c) for c in counts))
 
 
 def product_set(E: PointSet, F: PointSet | None = None) -> set[int]:
@@ -366,16 +367,15 @@ def _adjacency_width(n: int) -> int:
 
 def _triangles(i: np.ndarray, j: np.ndarray, n: int) -> int:
     """Triangles of the graph on n vertices with the edges (i, j), i < j,
-    each met on its three edges as a common neighbour of the ends (module
+    each met once, at the edge between its two smallest vertices (module
     docstring); the edges go in chunks of about _BLOCK_BYTES."""
     width = _adjacency_width(n)
-    bits = np.zeros((n, width), dtype=np.uint8)
-    for a, b in ((i, j), (j, i)):
-        np.bitwise_or.at(bits, (a, b >> 3), np.left_shift(1, b & 7).astype(np.uint8))
+    bits = np.zeros((n, width), dtype=np.uint8)  # row i: the neighbours j > i
+    np.bitwise_or.at(bits, (i, j >> 3), np.left_shift(1, j & 7).astype(np.uint8))
     words = bits.view(np.uint64)
     step = _block_rows(3 * width)
     chunks = (slice(lo, lo + step) for lo in range(0, len(i), step))
-    return sum(int(np.bitwise_count(words[i[c]] & words[j[c]]).sum()) for c in chunks) // 3
+    return sum(int(np.bitwise_count(words[i[c]] & words[j[c]]).sum()) for c in chunks)
 
 
 def profile(E: PointSet) -> Profile:
@@ -447,7 +447,7 @@ def profile(E: PointSet) -> Profile:
         t_zero_triples=c_both,
     )
     return Profile(
-        dots=DotHistogram(E.field, tuple(int(c) for c in dots)),
+        dots=DotHistogram(tuple(int(c) for c in dots)),
         D=d_total,
         D_star=d_total - n * n - 2 * off_star,
         triangles=triangles,

@@ -96,8 +96,6 @@ def _transform(p: int, points: np.ndarray, values, inverse: bool = False, cap: i
 class SpectralTable:
     """Dense complex coefficients indexed by frequency vectors in F_p^n."""
 
-    field: PrimeField
-    n: int
     values: np.ndarray  # shape (p,)*n, complex128
 
     @property
@@ -126,12 +124,12 @@ def fourier_indicator(X: PointSet, cap: int | None = None) -> SpectralTable:
     p, n = X.field.p, X.dim
     table = _transform(p, X.array, 1.0, cap=cap)
     table *= float(p) ** (-n)
-    return SpectralTable(X.field, n, table)
+    return SpectralTable(table)
 
 
 def plancherel_error(table: SpectralTable, X: PointSet) -> float:
     """|sum_m |Xhat(m)|^2 - p^(-n)|X)|, zero in exact arithmetic."""
-    p, n = table.field.p, table.n
+    p, n = X.field.p, X.dim
     return abs(float((np.abs(table.flat) ** 2).sum()) - len(X) * float(p) ** (-n))
 
 
@@ -163,13 +161,14 @@ def zero_sphere_hat_table(field: PrimeField, n: int) -> np.ndarray:
     return out
 
 
-def zero_sphere_max_error(field: PrimeField, n: int) -> float:
+def zero_sphere_max_error(field: PrimeField, n: int, cap: int | None = None) -> float:
     """Max absolute gap between the closed form and direct enumeration, taken
     in place on the direct table (one complex table in all): the closed form
-    is constant on the cone ||m|| = 0, which is the zero sphere, and off it."""
+    is constant on the cone ||m|| = 0, which is the zero sphere, and off it.
+    The cap bounds the table's p^n entries."""
     origin, cone, off = _zero_sphere_closed(field.p, n)
     S0 = _zero_sphere(field.p, n)
-    gap = _transform(field.p, S0.array, 1.0, inverse=True)
+    gap = _transform(field.p, S0.array, 1.0, inverse=True, cap=cap)
     on = tuple(S0.array.T)
     sphere = gap[on] - cone
     sphere[0] = gap.flat[0] - origin  # m = 0 is the first sphere point
@@ -189,7 +188,7 @@ def inverse_surface_transform(f: SurfaceFunction, cap: int | None = None) -> Spe
     p, n = V.field.p, V.dim
     table = _transform(p, V.array, f.values, inverse=True, cap=cap)
     table *= float(p) ** n / len(V)
-    return SpectralTable(V.field, n, table)
+    return SpectralTable(table)
 
 
 @lru_cache(maxsize=128)
@@ -341,7 +340,7 @@ def verify_report(field: PrimeField, n: int, seed: int = 0, cap: int | None = No
     O(p^n), so the cap bounds p^n before anything is built."""
     p = field.p
     _check_cap(p**n, cap, "transform-table entries")
-    max_err = zero_sphere_max_error(field, n)
+    max_err = zero_sphere_max_error(field, n, cap)
     X = random_space_subset(field, n, min(p**n, 4 * p), random.Random(seed).randrange(2**32))
-    perr = plancherel_error(fourier_indicator(X), X)
+    perr = plancherel_error(fourier_indicator(X, cap), X)
     return {"n": n, "p": p, "max_abs_err": max_err, "plancherel_err": perr}

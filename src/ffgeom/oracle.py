@@ -172,10 +172,9 @@ def oracle_degenerate_pairs(X: PointSet) -> int:
     return sum(1 for x in X.points for y in X.points if _dist(x, y, p) == 0)
 
 
-def oracle_fourier(X: PointSet, n: int | None = None) -> dict[tuple[int, ...], complex]:
+def oracle_fourier(X: PointSet) -> dict[tuple[int, ...], complex]:
     """Normalized transform p^(-n) * sum_x chi(-m.x), one entry per frequency."""
-    n = X.dim if n is None else n
-    p = X.field.p
+    p, n = X.field.p, X.dim
     if p**n * max(len(X), 1) > CAP_FOURIER_WORK:
         raise OracleCapError("fourier oracle work cap exceeded")
     scale = float(p) ** (-n)

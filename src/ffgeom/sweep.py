@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import constructions, counting
@@ -70,7 +71,7 @@ class SweepConfig:
     primes: tuple[int, ...]
     dims: tuple[int, ...]
     families: tuple[Family, ...]
-    trials: int
+    trials: int = 1
     seed: int = 0
     threads: int = 1
     out: str | None = None
@@ -91,19 +92,6 @@ _FAMILY_KEYS = {
     "random_paraboloid_subset": {"kind", "alpha"},
     "construction": {"kind", "construction", "k", "k_rule"},
     "lines": {"kind", "lines", "per_line"},
-}
-
-_CONFIG_KEYS = {
-    "primes",
-    "dims",
-    "families",
-    "trials",
-    "seed",
-    "threads",
-    "out",
-    "format",
-    "cap",
-    "timing",
 }
 
 
@@ -183,7 +171,7 @@ def parse_config(source) -> SweepConfig:
             raise ConfigError(f"malformed config: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("a config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - {f.name for f in fields(SweepConfig)}
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
     for key in ("primes", "dims", "families"):
@@ -197,22 +185,15 @@ def parse_config(source) -> SweepConfig:
     if any(d < 2 for d in dims):
         raise ConfigError("dims must all be >= 2")
     families = tuple(parse_family(f, max(dims)) for f in doc["families"])
-    if not isinstance(doc.get("timing", False), bool):
+    if "timing" in doc and not isinstance(doc["timing"], bool):
         raise ConfigError(f"'timing' must be true or false, got {doc['timing']!r}")
-    if not isinstance(doc.get("out", ""), (str, type(None))):
+    if not isinstance(doc.get("out"), (str, type(None))):
         raise ConfigError(f"'out' must be a path string, got {doc['out']!r}")
-    return SweepConfig(
-        primes=primes,
-        dims=dims,
-        families=families,
-        trials=_integer(doc.get("trials", 1), "'trials'"),
-        seed=_integer(doc.get("seed", 0), "'seed'"),
-        threads=_integer(doc.get("threads", 1), "'threads'"),
-        out=doc.get("out"),
-        format=doc.get("format", "csv"),
-        cap=None if doc.get("cap") is None else _integer(doc["cap"], "'cap'"),
-        timing=doc.get("timing", False),
-    )
+    for key in ("trials", "seed", "threads", "cap"):
+        if key in doc and (key != "cap" or doc[key] is not None):  # a null cap means the default
+            _integer(doc[key], f"'{key}'")
+    # SweepConfig fills in every key the document leaves out
+    return SweepConfig(**{**doc, "primes": primes, "dims": dims, "families": families})
 
 
 @dataclass(frozen=True)
@@ -267,34 +248,23 @@ def build_cell_set(field: PrimeField, d: int, family: Family, seed: int, cap: in
 
 
 def run_cell(p: int, d: int, family: Family, trial: int, seed: int, cap, timing: bool) -> SweepRow:
-    row = SweepRow(p=p, d=d, family=family.label(), trial=trial, seed=seed)
-    t0 = time.perf_counter() if timing else 0.0
+    t0 = time.perf_counter()
     try:
-        counts = counting.counts_json(build_cell_set(PrimeField(p), d, family, seed, cap))
-        del counts["p"], counts["d"]
-        row = replace(row, prod_ratio=counts["prod_size"] / p, **counts)
+        row = counting.counts_json(build_cell_set(PrimeField(p), d, family, seed, cap))
+        del row["p"], row["d"]
+        row["prod_ratio"] = row["prod_size"] / p
     except Exception as e:  # failures are recorded in-row, never abort a sweep
-        row = replace(row, error=f"{type(e).__name__}: {e}")
+        row = {"error": f"{type(e).__name__}: {e}"}
     if timing:
-        row = replace(row, runtime_ms=(time.perf_counter() - t0) * 1e3)
-    return row
-
-
-def iter_cells(config: SweepConfig):
-    index = 0
-    for p in config.primes:
-        for d in config.dims:
-            for family in config.families:
-                for trial in range(config.trials):
-                    yield index, p, d, family, trial
-                    index += 1
+        row["runtime_ms"] = (time.perf_counter() - t0) * 1e3
+    return SweepRow(p=p, d=d, family=family.label(), trial=trial, seed=seed, **row)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    cells = list(iter_cells(config))
+    cells = itertools.product(config.primes, config.dims, config.families, range(config.trials))
     args = [
         (p, d, fam, trial, derive_seed(config.seed, idx), config.cap, config.timing)
-        for idx, p, d, fam, trial in cells
+        for idx, (p, d, fam, trial) in enumerate(cells)
     ]
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -309,13 +279,8 @@ def rows_to_csv_bytes(rows: list[SweepRow]) -> bytes:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        rec = row.as_record()
-        writer.writerow(
-            [
-                f"{rec[c]:.9g}" if isinstance(rec[c], float) else str(rec[c])
-                for c in CSV_COLUMNS
-            ]
-        )
+        values = (getattr(row, c) for c in CSV_COLUMNS)
+        writer.writerow([f"{v:.9g}" if isinstance(v, float) else str(v) for v in values])
     return buf.getvalue().encode("utf-8")
 
 
@@ -325,12 +290,7 @@ def rows_to_json_bytes(rows: list[SweepRow]) -> bytes:
 
 def emit_rows(rows: list[SweepRow], fmt: str, out=None) -> bytes:
     """Serialize rows; write to the given path when one is provided."""
-    if fmt == "csv":
-        payload = rows_to_csv_bytes(rows)
-    elif fmt == "json":
-        payload = rows_to_json_bytes(rows)
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
+    payload = rows_to_csv_bytes(rows) if fmt == "csv" else rows_to_json_bytes(rows)
     if out:
         Path(out).write_bytes(payload)
     return payload

@@ -501,7 +501,7 @@ def _dense_profile(E):
     lead = w[np.arange(len(w)), (w != 0).argmax(axis=1)]
     u = w * np.array([pow(int(t), -1, p) for t in lead], dtype=np.int64)[:, None] % p
     return counting.Profile(
-        dots=counting.DotHistogram(E.field, tuple(int(c) for c in np.bincount(gram.ravel(), minlength=p))),
+        dots=counting.DotHistogram(tuple(int(c) for c in np.bincount(gram.ravel(), minlength=p))),
         D=D,
         D_star=D - star_fix,
         triangles=counting.TriangleCounts(

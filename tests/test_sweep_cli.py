@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import io
 import json
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ffgeom
-from ffgeom import cli, counting, sweep
+from ffgeom import cli, counting, sweep, varieties
 from ffgeom.constructions import isotropic_lines_set
 from ffgeom.field import PrimeField, is_prime
 from ffgeom.varieties import PointSet, enum_plane, on_paraboloid, random_subset
@@ -38,6 +39,27 @@ def test_unknown_keys_are_named():
     bad_family = {**MINIMAL, "families": [{"kind": "random_paraboloid_subset", "alfa": 1}]}
     with pytest.raises(sweep.ConfigError, match="alfa"):
         sweep.parse_config(bad_family)
+
+
+def test_config_defaults_come_from_sweep_config():
+    doc = {key: MINIMAL[key] for key in ("primes", "dims", "families")}
+    family = sweep.Family("random_paraboloid_subset", alpha=4 / 3)
+    assert sweep.parse_config(doc) == sweep.SweepConfig(primes=(7,), dims=(3,), families=(family,))
+
+
+def test_config_sets_every_sweep_config_field():
+    doc = {**MINIMAL, "trials": 3, "threads": 2, "out": "rows.json", "format": "json", "cap": 500, "timing": True}
+    assert set(doc) == {f.name for f in dataclasses.fields(sweep.SweepConfig)}
+    cfg = sweep.parse_config(doc)
+    for key, value in doc.items():
+        if key not in ("primes", "dims", "families"):
+            assert getattr(cfg, key) == value
+    assert (cfg.primes, cfg.dims, len(cfg.families)) == ((7,), (3,), 1)
+
+
+def test_global_flags_name_sweep_config_fields():
+    # cmd_sweep hands the given flags to dataclasses.replace by name
+    assert set(cli.GLOBAL_DEFAULTS) <= {f.name for f in dataclasses.fields(sweep.SweepConfig)}
 
 
 def test_config_validation():
@@ -277,6 +299,14 @@ def test_cli_fourier_verify(capsys):
     assert cli.main(["fourier-verify", "--pairs", "2:3,2:7"]) == 0
     out = capsys.readouterr().out
     assert "max_abs_err" in out and "worst error" in out
+
+
+def test_cli_fourier_verify_cap_reaches_every_table(capsys, monkeypatch):
+    monkeypatch.setattr(varieties, "DEFAULT_ENUM_CAP", 50)
+    assert cli.main(["fourier-verify", "--pairs", "2:11"]) == 2
+    assert "transform-table entries: 121 exceeds cap 50" in capsys.readouterr().err
+    assert cli.main(["--cap", "200", "fourier-verify", "--pairs", "2:11"]) == 0
+    assert "worst error" in capsys.readouterr().out
 
 
 def test_cli_sweep_byte_identical(tmp_path):
