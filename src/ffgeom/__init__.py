@@ -4,7 +4,6 @@ extremal constructions that pin the thresholds."""
 
 from .counting import (
     DotHistogram,
-    InequalityReport,
     TriangleCounts,
     apex_set,
     count_M,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DotHistogram",
-    "InequalityReport",
     "PointSet",
     "PrimeField",
     "SpectralTable",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a verification or assertion fails, 2 on
-usage or config errors and on inputs beyond a resource cap.
+usage or config errors and on inputs beyond a resource cap or the memory
+available.
 """
 
 from __future__ import annotations
@@ -27,23 +28,22 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _load_set(args) -> PointSet:
-    if args.infile:
+    if args.infile is not None:
         return PointSet.load(args.infile)
     if args.full_paraboloid:
         p, d = args.full_paraboloid
         return enum_paraboloid(PrimeField(p), d, args.cap)
-    if args.random_paraboloid:
-        p, d, size = args.random_paraboloid
-        return varieties.random_paraboloid_subset(PrimeField(p), d, size, args.seed, args.cap)
-    raise ValueError("one of --in / --full-paraboloid / --random-paraboloid is required")
+    p, d, size = args.random_paraboloid
+    return varieties.random_paraboloid_subset(PrimeField(p), d, size, args.seed, args.cap)
 
 
 def _add_set_source(sub) -> None:
-    sub.add_argument("--in", dest="infile", help="point-set text file")
-    sub.add_argument(
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile", help="point-set text file")
+    source.add_argument(
         "--full-paraboloid", nargs=2, type=int, metavar=("P", "D"), help="enumerate a paraboloid"
     )
-    sub.add_argument(
+    source.add_argument(
         "--random-paraboloid",
         nargs=3,
         type=int,
@@ -177,10 +177,8 @@ def cmd_mpprp(args) -> int:
     else:
         X = varieties.random_space_subset(PrimeField(args.p), 2, args.size, args.seed)
         reports = [sweep.planar_triangle_check(X)]
-    keys = ("p", "size", "t_star", "excess", "min_bound", "ratio", "ok")
-    rows = [{k: getattr(r, k) for k in keys} for r in reports]
-    _emit(json.dumps(rows, indent=2) + "\n", args.out)
-    return 0 if all(r.ok for r in reports) else 1
+    _emit(json.dumps(reports, indent=2) + "\n", args.out)
+    return 0 if all(r["ok"] for r in reports) else 1
 
 
 GLOBAL_DEFAULTS = {"seed": 0, "threads": None, "out": None, "format": None, "cap": None}
@@ -271,8 +269,9 @@ def main(argv=None) -> int:
             setattr(args, key, value)
     try:
         return args.fn(args)
-    except (ValueError, OSError, ResourceLimitError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, ResourceLimitError, MemoryError) as e:
+        # a MemoryError raised by Python itself carries no message
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

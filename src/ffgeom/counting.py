@@ -499,33 +499,11 @@ def scan_reduction_identity(E: PointSet) -> tuple[int, int]:
     return len(apexes) * len(E) ** 2, mismatches
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    """Exact integer checks tying product sets, energies, and triangles."""
-
-    size: int
-    prod_size: int
-    m_value: int
-    d_value: int
-    cs_product_ok: bool  # prod_size * M >= |E|^4
-    cs_energy_ok: bool  # M <= |E| * D
-    restricted_size: int | None = None
-    restricted_d: int | None = None
-    reduction_iso_total: int | None = None
-    reduction_ok: bool | None = None
-
-    @property
-    def ok(self) -> bool:
-        checks = [self.cs_product_ok, self.cs_energy_ok]
-        if self.reduction_ok is not None:
-            checks.append(self.reduction_ok)
-        return all(checks)
-
-
-def inequality_chain(E: PointSet) -> InequalityReport:
+def inequality_chain(E: PointSet) -> dict:
     """Verify |prod(E)| * M >= |E|^4, M <= |E| * D, and (for paraboloid sets)
     that D of the base-restricted set is at most the isosceles-triple total
-    of the apex-union-base projection."""
+    of the apex-union-base projection. The restricted_* and reduction_* keys
+    appear for paraboloid sets only; "ok" is the AND of every *_ok check."""
     pr = profile(E)
     n, prod_size, m_value = len(E), len(pr.dots.as_dict()), pr.dots.energy
     report = dict(
@@ -546,34 +524,26 @@ def inequality_chain(E: PointSet) -> InequalityReport:
             reduction_iso_total=iso,
             reduction_ok=d_r <= iso,
         )
-    return InequalityReport(**report)
+    report["ok"] = all(v for k, v in report.items() if k.endswith("_ok"))
+    return report
 
 
-@dataclass(frozen=True)
-class TriangleBoundReport:
-    """Isosceles totals against the three-term envelope in |X|, q."""
-
-    size: int
-    isosceles_total: int
-    bound: float
-
-    @property
-    def ok(self) -> bool:
-        return self.isosceles_total <= TRIANGLE_BOUND_CONSTANT * self.bound
-
-    @property
-    def ratio(self) -> float:
-        return self.isosceles_total / self.bound if self.bound else float("inf")
-
-
-def triangle_bound_report(X: PointSet) -> TriangleBoundReport:
+def triangle_bound_report(X: PointSet) -> dict:
     """Compare t_nde + t_de with |X|^3/q + q^(n-1) |X|^((n+4)/(n+2))
-    + q^((n-2)/2) |X|^2, scaled by TRIANGLE_BOUND_CONSTANT."""
+    + q^((n-2)/2) |X|^2; ok when the total is at most
+    TRIANGLE_BOUND_CONSTANT times that envelope."""
     q = X.field.p
     n = X.dim
     m = len(X)
     bound = m**3 / q + q ** (n - 1) * m ** ((n + 4) / (n + 2)) + q ** ((n - 2) / 2) * m**2
-    return TriangleBoundReport(m, profile(X).triangles.isosceles_total, bound)
+    total = profile(X).triangles.isosceles_total
+    return {
+        "size": m,
+        "isosceles_total": total,
+        "bound": bound,
+        "ratio": total / bound if bound else float("inf"),
+        "ok": total <= TRIANGLE_BOUND_CONSTANT * bound,
+    }
 
 
 def counts_json(E: PointSet) -> dict:

@@ -63,21 +63,13 @@ from .field import PrimeField
 from .varieties import PointSet, _check_cap, _norms, enum_sphere, random_space_subset
 
 
-@lru_cache(maxsize=32)
 def _freq_norms(p: int, n: int) -> np.ndarray:
     """||m|| of every frequency m in lexicographic order, by outer sums."""
     sq = np.arange(p, dtype=np.int64) ** 2 % p
     out = sq
     for _ in range(n - 1):
         out = np.add.outer(out, sq) % p
-    out = out.reshape(-1)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=32)
-def _zero_sphere(p: int, n: int) -> PointSet:
-    return enum_sphere(PrimeField(p), n, 0)
+    return out.reshape(-1)
 
 
 def _transform(p: int, points: np.ndarray, values, inverse: bool = False, cap: int | None = None) -> np.ndarray:
@@ -154,7 +146,7 @@ def zero_sphere_hat_table(field: PrimeField, n: int) -> np.ndarray:
     try:
         origin, cone, off = _zero_sphere_closed(p, n)
     except ValueError:
-        return _transform(p, _zero_sphere(p, n).array, 1.0, inverse=True).reshape(-1)
+        return _transform(p, enum_sphere(field, n, 0).array, 1.0, inverse=True).reshape(-1)
     out = np.full(p**n, off, dtype=np.complex128)
     out[_freq_norms(p, n) == 0] = cone
     out[0] = origin
@@ -167,7 +159,7 @@ def zero_sphere_max_error(field: PrimeField, n: int, cap: int | None = None) -> 
     is constant on the cone ||m|| = 0, which is the zero sphere, and off it.
     The cap bounds the table's p^n entries."""
     origin, cone, off = _zero_sphere_closed(field.p, n)
-    S0 = _zero_sphere(field.p, n)
+    S0 = enum_sphere(field, n, 0, cap)
     gap = _transform(field.p, S0.array, 1.0, inverse=True, cap=cap)
     on = tuple(S0.array.T)
     sphere = gap[on] - cone

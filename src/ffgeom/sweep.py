@@ -299,33 +299,11 @@ def emit_rows(rows: list[SweepRow], fmt: str, out=None) -> bytes:
 # -- planar non-degenerate triangle bound ----------------------------------
 
 
-@dataclass(frozen=True)
-class PlanarTriangleReport:
-    """T*(X) against min(p^(2/3)|X|^(5/3) + p^(1/4)|X|^2, |X|^(7/3))."""
-
-    p: int
-    size: int
-    t_star: int
-    excess: float
-    bound_branch_a: float
-    bound_branch_b: float
-
-    @property
-    def min_bound(self) -> float:
-        return min(self.bound_branch_a, self.bound_branch_b)
-
-    @property
-    def ratio(self) -> float:
-        return max(self.excess, 0.0) / self.min_bound
-
-    @property
-    def ok(self) -> bool:
-        return self.ratio <= counting.TRIANGLE_BOUND_CONSTANT
-
-
-def planar_triangle_check(X) -> PlanarTriangleReport:
+def planar_triangle_check(X) -> dict:
     """Check the planar non-degenerate isosceles triangle bound for X in
-    F_p^2 with p = 3 mod 4 and |X| <= p^(4/3)."""
+    F_p^2 with p = 3 mod 4 and |X| <= p^(4/3): the excess T*(X) - |X|^3/p,
+    floored at 0, over min(p^(2/3)|X|^(5/3) + p^(1/4)|X|^2, |X|^(7/3)) is
+    the ratio, ok when it is at most TRIANGLE_BOUND_CONSTANT."""
     p = X.field.p
     if X.dim != 2:
         raise ValueError("planar check needs a subset of F_p^2")
@@ -337,19 +315,23 @@ def planar_triangle_check(X) -> PlanarTriangleReport:
     if n**3 > p**4:
         raise ValueError(f"|X| = {n} violates the hypothesis |X| <= p^(4/3)")
     t_star = counting.profile(X).triangles.t_star
-    return PlanarTriangleReport(
-        p=p,
-        size=n,
-        t_star=t_star,
-        excess=t_star - n**3 / p,
-        bound_branch_a=p ** (2 / 3) * n ** (5 / 3) + p**0.25 * n**2,
-        bound_branch_b=n ** (7 / 3),
-    )
+    excess = t_star - n**3 / p
+    min_bound = min(p ** (2 / 3) * n ** (5 / 3) + p**0.25 * n**2, n ** (7 / 3))
+    ratio = max(excess, 0.0) / min_bound
+    return {
+        "p": p,
+        "size": n,
+        "t_star": t_star,
+        "excess": excess,
+        "min_bound": min_bound,
+        "ratio": ratio,
+        "ok": ratio <= counting.TRIANGLE_BOUND_CONSTANT,
+    }
 
 
 def planar_triangle_sweep(
     primes, exponent: float = 1.25, trials: int = 1, seed: int = 0
-) -> list[PlanarTriangleReport]:
+) -> list[dict]:
     """Random subsets of F_p^2 of size ceil(p^exponent) across a prime list."""
     if not 0 < exponent <= 4 / 3:
         raise ValueError(f"exponent {exponent} outside (0, 4/3]: the check needs |X| <= p^(4/3)")

@@ -78,7 +78,7 @@ def test_03_inequality_chain():
                 E = random_subset(P, rng.randint(2, min(50, len(P))), rng.randrange(2**32))
                 rep = counting.inequality_chain(E)
                 cells += 1
-                if not (rep.cs_product_ok and rep.cs_energy_ok and rep.reduction_ok):
+                if not (rep["cs_product_ok"] and rep["cs_energy_ok"] and rep["reduction_ok"]):
                     violations += 1
     announce(3, violations == 0, f"inequality chain on {cells} random sets, {violations} violations")
 
@@ -205,10 +205,11 @@ def test_10_planar_triangle_bound():
     reports = sweep.planar_triangle_sweep(
         [7, 11, 19, 23, 31, 43], exponent=1.25, trials=1, seed=10
     )
-    worst = max(r.ratio for r in reports)
-    ok = all(r.ok for r in reports)
+    worst = max(r["ratio"] for r in reports)
+    ok = all(r["ok"] for r in reports)
     detail = "; ".join(
-        f"p={r.p}: ratio {r.ratio:.3f}, excess/bound {r.excess / r.min_bound:+.3f}" for r in reports
+        f"p={r['p']}: ratio {r['ratio']:.3f}, excess/bound {r['excess'] / r['min_bound']:+.3f}"
+        for r in reports
     )
     announce(10, ok, f"planar triangle bound ({detail}); worst ratio {worst:.3f} <= 100")
 

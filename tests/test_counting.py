@@ -234,18 +234,34 @@ def test_triangles_nonplanar_match_oracle():
 def test_inequality_chain_singleton():
     E = PointSet.build(PrimeField(7), 3, [(1, 2, 5)])
     rep = counting.inequality_chain(E)
-    assert rep.ok
-    assert rep.prod_size * rep.m_value >= 1 and rep.m_value <= rep.d_value
+    assert rep["ok"]
+    assert rep["prod_size"] * rep["m_value"] >= 1 and rep["m_value"] <= rep["d_value"]
 
 
 def test_inequality_chain_random_and_full():
     rng = random.Random(31)
     for _ in range(10):
         E = rand_paraboloid_subset(11, 3, rng.randint(2, 30), rng.randrange(2**32))
-        assert counting.inequality_chain(E).ok
+        assert counting.inequality_chain(E)["ok"]
     full = enum_paraboloid(PrimeField(7), 3)
     rep = counting.inequality_chain(full)
-    assert rep.ok and rep.reduction_ok is not None
+    assert rep["ok"] and rep["reduction_ok"] is not None
+
+
+CHAIN_KEYS = ["size", "prod_size", "m_value", "d_value", "cs_product_ok", "cs_energy_ok"]
+REDUCTION_KEYS = ["restricted_size", "restricted_d", "reduction_iso_total", "reduction_ok"]
+
+
+def test_inequality_chain_keys():
+    # the reduction keys appear for paraboloid sets only, and "ok" ANDs every check
+    on = rand_paraboloid_subset(7, 3, 12, seed=8)
+    off = random_space_subset(PrimeField(7), 3, 12, seed=8)
+    assert not on_paraboloid(off)
+    for E, keys in [(on, CHAIN_KEYS + REDUCTION_KEYS), (off, CHAIN_KEYS)]:
+        rep = counting.inequality_chain(E)
+        assert list(rep) == keys + ["ok"]
+        assert rep["ok"] is all(rep[k] for k in keys if k.endswith("_ok"))
+        json.dumps(rep)
 
 
 def test_degenerate_pair_bound_planar():
@@ -263,7 +279,14 @@ def test_triangle_bound_generous_constant():
     for p in [7, 11, 19]:
         for _ in range(5):
             X = rand_plane_subset(p, rng.randint(4, 45), rng.randrange(2**32))
-            assert counting.triangle_bound_report(X).ok
+            assert counting.triangle_bound_report(X)["ok"]
+
+
+def test_triangle_bound_report_keys():
+    rep = counting.triangle_bound_report(rand_plane_subset(7, 10, seed=2))
+    assert list(rep) == ["size", "isosceles_total", "bound", "ratio", "ok"]
+    assert rep["ratio"] == rep["isosceles_total"] / rep["bound"]
+    assert rep["ok"] is (rep["ratio"] <= counting.TRIANGLE_BOUND_CONSTANT)
 
 
 def test_counts_json_fixed_keys():

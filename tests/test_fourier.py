@@ -643,8 +643,6 @@ def test_verify_report_memory_stays_off_the_space():
     four complex tables of p^n entries (F_p^n as Python tuples took 19)."""
     f, n = PrimeField(1019), 2
     grid_bytes, table_bytes = f.p**n * n * 8, f.p**n * 16
-    fourier._freq_norms.cache_clear()
-    fourier._zero_sphere.cache_clear()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -675,8 +673,6 @@ def test_zero_sphere_check_holds_one_table():
     """The closed-form check works in place on the direct table: at p^n =
     1019^2 it peaks at one complex table of p^n entries (it held three)."""
     f, n = PrimeField(1019), 2
-    fourier._freq_norms.cache_clear()
-    fourier._zero_sphere.cache_clear()
     err, peak = _traced_peak(fourier.zero_sphere_max_error, f, n)
     assert err < 1e-12
     assert peak < 1.25 * f.p**n * 16

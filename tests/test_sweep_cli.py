@@ -3,6 +3,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -213,8 +217,17 @@ def test_planar_triangle_two_points():
     f = PrimeField(11)
     X = PointSet.build(f, 2, [(0, 0), (1, 3)])
     rep = sweep.planar_triangle_check(X)
-    assert rep.t_star == 0 and rep.excess <= 2 and rep.min_bound > 0
-    assert rep.ok and rep.ratio < 0.01
+    assert rep["t_star"] == 0 and rep["excess"] <= 2 and rep["min_bound"] > 0
+    assert rep["ok"] and rep["ratio"] < 0.01
+
+
+def test_planar_triangle_check_keys_are_the_cli_rows(capsys):
+    # mpprp-check prints each check's dict as it is
+    X = varieties.random_space_subset(PrimeField(11), 2, 15, 2)
+    rep = sweep.planar_triangle_check(X)
+    assert list(rep) == ["p", "size", "t_star", "excess", "min_bound", "ratio", "ok"]
+    assert cli.main(["mpprp-check", "--p", "11", "--size", "15", "--seed", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == [rep]
 
 
 def test_derive_seed_stable():
@@ -306,6 +319,13 @@ def test_cli_fourier_verify_cap_reaches_every_table(capsys, monkeypatch):
     assert cli.main(["fourier-verify", "--pairs", "2:11"]) == 2
     assert "transform-table entries: 121 exceeds cap 50" in capsys.readouterr().err
     assert cli.main(["--cap", "200", "fourier-verify", "--pairs", "2:11"]) == 0
+    assert "worst error" in capsys.readouterr().out
+
+
+def test_cli_fourier_verify_cap_reaches_the_zero_sphere(capsys, monkeypatch):
+    # the zero sphere of F_31^2 holds 62 points: over the default, under --cap
+    monkeypatch.setattr(varieties, "DEFAULT_ENUM_CAP", 50)
+    assert cli.main(["--cap", "1000", "fourier-verify", "--pairs", "2:31"]) == 0
     assert "worst error" in capsys.readouterr().out
 
 
@@ -549,6 +569,50 @@ def test_cli_p_sized_tables_exit_2(tmp_path, capsys, command, what):
     assert cli.main([command, "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {what} exceeds cap 100000000") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--random-paraboloid", "7", "3", "3", "--full-paraboloid", "7", "3"],
+        ["triangles", "--in", "E.txt", "--full-paraboloid", "7", "3"],
+        ["product"],
+    ],
+    ids=["two-generated", "file-and-generated", "none"],
+)
+def test_cli_takes_exactly_one_set_source(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--full-paraboloid" in capsys.readouterr().err
+
+
+def test_cli_memory_error_exits_2_with_one_line():
+    # the 9973^2 base points of the paraboloid in F_9973^3 pass the default cap,
+    # and their first array (1.48 GiB) does not fit in a 1 GiB address space
+    src = str(Path(ffgeom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffgeom.cli", "count", "--full-paraboloid", "9973", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_cli_bare_memory_error_names_itself(capsys, monkeypatch):
+    # Python's own MemoryError (a set or list that cannot grow) has no message
+    def exhausted(E):
+        raise MemoryError
+
+    monkeypatch.setattr(counting, "counts_json", exhausted)
+    assert cli.main(["count", "--random-paraboloid", "7", "3", "3"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_readme_quick_start_runs(capsys):
