@@ -3,8 +3,6 @@ triangle counts one dimension down, character-sum Fourier tools, and the
 extremal constructions that pin the thresholds."""
 
 from .counting import (
-    DotHistogram,
-    TriangleCounts,
     apex_set,
     count_M,
     counts_json,
@@ -40,7 +38,6 @@ from .varieties import (
     PointSet,
     bar_projection,
     enum_paraboloid,
-    enum_plane,
     enum_sphere,
     on_paraboloid,
     random_paraboloid_subset,
@@ -52,12 +49,10 @@ from .varieties import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DotHistogram",
     "PointSet",
     "PrimeField",
     "SpectralTable",
     "SurfaceFunction",
-    "TriangleCounts",
     "apex",
     "apex_set",
     "bar_projection",
@@ -69,7 +64,6 @@ __all__ = [
     "degenerate_pairs_fourier",
     "dot_histogram",
     "enum_paraboloid",
-    "enum_plane",
     "enum_sphere",
     "extension_ratio",
     "extension_ratio_stats",

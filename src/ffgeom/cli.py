@@ -75,8 +75,9 @@ def cmd_count(args) -> int:
 
 def cmd_triangles(args) -> int:
     E = _load_set(args)
+    pr = counting.profile(E)
     doc = {"p": E.field.p, "d": E.dim, "set_size": len(E)}
-    doc.update(counting.profile(E).triangles.as_dict())
+    doc.update((k, getattr(pr, k)) for k in counting.TRIANGLE_KEYS)
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
@@ -167,13 +168,17 @@ def cmd_oracle_diff(args) -> int:
 
 
 def cmd_mpprp(args) -> int:
+    # the sweep's own flags, where given; a single check takes neither
+    given = {k: v for k, v in (("exponent", args.exponent), ("trials", args.trials)) if v is not None}
     if args.primes:
+        if args.p is not None or args.size is not None:
+            raise ValueError("mpprp-check takes --primes, or --p and --size, not both")
         primes = [int(x) for x in args.primes.split(",")]
-        reports = sweep.planar_triangle_sweep(
-            primes, exponent=args.exponent, trials=args.trials, seed=args.seed
-        )
+        reports = sweep.planar_triangle_sweep(primes, seed=args.seed, **given)
     elif args.p is None or args.size is None:
         raise ValueError("mpprp-check needs --primes, or --p and --size")
+    elif given:
+        raise ValueError(f"{' and '.join('--' + k for k in given)} apply only with --primes")
     else:
         X = varieties.random_space_subset(PrimeField(args.p), 2, args.size, args.seed)
         reports = [sweep.planar_triangle_check(X)]
@@ -254,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--size", type=int, default=None)
     sp.add_argument("--primes", default=None, help="comma list for a sweep")
-    sp.add_argument("--exponent", type=float, default=1.25)
-    sp.add_argument("--trials", type=int, default=1)
+    sp.add_argument("--exponent", type=float, default=None, help="sweep set size p^E (default 1.25)")
+    sp.add_argument("--trials", type=int, default=None, help="sets per prime in a sweep (default 1)")
     sp.set_defaults(fn=cmd_mpprp)
 
     return parser

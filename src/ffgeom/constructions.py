@@ -27,7 +27,7 @@ import numpy as np
 
 from .counting import product_set, profile
 from .field import PrimeField, prime_factors
-from .varieties import PointSet, _check_cap, _space, enum_sphere, on_paraboloid
+from .varieties import PointSet, _check_cap, _check_power_cap, _space, enum_sphere, on_paraboloid
 
 
 class ConstructionError(RuntimeError):
@@ -111,7 +111,7 @@ def _isotropic_lift(field: PrimeField, d: int, k: int, cap: int | None, span_dim
     that the size check counts are all the lift needs."""
     p = field.p
     m = span_dim // 2
-    _check_cap(k * p**m, cap, "lifted span points")  # before the subgroup, the frame and the k p^m points
+    _check_power_cap(k, p, m, cap, "lifted span points")  # before the subgroup, the frame and the k p^m points
     A = mult_subgroup(field, k)
     frame = isotropic_frame(field, span_dim, m) if m else ()  # m = 0: no circle lookup
     S = span_points(field, frame, span_dim)
@@ -223,12 +223,11 @@ def construction_report(
         report["products_in_a_minus_a2"] = prods <= minus
         report["products_contained"] = prods <= plus
     elif kind == "lines":
-        tri = profile(E).triangles
         floor = num_lines * points_per_line**3
         report["num_lines"] = num_lines
         report["points_per_line"] = points_per_line
-        report["zero_triples"] = tri.t_zero_triples
+        report["zero_triples"] = profile(E).t_zero_triples
         report["zero_triple_floor"] = floor
-        report["floor_ok"] = tri.t_zero_triples >= floor
+        report["floor_ok"] = report["zero_triples"] >= floor
     report["products"] = sorted(prods) if len(prods) <= 64 else None
     return report

@@ -12,9 +12,10 @@ Conventions, fixed once for the whole package:
     t_nde   equal sides nonzero and base ||y-z|| nonzero
     t_de    a zero side: equal sides zero, or base zero
     t_star  base nonzero (equal sides unconstrained)
-  t_nde + t_de partitions the isosceles triples and t_nde <= t_star. The raw
-  count with equal nonzero sides but unconstrained base is kept alongside as
-  t_nde_raw, and t_zero_triples counts triples with all three sides zero.
+  t_nde + t_de = isosceles_total partitions the isosceles triples and
+  t_nde <= t_star. The raw count with equal nonzero sides but unconstrained
+  base is kept as t_nde_raw, and t_zero_triples counts triples with three
+  zero sides.
 * degenerate_pairs counts ordered pairs (x, y), diagonal included, with
   ||x-y|| = 0.
 
@@ -94,7 +95,7 @@ supported set sizes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,6 +117,8 @@ _BLOCK_BYTES = 1 << 19  # bytes of a block; the pass holds four, which stay in c
 # The factor by which the triangle-bound checks let a count exceed its
 # envelope: the envelopes hold up to constants the bounds leave unstated.
 TRIANGLE_BOUND_CONSTANT = 100.0
+# The triangle counts of a Profile, in the order `ffgeom triangles` prints them.
+TRIANGLE_KEYS = ("t_nde", "t_de", "t_star", "degenerate_pairs", "t_nde_raw", "t_zero_triples", "isosceles_total")
 
 
 def _block_rows(row_bytes: int) -> int:
@@ -178,26 +181,8 @@ def _inverses(a: np.ndarray, p: int) -> np.ndarray:
     return inv[np.searchsorted(vals, a)]
 
 
-@dataclass(frozen=True)
-class DotHistogram:
-    """r(t) = number of ordered pairs (x, y) in E x F with x.y = t."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def energy(self) -> int:
-        """sum_t r(t)^2, which is M when F = E."""
-        return sum(c * c for c in self.counts)
-
-    def as_dict(self) -> dict[int, int]:
-        return {t: c for t, c in enumerate(self.counts) if c}
-
-
-def dot_histogram(E: PointSet, F: PointSet | None = None) -> DotHistogram:
+def dot_histogram(E: PointSet, F: PointSet | None = None) -> tuple[int, ...]:
+    """r(t) for t = 0, ..., p - 1: the ordered pairs (x, y) in E x F with x.y = t."""
     F = E if F is None else F
     if E.field != F.field or E.dim != F.dim:
         raise ValueError("point sets must share field and dimension")
@@ -207,46 +192,34 @@ def dot_histogram(E: PointSet, F: PointSet | None = None) -> DotHistogram:
     counts = np.zeros(p, dtype=np.int64)
     for _, gram in blocks:
         counts += np.bincount(gram.ravel(), minlength=p)
-    return DotHistogram(tuple(int(c) for c in counts))
+    return tuple(counts.tolist())
 
 
 def product_set(E: PointSet, F: PointSet | None = None) -> set[int]:
     """The set of dot products {x.y : x in E, y in F}."""
-    return set(dot_histogram(E, F).as_dict())
+    return {t for t, c in enumerate(dot_histogram(E, F)) if c}
 
 
 def count_M(E: PointSet) -> int:
     """Ordered quadruples (x, y, w, z) in E^4 with x.y = w.z."""
-    return dot_histogram(E).energy
-
-
-@dataclass(frozen=True)
-class TriangleCounts:
-    """Ordered-triple isosceles counts; see the module docstring taxonomy."""
-
-    t_nde: int
-    t_de: int
-    t_star: int
-    degenerate_pairs: int
-    t_nde_raw: int
-    t_zero_triples: int
-
-    @property
-    def isosceles_total(self) -> int:
-        return self.t_nde + self.t_de
-
-    def as_dict(self) -> dict[str, int]:
-        return {**asdict(self), "isosceles_total": self.isosceles_total}
+    return sum(c * c for c in dot_histogram(E))
 
 
 @dataclass(frozen=True)
 class Profile:
     """Every count of one point set, from one pass over its pairs."""
 
-    dots: DotHistogram
+    prod_size: int
+    M: int
     D: int
     D_star: int
-    triangles: TriangleCounts
+    t_nde: int
+    t_de: int
+    t_star: int
+    degenerate_pairs: int
+    t_nde_raw: int
+    t_zero_triples: int
+    isosceles_total: int
     # work counters: pairs i < j at distance zero and at base distance zero,
     # and the distinct projective classes of their differences y - z
     zero_pairs: int
@@ -438,19 +411,19 @@ def profile(E: PointSet) -> Profile:
     c_base = n * n + 2 * off_base
     c_both = n + 6 * m + 6 * zero_triangles
     t_de = eq_zero_sides + c_base - c_both
-    triangles = TriangleCounts(
+    dots = dots.tolist()  # Python ints: an entry reaches n^2, and its square wraps int64
+    return Profile(
+        prod_size=sum(1 for c in dots if c),
+        M=sum(c * c for c in dots),
+        D=d_total,
+        D_star=d_total - n * n - 2 * off_star,
         t_nde=total_iso - t_de,
         t_de=t_de,
         t_star=total_iso - c_base,
         degenerate_pairs=degenerate,
         t_nde_raw=total_iso - eq_zero_sides,
         t_zero_triples=c_both,
-    )
-    return Profile(
-        dots=DotHistogram(tuple(int(c) for c in dots)),
-        D=d_total,
-        D_star=d_total - n * n - 2 * off_star,
-        triangles=triangles,
+        isosceles_total=total_iso,
         zero_pairs=m,
         base_zero_pairs=m if last is None else m_base,
         isotropic_classes=classes,
@@ -504,20 +477,19 @@ def inequality_chain(E: PointSet) -> dict:
     that D of the base-restricted set is at most the isosceles-triple total
     of the apex-union-base projection. The restricted_* and reduction_* keys
     appear for paraboloid sets only; "ok" is the AND of every *_ok check."""
-    pr = profile(E)
-    n, prod_size, m_value = len(E), len(pr.dots.as_dict()), pr.dots.energy
+    pr, n = profile(E), len(E)
     report = dict(
         size=n,
-        prod_size=prod_size,
-        m_value=m_value,
+        prod_size=pr.prod_size,
+        m_value=pr.M,
         d_value=pr.D,
-        cs_product_ok=prod_size * m_value >= n**4,
-        cs_energy_ok=m_value <= n * pr.D,
+        cs_product_ok=pr.prod_size * pr.M >= n**4,
+        cs_energy_ok=pr.M <= n * pr.D,
     )
     if on_paraboloid(E) and E.dim >= 2:
         Er = restrict_nonzero_base(E)
         d_r = profile(Er).D
-        iso = profile(bar_projection(Er).union(apex_set(Er))).triangles.isosceles_total
+        iso = profile(bar_projection(Er).union(apex_set(Er))).isosceles_total
         report.update(
             restricted_size=len(Er),
             restricted_d=d_r,
@@ -536,7 +508,7 @@ def triangle_bound_report(X: PointSet) -> dict:
     n = X.dim
     m = len(X)
     bound = m**3 / q + q ** (n - 1) * m ** ((n + 4) / (n + 2)) + q ** ((n - 2) / 2) * m**2
-    total = profile(X).triangles.isosceles_total
+    total = profile(X).isosceles_total
     return {
         "size": m,
         "isosceles_total": total,
@@ -549,17 +521,5 @@ def triangle_bound_report(X: PointSet) -> dict:
 def counts_json(E: PointSet) -> dict:
     """The fixed-key JSON rendering of every count for one point set."""
     pr = profile(E)
-    tri = pr.triangles
-    return {
-        "p": E.field.p,
-        "d": E.dim,
-        "set_size": len(E),
-        "prod_size": len(pr.dots.as_dict()),
-        "D": pr.D,
-        "D_star": pr.D_star,
-        "M": pr.dots.energy,
-        "t_nde": tri.t_nde,
-        "t_de": tri.t_de,
-        "t_star": tri.t_star,
-        "degenerate_pairs": tri.degenerate_pairs,
-    }
+    keys = ("prod_size", "D", "D_star", "M", "t_nde", "t_de", "t_star", "degenerate_pairs")
+    return {"p": E.field.p, "d": E.dim, "set_size": len(E), **{k: getattr(pr, k) for k in keys}}

@@ -60,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from .field import PrimeField
-from .varieties import PointSet, _check_cap, _norms, enum_sphere, random_space_subset
+from .varieties import PointSet, _check_power_cap, _norms, enum_sphere, random_space_subset
 
 
 def _freq_norms(p: int, n: int) -> np.ndarray:
@@ -76,7 +76,7 @@ def _transform(p: int, points: np.ndarray, values, inverse: bool = False, cap: i
     """`values` at the distinct rows of points, zero elsewhere on the (p,)*n
     grid, put through fftn (ifftn if inverse) in place. Callers scale it in
     place too, so a transform holds one complex table."""
-    _check_cap(p ** points.shape[1], cap, "transform-table entries")
+    _check_power_cap(1, p, points.shape[1], cap, "transform-table entries")
     grid = np.zeros((p,) * points.shape[1], dtype=np.complex128)
     grid[tuple(points.T)] = values
     fft = np.fft.ifftn if inverse else np.fft.fftn
@@ -232,7 +232,7 @@ def extension_ratio(f: SurfaceFunction, r_exp: float, cap: int | None = None) ->
     # sets stay out of the cache
     antipodes = _antipodes(V) if r_exp == 4 and len(V) <= p + 1 else None
     if antipodes is not None:
-        _check_cap(p**n, cap, "transform-table entries")
+        _check_power_cap(1, p, n, cap, "transform-table entries")
         num = (float(p) ** n * _antipodal_energy(f, *antipodes)) ** 0.25 / len(V)
     else:
         g = np.abs(inverse_surface_transform(f, cap).flat)
@@ -262,8 +262,8 @@ def extension_ratio_stats(
     p = field.p
     if radius is not None and radius % p == 0:
         raise ValueError(f"radius must be nonzero mod p = {p}, got {radius}")
-    _check_cap(p ** (n - 1) * 2, cap, "sphere points")
-    _check_cap(p**n, cap, "transform-table entries")
+    _check_power_cap(2, p, n - 1, cap, "sphere points")
+    _check_power_cap(1, p, n, cap, "transform-table entries")
     norms = _freq_norms(p, n)
     # the same stable order from the narrowest unsigned type that holds p - 1
     order = np.argsort(norms.astype(np.min_scalar_type(p - 1)), kind="stable")
@@ -331,7 +331,7 @@ def verify_report(field: PrimeField, n: int, seed: int = 0, cap: int | None = No
     """One row of the fourier-verify table for a (n, p) pair; the work is
     O(p^n), so the cap bounds p^n before anything is built."""
     p = field.p
-    _check_cap(p**n, cap, "transform-table entries")
+    _check_power_cap(1, p, n, cap, "transform-table entries")
     max_err = zero_sphere_max_error(field, n, cap)
     X = random_space_subset(field, n, min(p**n, 4 * p), random.Random(seed).randrange(2**32))
     perr = plancherel_error(fourier_indicator(X, cap), X)

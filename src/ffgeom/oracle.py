@@ -129,7 +129,7 @@ def oracle_D_star(E: PointSet, allow_ambient_base: bool = False) -> int:
 
 
 def oracle_triangles(X: PointSet) -> dict[str, int]:
-    """Triple loop over the triangle taxonomy; keys match TriangleCounts."""
+    """Triple loop over the triangle taxonomy; its keys, in order, are counting.TRIANGLE_KEYS."""
     _cap(X, CAP_TRIPLE, "triple")
     p = X.field.p
     pts = X.points
@@ -262,7 +262,7 @@ def run_battery(seed: int = 0, instances: int = 20) -> list[OracleReport]:
         add(f"[{k}] count_M", lambda: counting.count_M(Esmall), lambda: oracle_M(Esmall))
         add(
             f"[{k}] profile.triangles",
-            lambda: counting.profile(X2).triangles.as_dict(),
+            lambda: {k: getattr(counting.profile(X2), k) for k in counting.TRIANGLE_KEYS},
             lambda: oracle_triangles(X2),
         )
         if p**2 * len(X2) <= CAP_FOURIER_WORK // 4:

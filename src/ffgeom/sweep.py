@@ -237,7 +237,9 @@ def _resolve_k(family: Family, p: int) -> int:
 def build_cell_set(field: PrimeField, d: int, family: Family, seed: int, cap: int | None):
     p = field.p
     if family.kind == "random_paraboloid_subset":
-        size = min(math.ceil(p**family.alpha), p ** (d - 1))
+        # the whole paraboloid from alpha = d - 1 on; below it ceil(p^alpha) <= p^(d-1),
+        # a power that a huge d makes too large to form
+        size = p ** (d - 1) if family.alpha >= d - 1 else math.ceil(p**family.alpha)
         return random_paraboloid_subset(field, d, size, seed, cap)
     if family.kind == "construction":
         k = _resolve_k(family, p)
@@ -314,7 +316,7 @@ def planar_triangle_check(X) -> dict:
         raise ValueError("planar check needs a nonempty set")
     if n**3 > p**4:
         raise ValueError(f"|X| = {n} violates the hypothesis |X| <= p^(4/3)")
-    t_star = counting.profile(X).triangles.t_star
+    t_star = counting.profile(X).t_star
     excess = t_star - n**3 / p
     min_bound = min(p ** (2 / 3) * n ** (5 / 3) + p**0.25 * n**2, n ** (7 / 3))
     ratio = max(excess, 0.0) / min_bound

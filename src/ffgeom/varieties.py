@@ -147,19 +147,25 @@ def _check_cap(count: int, cap: int | None, what: str) -> None:
         raise ResourceLimitError(f"{what}: {count} exceeds cap {limit}")
 
 
+def _check_power_cap(factor: int, base: int, exp: int, cap: int | None, what: str) -> None:
+    """`_check_cap` on factor * base^exp (factor >= 1, base >= 2), which forms
+    the power only when the exponent is at most the limit's bit length: past
+    it the count exceeds the limit already, and the message shows the power."""
+    limit = DEFAULT_ENUM_CAP if cap is None else cap
+    if exp > limit.bit_length():
+        power = f"{base}^{exp}" if factor == 1 else f"{factor} * {base}^{exp}"
+        raise ResourceLimitError(f"{what}: {power} exceeds cap {limit}")
+    _check_cap(factor * base**exp, cap, what)
+
+
 def enum_paraboloid(field: PrimeField, d: int, cap: int | None = None) -> PointSet:
     """All points (x, ||x||) for x in F_p^(d-1); size p^(d-1)."""
     if d < 2:
         raise ValueError("paraboloid needs dimension >= 2")
     p = field.p
-    _check_cap(p ** (d - 1), cap, "paraboloid points")
+    _check_power_cap(1, p, d - 1, cap, "paraboloid points")
     base = _space(p, d - 1)
     return PointSet.build(field, d, np.column_stack([base, _norms(base, p)]))
-
-
-def enum_plane(field: PrimeField) -> PointSet:
-    """All p^2 points of F_p^2."""
-    return PointSet.build(field, 2, _space(field.p, 2))
 
 
 def enum_sphere(field: PrimeField, n: int, r: int, cap: int | None = None) -> PointSet:
@@ -168,7 +174,7 @@ def enum_sphere(field: PrimeField, n: int, r: int, cap: int | None = None) -> Po
         raise ValueError("sphere needs dimension >= 1")
     p = field.p
     r %= p
-    _check_cap(p ** (n - 1) * 2, cap, "sphere points")
+    _check_power_cap(2, p, n - 1, cap, "sphere points")
     # root[t]: the smaller square root of t, or -1 for a non-square; the
     # other root of a nonzero square t is p - root[t]
     s = np.arange((p + 1) // 2, dtype=np.int64)
@@ -195,8 +201,8 @@ def _sample(count: int, size: int, seed: int) -> np.ndarray:
 
 def _space_sample(p: int, n: int, size: int, seed: int) -> np.ndarray:
     """The rows `random_subset` draws from F_p^n, from their indices alone."""
-    if p**n >= 1 << 63:  # random.sample takes the len() of range(p^n)
-        raise ValueError(f"F_p^{n} at p = {p} has {p**n} points, too many to sample by index")
+    if n >= 63 or p**n >= 1 << 63:  # random.sample takes the len() of range(p^n); p^63 >= 2^63
+        raise ValueError(f"F_{p}^{n} has {p}^{n} points, too many to sample by index")
     return np.array(np.unravel_index(_sample(p**n, size, seed), (p,) * n)).T
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from ffgeom import counting, constructions, fourier, oracle, sweep
 from ffgeom.field import PrimeField
-from ffgeom.varieties import enum_paraboloid, enum_plane, random_subset, restrict_nonzero_base
+from ffgeom.varieties import enum_paraboloid, random_space_subset, random_subset, restrict_nonzero_base
 
 
 def announce(num: int, ok: bool, detail: str) -> None:
@@ -21,10 +21,6 @@ def announce(num: int, ok: bool, detail: str) -> None:
     sys.__stdout__.write(f"ACCEPTANCE {num:>2} {status}  {detail}\n")
     sys.__stdout__.flush()
     assert ok, detail
-
-
-def plane(p):
-    return enum_plane(PrimeField(p))
 
 
 def test_01_zero_sphere_exactness():
@@ -95,8 +91,7 @@ def test_04_oracle_equivalence():
 
     def plane_sample(max_size):
         p = rng.choice([7, 11, 13])
-        grid = plane(p)
-        return random_subset(grid, rng.randint(2, max_size), rng.randrange(2**32))
+        return random_space_subset(PrimeField(p), 2, rng.randint(2, max_size), rng.randrange(2**32))
 
     for _ in range(100):
         E = paraboloid_sample(50)
@@ -110,11 +105,12 @@ def test_04_oracle_equivalence():
             mismatches.append("count_M")
     for _ in range(100):
         X = plane_sample(50)
-        if counting.profile(X).triangles.as_dict() != oracle.oracle_triangles(X):
+        pr = counting.profile(X)
+        if {k: getattr(pr, k) for k in counting.TRIANGLE_KEYS} != oracle.oracle_triangles(X):
             mismatches.append("profile.triangles")
     for _ in range(100):
         p = rng.choice([5, 7])
-        X = random_subset(plane(p), rng.randint(1, 15), rng.randrange(2**32))
+        X = random_space_subset(PrimeField(p), 2, rng.randint(1, 15), rng.randrange(2**32))
         table = fourier.fourier_indicator(X)
         bad = any(
             abs(table.values[m] - v) > 1e-9 for m, v in oracle.oracle_fourier(X).items()
@@ -128,10 +124,9 @@ def test_05_degenerate_pair_bound():
     rng = random.Random(5)
     violations = 0
     for p in (7, 11, 19, 23):
-        grid = plane(p)
         for _ in range(50):
-            X = random_subset(grid, rng.randint(1, min(120, len(grid))), rng.randrange(2**32))
-            z = counting.profile(X).triangles.degenerate_pairs
+            X = random_space_subset(PrimeField(p), 2, rng.randint(1, min(120, p * p)), rng.randrange(2**32))
+            z = counting.profile(X).degenerate_pairs
             # exact rational comparison of z <= |X|^2/p + p^0 |X|
             if z * p > len(X) ** 2 + p * len(X):
                 violations += 1
@@ -158,7 +153,7 @@ def test_06_construction_guarantees():
 def test_07_slope_i_obstruction():
     f13 = PrimeField(13)
     E = constructions.isotropic_lines_set(f13, 2, 3, seed=1)
-    tri = counting.profile(E).triangles
+    tri = counting.profile(E)
     floor = 2 * 3**3
     ok = tri.t_zero_triples >= floor and floor > len(E) ** 3 / 13
     announce(

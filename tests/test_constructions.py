@@ -254,7 +254,7 @@ def test_lines_set_counts():
     f13 = PrimeField(13)
     E = cn.isotropic_lines_set(f13, 2, 3, seed=1)
     assert len(E) == 6
-    tri = counting.profile(E).triangles
+    tri = counting.profile(E)
     assert tri.t_zero_triples >= 2 * 27
     assert tri.t_zero_triples > len(E) ** 3 / 13
     rep = cn.construction_report("lines", f13, E, num_lines=2, points_per_line=3)
@@ -264,7 +264,7 @@ def test_lines_set_counts():
 def test_lines_single_point():
     E = cn.isotropic_lines_set(PrimeField(13), 1, 1, seed=0)
     assert len(E) == 1
-    assert counting.profile(E).triangles.t_zero_triples == 1
+    assert counting.profile(E).t_zero_triples == 1
 
 
 def test_lines_preconditions_and_determinism():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -19,7 +20,6 @@ from ffgeom.varieties import (
     PointSet,
     ResourceLimitError,
     enum_paraboloid,
-    enum_plane,
     on_paraboloid,
     random_space_subset,
     random_subset,
@@ -33,7 +33,12 @@ def rand_paraboloid_subset(p, d, size, seed):
 
 
 def rand_plane_subset(p, size, seed):
-    return random_subset(enum_plane(PrimeField(p)), size, seed)
+    return random_space_subset(PrimeField(p), 2, size, seed)
+
+
+def triangles(pr):
+    """The triangle counts of a Profile as `ffgeom triangles` prints them."""
+    return {k: getattr(pr, k) for k in counting.TRIANGLE_KEYS}
 
 
 def test_product_set_example():
@@ -54,7 +59,38 @@ def test_product_set_single_point_and_symmetry():
 def test_histogram_total():
     E = rand_paraboloid_subset(11, 3, 15, seed=4)
     F = rand_paraboloid_subset(11, 3, 9, seed=5)
-    assert counting.dot_histogram(E, F).total == len(E) * len(F)
+    hist = counting.dot_histogram(E, F)
+    assert len(hist) == 11 and sum(hist) == len(E) * len(F)
+
+
+def test_profile_is_one_flat_record():
+    names = [f.name for f in dataclasses.fields(counting.Profile)]
+    assert names == [
+        "prod_size",
+        "M",
+        "D",
+        "D_star",
+        "t_nde",
+        "t_de",
+        "t_star",
+        "degenerate_pairs",
+        "t_nde_raw",
+        "t_zero_triples",
+        "isosceles_total",
+        "zero_pairs",
+        "base_zero_pairs",
+        "isotropic_classes",
+    ]
+    for E in (
+        rand_paraboloid_subset(13, 3, 40, seed=1),
+        rand_plane_subset(13, 40, seed=2),
+        isotropic_lines_set(PrimeField(13), 2, 4),
+    ):
+        pr = counting.profile(E)
+        assert all(type(getattr(pr, name)) is int for name in names)
+        assert pr.isosceles_total == pr.t_nde + pr.t_de
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pr.M = 0
 
 
 def test_dimension_mismatch_rejected():
@@ -194,7 +230,7 @@ def test_apex_products_that_would_wrap_are_refused(pt):
 def test_two_point_triangle_taxonomy():
     f = PrimeField(7)
     X = PointSet.build(f, 2, [(0, 0), (1, 0)])
-    tc = counting.profile(X).triangles
+    tc = counting.profile(X)
     # ordered pairs (x, x) sit at distance zero, so both count
     assert tc.degenerate_pairs == 2
     # the raw equal-nonzero-sides count keeps the y = z triples ...
@@ -208,7 +244,7 @@ def test_isotropic_line_triangles():
     # direction (1, 5) has norm 26 = 0 mod 13
     f = PrimeField(13)
     X = PointSet.build(f, 2, [(t, 5 * t % 13) for t in range(3)])
-    tc = counting.profile(X).triangles
+    tc = counting.profile(X)
     assert tc.degenerate_pairs == 9
     assert tc.t_zero_triples == 27
     assert tc.isosceles_total == 27
@@ -220,7 +256,7 @@ def test_triangles_match_oracle():
     for _ in range(15):
         p = rng.choice([7, 11, 13])
         X = rand_plane_subset(p, rng.randint(2, 40), rng.randrange(2**32))
-        fast = counting.profile(X).triangles.as_dict()
+        fast = triangles(counting.profile(X))
         assert fast == oracle.oracle_triangles(X)
 
 
@@ -228,7 +264,7 @@ def test_triangles_nonplanar_match_oracle():
     rng = random.Random(29)
     for _ in range(6):
         X = rand_paraboloid_subset(7, 4, rng.randint(2, 30), rng.randrange(2**32))
-        assert counting.profile(X).triangles.as_dict() == oracle.oracle_triangles(X)
+        assert triangles(counting.profile(X)) == oracle.oracle_triangles(X)
 
 
 def test_inequality_chain_singleton():
@@ -270,7 +306,7 @@ def test_degenerate_pair_bound_planar():
     for p in [7, 11, 19]:
         for _ in range(5):
             X = rand_plane_subset(p, rng.randint(2, 40), rng.randrange(2**32))
-            z = counting.profile(X).triangles.degenerate_pairs
+            z = counting.profile(X).degenerate_pairs
             assert z * p <= len(X) ** 2 + p * len(X)
 
 
@@ -327,7 +363,7 @@ def test_small_row_blocks_match_oracles(monkeypatch):
             F = rand_plane_subset(p, rng.randint(30, 60), rng.randrange(2**32)) if E.dim == 2 else E
             doc = counting.counts_json(E)
             tri = oracle.oracle_triangles(E)
-            assert counting.profile(E).triangles.as_dict() == tri
+            assert triangles(counting.profile(E)) == tri
             assert doc["D"] == oracle.oracle_D(E)
             assert doc["D_star"] == oracle.oracle_D_star(E, allow_ambient_base=True)
             assert doc["prod_size"] == len(oracle.oracle_product(E))
@@ -340,12 +376,12 @@ def test_small_row_blocks_match_oracles(monkeypatch):
 
 def assert_profile_matches_oracles(E):
     pr = counting.profile(E)
-    assert pr.triangles.as_dict() == oracle.oracle_triangles(E)
+    assert triangles(pr) == oracle.oracle_triangles(E)
     assert pr.D == oracle.oracle_D(E)
     assert pr.D_star == oracle.oracle_D_star(E, allow_ambient_base=True)
-    assert set(pr.dots.as_dict()) == oracle.oracle_product(E)
+    assert pr.prod_size == len(oracle.oracle_product(E))
     if len(E) <= oracle.CAP_QUAD:
-        assert pr.dots.energy == oracle.oracle_M(E)
+        assert pr.M == oracle.oracle_M(E)
     return pr
 
 
@@ -397,7 +433,7 @@ def test_zero_pair_byte_cap(monkeypatch):
         with pytest.raises(ResourceLimitError, match="bytes"):
             counting.profile(X)
     monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", budget)
-    assert counting.profile(X).triangles.t_zero_triples >= 2 * 5**3
+    assert counting.profile(X).t_zero_triples >= 2 * 5**3
 
 
 @pytest.mark.parametrize("kind", ["lines", "odd3mod4", "paraboloid"])
@@ -448,7 +484,7 @@ def test_zero_pair_byte_cap_counts_the_adjacency(monkeypatch):
         with pytest.raises(ResourceLimitError, match="bytes"):
             counting.profile(X)
     monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", rows + bitmap)
-    assert counting.profile(X).triangles.t_zero_triples == 102 + 6 * 2
+    assert counting.profile(X).t_zero_triples == 102 + 6 * 2
 
 
 @pytest.mark.parametrize("block_bytes", [1 << 18, None])
@@ -523,18 +559,19 @@ def _dense_profile(E):
     w = (arr[i] - arr[j]) % p
     lead = w[np.arange(len(w)), (w != 0).argmax(axis=1)]
     u = w * np.array([pow(int(t), -1, p) for t in lead], dtype=np.int64)[:, None] % p
+    dots = np.bincount(gram.ravel(), minlength=p).tolist()
     return counting.Profile(
-        dots=counting.DotHistogram(tuple(int(c) for c in np.bincount(gram.ravel(), minlength=p))),
+        prod_size=sum(1 for c in dots if c),
+        M=sum(c * c for c in dots),
         D=D,
         D_star=D - star_fix,
-        triangles=counting.TriangleCounts(
-            t_nde=total_iso - t_de,
-            t_de=t_de,
-            t_star=total_iso - c_base,
-            degenerate_pairs=int(zeros_per_row.sum()),
-            t_nde_raw=total_iso - eq_zero,
-            t_zero_triples=c_both,
-        ),
+        t_nde=total_iso - t_de,
+        t_de=t_de,
+        t_star=total_iso - c_base,
+        degenerate_pairs=int(zeros_per_row.sum()),
+        t_nde_raw=total_iso - eq_zero,
+        t_zero_triples=c_both,
+        isosceles_total=total_iso,
         zero_pairs=int((zero & upper).sum()),
         base_zero_pairs=int(((base_dist == 0) & upper).sum()),
         isotropic_classes=len(np.unique(u, axis=0)),
@@ -561,9 +598,9 @@ def test_profile_matches_dense_reference(dense_case, monkeypatch):
     case, E, ref = dense_case
     if case == "plane_103":
         # an anisotropic plane: only the diagonal is at distance zero
-        assert ref.zero_pairs == 0 and ref.triangles.t_zero_triples == len(E)
+        assert ref.zero_pairs == 0 and ref.t_zero_triples == len(E)
     else:
-        assert ref.zero_pairs > len(E) and ref.triangles.t_zero_triples > len(E)
+        assert ref.zero_pairs > len(E) and ref.t_zero_triples > len(E)
     if case == "paraboloid":
         assert ref.isotropic_classes > counting._block_rows(8 * max(len(E), E.field.p))
     if case == "paraboloid_103":
@@ -718,7 +755,7 @@ def large_set(request):
 
 def test_large_set_identities(large_set):
     E, pr = large_set
-    n, p, tri = len(E), E.field.p, pr.triangles
+    n, p, tri = len(E), E.field.p, pr
     assert n >= 1100 and tri.degenerate_pairs > n
     arr = E.array
     nrm = (arr * arr).sum(axis=1) % p
@@ -733,7 +770,7 @@ def test_large_set_translation_invariance(large_set):
     E, pr = large_set
     rng = random.Random(47)
     shift = [rng.randrange(E.field.p) for _ in range(E.dim)]
-    assert counting.profile(_translate(E, shift)).triangles == pr.triangles
+    assert triangles(counting.profile(_translate(E, shift))) == triangles(pr)
 
 
 def test_large_set_base_isometry_invariance(large_set):

@@ -16,15 +16,10 @@ from ffgeom.varieties import (
     PointSet,
     ResourceLimitError,
     enum_paraboloid,
-    enum_plane,
     enum_sphere,
     random_space_subset,
     random_subset,
 )
-
-
-def plane(p):
-    return enum_plane(PrimeField(p))
 
 
 def space(p, n):
@@ -37,7 +32,7 @@ def chi(a, p):
 
 
 def rand_plane_subset(p, size, seed):
-    return random_subset(plane(p), size, seed)
+    return random_space_subset(PrimeField(p), 2, size, seed)
 
 
 def delta(S, index):
@@ -282,7 +277,7 @@ def test_extension_l4_identity_on_both_sides_of_the_route_bound(monkeypatch, siz
     if size <= 12:
         V = random_subset(circle, size, seed=size)
     else:
-        F = plane(11).array
+        F = space(11, 2).array
         off = PointSet.build(circle.field, 2, F[(F * F).sum(axis=1) % 11 != 1])
         V = circle.union(random_subset(off, size - 12, seed=size))
     assert len(V) == size and energy_route_runs(V) == (size <= 12)
@@ -553,7 +548,7 @@ def test_spectral_apex_bound_cases():
 
 def test_full_plane_apex_count_closed_form():
     p = 7
-    X = plane(p)
+    X = space(p, 2)
     f = PrimeField(p)
     y = (3, 2)
     lhs, rhs = fourier.spectral_apex_bound(X, y)
@@ -570,7 +565,7 @@ def test_degenerate_pairs_spectral_identity():
     rng = random.Random(19)
     for _ in range(6):
         X = rand_plane_subset(7, 20, rng.randrange(2**32))
-        direct = counting.profile(X).triangles.degenerate_pairs
+        direct = counting.profile(X).degenerate_pairs
         spectral = fourier.degenerate_pairs_fourier(X)
         assert spectral == pytest.approx(direct, abs=1e-9)
         # and the envelope |X|^2/q + q^((n-2)/2) |X|
@@ -580,7 +575,7 @@ def test_degenerate_pairs_spectral_identity():
 def test_degenerate_pairs_closed_form_hypotheses():
     # p = 1 mod 4, outside the closed form: the enumerated sphere is used
     X = rand_plane_subset(13, 10, seed=3)
-    direct = counting.profile(X).triangles.degenerate_pairs
+    direct = counting.profile(X).degenerate_pairs
     assert direct > len(X)  # -1 is a square mod 13: distinct points at distance zero
     assert fourier.degenerate_pairs_fourier(X) == pytest.approx(direct, abs=1e-9)
 
@@ -592,7 +587,7 @@ def test_degenerate_pairs_closed_form_hypotheses():
 )
 def test_degenerate_pairs_beyond_oracle_caps(p, n, size):
     X = random_subset(space(p, n), size, seed=7)
-    direct = counting.profile(X).triangles.degenerate_pairs
+    direct = counting.profile(X).degenerate_pairs
     assert direct > 10 * size  # far more than the diagonal pairs
     assert abs(fourier.degenerate_pairs_fourier(X) - direct) <= 1e-6
 

@@ -15,7 +15,7 @@ import json
 from ffgeom import counting, sweep
 from ffgeom.constructions import BUILDERS, construction_report
 from ffgeom.field import PrimeField
-from ffgeom.varieties import PointSet, enum_paraboloid, enum_plane, random_subset
+from ffgeom.varieties import PointSet, enum_paraboloid, random_space_subset, random_subset
 
 # Both benchmark sweep families plus a lines family; d = 2 and 3, p = 1 and
 # 3 mod 4. Cells a family does not apply to record their error in-row.
@@ -86,7 +86,7 @@ def _construction(kind, p, d, k, seed):
 def _stored_sets():
     sets = {
         "paraboloid_103": random_subset(enum_paraboloid(PrimeField(103), 3), 483, seed=11),
-        "plane_101": random_subset(enum_plane(PrimeField(101)), 700, seed=12),
+        "plane_101": random_space_subset(PrimeField(101), 2, 700, seed=12),
     }
     for name, args in GOLDEN_CONSTRUCTIONS.items():
         sets[name] = _construction(*args)

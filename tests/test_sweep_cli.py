@@ -16,7 +16,7 @@ import ffgeom
 from ffgeom import cli, counting, sweep, varieties
 from ffgeom.constructions import isotropic_lines_set
 from ffgeom.field import PrimeField, is_prime
-from ffgeom.varieties import PointSet, enum_plane, on_paraboloid, random_subset
+from ffgeom.varieties import PointSet, on_paraboloid, random_space_subset
 
 MINIMAL = {
     "primes": [7],
@@ -208,7 +208,7 @@ def test_planar_triangle_check_hypotheses():
     X = PointSet.build(f, 2, [(0, 0), (1, 2)])
     with pytest.raises(ValueError, match="3 mod 4"):
         sweep.planar_triangle_check(X)
-    big = random_subset(enum_plane(PrimeField(11)), 30, seed=0)  # 30^3 > 11^4
+    big = random_space_subset(PrimeField(11), 2, 30, seed=0)  # 30^3 > 11^4
     with pytest.raises(ValueError, match="hypothesis"):
         sweep.planar_triangle_check(big)
 
@@ -228,6 +228,30 @@ def test_planar_triangle_check_keys_are_the_cli_rows(capsys):
     assert list(rep) == ["p", "size", "t_star", "excess", "min_bound", "ratio", "ok"]
     assert cli.main(["mpprp-check", "--p", "11", "--size", "15", "--seed", "2"]) == 0
     assert json.loads(capsys.readouterr().out) == [rep]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--primes", "7", "--p", "11", "--size", "15"], "not both"),
+        (["--primes", "7", "--size", "15"], "not both"),
+        (["--p", "11", "--size", "15", "--exponent", "0.5", "--trials", "3"], "--exponent and --trials apply only with --primes"),
+        (["--p", "11", "--size", "15", "--trials", "1"], "--trials apply only with --primes"),
+    ],
+    ids=["primes-and-p", "primes-and-size", "p-with-sweep-flags", "p-with-default-trials"],
+)
+def test_cli_mpprp_refuses_flags_it_would_ignore(capsys, argv, message):
+    assert cli.main(["mpprp-check", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+def test_cli_triangles_prints_the_triangle_keys_in_order(capsys):
+    assert cli.main(["triangles", "--random-paraboloid", "13", "3", "20"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    triangle_keys = ["t_nde", "t_de", "t_star", "degenerate_pairs", "t_nde_raw", "t_zero_triples", "isosceles_total"]
+    assert list(doc) == ["p", "d", "set_size", *triangle_keys]
+    assert list(counting.TRIANGLE_KEYS) == triangle_keys
 
 
 def test_derive_seed_stable():
@@ -396,6 +420,13 @@ def test_random_cell_cap_bounds_the_sample():
     assert sweep.run_cell(101, 4, family, 0, 3, 100_000, False).error == ""
     row = sweep.run_cell(101, 4, family, 0, 3, 10, False)
     assert row.error == "ResourceLimitError: paraboloid points: 1016 exceeds cap 10"
+
+
+def test_random_cell_from_alpha_d_minus_1_takes_the_whole_paraboloid():
+    # 23^300 overflows a float; the cell takes all 23^2 base points without it
+    for alpha in (2.0, 2.5, 300.0):
+        family = sweep.Family("random_paraboloid_subset", alpha=alpha)
+        assert len(sweep.build_cell_set(PrimeField(23), 3, family, seed=1, cap=None)) == 23**2
 
 
 @pytest.mark.parametrize(
@@ -603,6 +634,60 @@ def test_cli_memory_error_exits_2_with_one_line():
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+# a count that no cap admits, whatever its exponent: each of these formed
+# its power (thousands of millions of digits) before comparing it with the cap
+HUGE_POWER_CASES = [
+    (["--cap", "100", "count", "--full-paraboloid", "23", "2147483647"], "paraboloid points: 23^2147483646 exceeds cap 100"),
+    (
+        ["--cap", "5000", "fourier-verify", "--pairs", "1000000000000000003:23"],
+        "transform-table entries: 23^1000000000000000003 exceeds cap 5000",
+    ),
+    (
+        ["--cap", "100", "extension-ratio", "--p", "3", "--n", "1000000000000000003", "--trials", "5"],
+        "sphere points: 2 * 3^1000000000000000002 exceeds cap 100",
+    ),
+    (
+        ["--cap", "1", "construct", "--kind", "odd3mod4", "--p", "2147483647", "--d", "1000000000000000003", "--k", "2"],
+        "lifted span points: 2 * 2147483647^500000000000000000 exceeds cap 1",
+    ),
+    (["count", "--random-paraboloid", "23", "2147483647", "5"], "23^2147483646 points, too many to sample"),
+    # a sweep over d = 2^31 - 1 and the family given records the refusal in
+    # the cell's row and exits 0; the random cell's size is ceil(23^1.5)
+    (["--cap", "100", "sweep", {"kind": "random_paraboloid_subset", "alpha": 1.5}], "paraboloid points: 111 exceeds cap 100"),
+    (
+        ["--cap", "100", "sweep", {"kind": "construction", "construction": "odd3mod4", "k": 2}],
+        "lifted span points: 2 * 23^1073741822 exceeds cap 100",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", HUGE_POWER_CASES, ids=[f"argv{i}" for i in range(len(HUGE_POWER_CASES))])
+def test_cli_huge_power_exits_at_once(tmp_path, argv, message):
+    sweeping = isinstance(argv[-1], dict)
+    if sweeping:
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({"primes": [23], "dims": [2147483647], "families": [argv[-1]]}))
+        argv = [*argv[:-1], "--config", str(config)]
+    src = str(Path(ffgeom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffgeom.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=20,
+    )
+    if sweeping:
+        assert proc.returncode == 0 and proc.stderr == "1 cell(s) recorded errors\n"
+        (row,) = csv.DictReader(io.StringIO(proc.stdout))
+        assert message in row["error"]
+    else:
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and message in proc.stderr and proc.stderr.count("\n") == 1
 
 
 def test_cli_bare_memory_error_names_itself(capsys, monkeypatch):

@@ -12,9 +12,9 @@ from ffgeom.field import PrimeField
 from ffgeom.varieties import (
     PointSet,
     ResourceLimitError,
+    _check_power_cap,
     bar_projection,
     enum_paraboloid,
-    enum_plane,
     enum_sphere,
     on_paraboloid,
     random_paraboloid_subset,
@@ -194,7 +194,7 @@ def test_constructors_give_canonical_sets(make):
     P = enum_paraboloid(f, 3)
     ps = {
         "paraboloid": lambda: P,
-        "plane": lambda: enum_plane(f),
+        "plane": lambda: random_space_subset(f, 2, 169, seed=1),
         "sphere": lambda: enum_sphere(f, 3, 5),
         "subset": lambda: random_subset(P, 40, seed=1),
         "sample": lambda: random_paraboloid_subset(f, 3, 40, seed=1),
@@ -233,9 +233,23 @@ def test_paraboloid_sample_is_the_enumerated_draw(p, d, size, seed):
     assert random_paraboloid_subset(F, d, size, seed).to_text() == expect
 
 
+def test_power_cap_forms_no_power_past_the_bit_length():
+    # 2^26 <= 1e8 < 2^27, and 1e8 has 27 bits: up to the exponent 27 the
+    # count is compared exactly, past it refused as a power
+    _check_power_cap(1, 2, 26, None, "points")
+    with pytest.raises(ResourceLimitError, match=r"^points: 134217728 exceeds cap 100000000$"):
+        _check_power_cap(1, 2, 27, None, "points")
+    with pytest.raises(ResourceLimitError, match=r"^points: 2\^28 exceeds cap 100000000$"):
+        _check_power_cap(1, 2, 28, None, "points")
+    with pytest.raises(ResourceLimitError, match=r"^points: 3 \* 7\^10000000000000000000000 exceeds cap 5$"):
+        _check_power_cap(3, 7, 10**22, 5, "points")
+    _check_power_cap(3, 7, 0, 5, "points")
+
+
 def test_space_sample_is_the_enumerated_draw():
     F = PrimeField(31)
-    assert random_space_subset(F, 2, 100, 4) == random_subset(enum_plane(F), 100, 4)
+    plane = PointSet.build(F, 2, itertools.product(range(31), repeat=2))
+    assert random_space_subset(F, 2, 100, 4) == random_subset(plane, 100, 4)
 
 
 def test_norms_that_would_wrap_are_refused():
