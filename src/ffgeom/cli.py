@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--size", type=int, default=None)
     sp.add_argument("--primes", default=None, help="comma list for a sweep")
-    sp.add_argument("--exponent", type=float, default=None, help="sweep set size p^E (default 1.25)")
-    sp.add_argument("--trials", type=int, default=None, help="sets per prime in a sweep (default 1)")
+    sp.add_argument("--exponent", type=float, default=None, help="sweep only: set size p^E")
+    sp.add_argument("--trials", type=int, default=None, help="sweep only: sets per prime")
     sp.set_defaults(fn=cmd_mpprp)
 
     return parser

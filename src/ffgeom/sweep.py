@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import constructions, counting
 from .field import PrimeField, is_prime
-from .varieties import random_paraboloid_subset, random_space_subset
+from .varieties import _check_power_cap, random_paraboloid_subset, random_space_subset
 
 # Default primes for product-ratio sweeps: ratios stabilize by here while
 # cells stay seconds-scale. All are 3 mod 4.
@@ -237,9 +237,13 @@ def _resolve_k(family: Family, p: int) -> int:
 def build_cell_set(field: PrimeField, d: int, family: Family, seed: int, cap: int | None):
     p = field.p
     if family.kind == "random_paraboloid_subset":
-        # the whole paraboloid from alpha = d - 1 on; below it ceil(p^alpha) <= p^(d-1),
-        # a power that a huge d makes too large to form
-        size = p ** (d - 1) if family.alpha >= d - 1 else math.ceil(p**family.alpha)
+        # the whole paraboloid from alpha = d - 1 on, a power checked against the
+        # cap before it is formed; below it ceil(p^alpha) <= p^(d-1)
+        if family.alpha >= d - 1:
+            _check_power_cap(1, p, d - 1, cap, "paraboloid points")
+            size = p ** (d - 1)
+        else:
+            size = math.ceil(p**family.alpha)
         return random_paraboloid_subset(field, d, size, seed, cap)
     if family.kind == "construction":
         k = _resolve_k(family, p)

@@ -379,6 +379,7 @@ def assert_profile_matches_oracles(E):
     assert triangles(pr) == oracle.oracle_triangles(E)
     assert pr.D == oracle.oracle_D(E)
     assert pr.D_star == oracle.oracle_D_star(E, allow_ambient_base=True)
+    assert counting.product_set(E) == oracle.oracle_product(E)
     assert pr.prod_size == len(oracle.oracle_product(E))
     if len(E) <= oracle.CAP_QUAD:
         assert pr.M == oracle.oracle_M(E)
@@ -420,7 +421,8 @@ def test_profile_matches_oracles_across_the_float32_bound(monkeypatch, p):
     reduced = counting._reduced_blocks
     monkeypatch.setattr(counting, "_reduced_blocks", lambda a, bt, p: factors.append(a.dtype) or reduced(a, bt, p))
     assert_profile_matches_oracles(E)
-    assert factors == [np.float32 if p == 2897 else np.float64]
+    # one product for the profile's pass and one for product_set's histogram
+    assert factors == [np.float32 if p == 2897 else np.float64] * 2
 
 
 def test_zero_pair_byte_cap(monkeypatch):

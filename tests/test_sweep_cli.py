@@ -656,6 +656,11 @@ HUGE_POWER_CASES = [
     # a sweep over d = 2^31 - 1 and the family given records the refusal in
     # the cell's row and exits 0; the random cell's size is ceil(23^1.5)
     (["--cap", "100", "sweep", {"kind": "random_paraboloid_subset", "alpha": 1.5}], "paraboloid points: 111 exceeds cap 100"),
+    # alpha = d - 1 asks for the whole paraboloid, p^(d-1) points
+    (
+        ["--cap", "100", "sweep", {"kind": "random_paraboloid_subset", "alpha": 2147483646}],
+        "paraboloid points: 23^2147483646 exceeds cap 100",
+    ),
     (
         ["--cap", "100", "sweep", {"kind": "construction", "construction": "odd3mod4", "k": 2}],
         "lifted span points: 2 * 23^1073741822 exceeds cap 100",
