@@ -114,11 +114,20 @@ def cmd_extension_ratio(args) -> int:
     return 0
 
 
+# the optional flags each construct kind reads: it needs each of them and
+# takes none of the others (--d keeps its default of 3 under lines, where a
+# given 3 looks the same)
+CONSTRUCT_FLAGS = {"lines": ("lines", "per_line"), **dict.fromkeys(constructions.BUILDERS, ("k",))}
+
+
 def cmd_construct(args) -> int:
-    needed = ["lines", "per_line"] if args.kind == "lines" else ["k"]
-    missing = [f"--{name.replace('_', '-')}" for name in needed if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"--kind {args.kind} needs {' and '.join(missing)}")
+    reads = CONSTRUCT_FLAGS[args.kind]
+    missing = [name for name in reads if getattr(args, name) is None]
+    ignored = [name for name in ("k", "lines", "per_line") if name not in reads and getattr(args, name) is not None]
+    for names, verb in ((missing, "needs"), (ignored, "does not take")):
+        if names:
+            flags = " and ".join(f"--{name.replace('_', '-')}" for name in names)
+            raise ValueError(f"--kind {args.kind} {verb} {flags}")
     field = PrimeField(args.p)
     try:
         if args.kind == "lines":

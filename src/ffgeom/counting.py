@@ -113,7 +113,7 @@ from .varieties import (
 # (`_pair_bytes` each) and the zero-distance adjacency, which reach |X|^2 / 2
 # pairs on a fully degenerate set; the rest is held in blocks.
 ZERO_PAIR_BYTE_CAP = 800_000_000
-_BLOCK_BYTES = 1 << 19  # bytes of a block; the pass holds four, which stay in cache
+_BLOCK_BYTES = 1 << 19  # bytes of a block; a pass holds about four, which stay in cache
 # The factor by which the triangle-bound checks let a count exceed its
 # envelope: the envelopes hold up to constants the bounds leave unstated.
 TRIANGLE_BOUND_CONSTANT = 100.0
@@ -126,9 +126,15 @@ def _block_rows(row_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // row_bytes)
 
 
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in place: floor division by a scalar beats %."""
+    x -= x // p * p
+    return x
+
+
 def _gram_blocks(A: np.ndarray, B: np.ndarray, p: int):
     """An iterator of (lo, (A[lo:hi] @ B.T) % p) over row blocks of A of
-    about _BLOCK_BYTES, each in one buffer that the next step overwrites.
+    about _BLOCK_BYTES.
 
     No entry of a product exceeds bound = A.shape[1] max|A| max|B| in
     absolute value, nor does any partial sum. Below 2^24 every one is an
@@ -145,25 +151,9 @@ def _gram_blocks(A: np.ndarray, B: np.ndarray, p: int):
         dtype = np.float32
     else:
         dtype = np.float64 if bound < 1 << 53 else np.int64
-    return _reduced_blocks(A.astype(dtype), B.T.astype(dtype), p)
-
-
-def _reduced_blocks(a: np.ndarray, bt: np.ndarray, p: int):
-    """The blocks of `_gram_blocks`, from its factors cast to one dtype: int32
-    blocks from float32, int64 from float64 and int64."""
-    rows = _block_rows(8 * max(bt.shape[1], p))
-    # reused: fresh blocks cost page faults; the product goes through the
-    # quotient's bytes, so the block's integers have the factors' item size
-    buf = np.empty((2, min(rows, len(a)), bt.shape[1]), dtype=f"i{a.itemsize}")
-    for lo in range(0, len(a), rows):
-        block, quot = buf[0, : len(a) - lo], buf[1, : len(a) - lo]
-        prod = quot.view(a.dtype)
-        np.matmul(a[lo : lo + rows], bt, out=prod)
-        np.copyto(block, prod, casting="unsafe")
-        np.floor_divide(block, p, out=quot)  # mod p in place: // by a scalar beats %
-        quot *= p
-        block -= quot
-        yield lo, block
+    a, bt = A.astype(dtype), B.T.astype(dtype)
+    rows, ints = _block_rows(8 * max(len(B), p)), f"i{a.itemsize}"
+    return ((lo, _mod((a[lo : lo + rows] @ bt).astype(ints, copy=False), p)) for lo in range(0, len(a), rows))
 
 
 def _row_histograms(block: np.ndarray, p: int) -> np.ndarray:
@@ -276,13 +266,6 @@ def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return order[new], pos
 
 
-def _row_classes(u: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(classes, cls): the distinct rows of u (entries in [0, p)) in
-    lexicographic order, and the index in classes of each row of u."""
-    first, cls = _distinct(_packed_keys(u, p))
-    return u[first], cls
-
-
 def _class_agreements(arr, nrm, p, pairs, k, base_from):
     """(off_base, off_star, classes) over zero pairs (y, z) = pairs[:, e].
 
@@ -312,8 +295,9 @@ def _class_agreements(arr, nrm, p, pairs, k, base_from):
     inv = _inverses(w[np.arange(len(w)), (w != 0).argmax(axis=1)], p)
     w *= inv[:, None]
     w %= p
-    classes, cls = _row_classes(w, p)
-    del w
+    first, cls = _distinct(_packed_keys(w, p))  # the classes in lexicographic order
+    classes = w[first]
+    del w, first
     cls = cls[diff]
     inv = (inv * ((p + 1) // 2) % p)[diff][:k]  # 1 / (2t)
     del diff
@@ -379,7 +363,7 @@ def profile(E: PointSet) -> Profile:
         dist = norms[lo : lo + len(gram), None] + norms
         dist -= gram
         dist -= gram
-        dist -= dist // p * p  # mod p: // by a scalar beats %
+        _mod(dist, p)
         if scan_dist:
             dist_found.append(_upper_zeros(lo, dist))
             m += dist_found[-1].shape[1]

@@ -90,10 +90,6 @@ class SpectralTable:
 
     values: np.ndarray  # shape (p,)*n, complex128
 
-    @property
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
 
 @dataclass(frozen=True)
 class SurfaceFunction:
@@ -105,10 +101,6 @@ class SurfaceFunction:
     def __post_init__(self):
         if len(self.values) != len(self.variety):
             raise ValueError("one value per variety point required")
-
-    @staticmethod
-    def constant(variety: PointSet, value: complex = 1.0) -> "SurfaceFunction":
-        return SurfaceFunction(variety, np.full(len(variety), value, dtype=np.complex128))
 
 
 def fourier_indicator(X: PointSet, cap: int | None = None) -> SpectralTable:
@@ -122,7 +114,7 @@ def fourier_indicator(X: PointSet, cap: int | None = None) -> SpectralTable:
 def plancherel_error(table: SpectralTable, X: PointSet) -> float:
     """|sum_m |Xhat(m)|^2 - p^(-n)|X)|, zero in exact arithmetic."""
     p, n = X.field.p, X.dim
-    return abs(float((np.abs(table.flat) ** 2).sum()) - len(X) * float(p) ** (-n))
+    return abs(float((np.abs(table.values) ** 2).sum()) - len(X) * float(p) ** (-n))
 
 
 # -- the zero-radius sphere ----------------------------------------------
@@ -172,15 +164,16 @@ def zero_sphere_max_error(field: PrimeField, n: int, cap: int | None = None) -> 
 # -- surface measures and extension ratios --------------------------------
 
 
-def inverse_surface_transform(f: SurfaceFunction, cap: int | None = None) -> SpectralTable:
-    """(f dsigma)^vee (c) = |V|^(-1) sum_{x in V} chi(c.x) f(x), dense in c."""
+def inverse_surface_transform(f: SurfaceFunction, cap: int | None = None) -> np.ndarray:
+    """(f dsigma)^vee (c) = |V|^(-1) sum_{x in V} chi(c.x) f(x), dense in c:
+    a complex array of shape (p,)*n."""
     V = f.variety
     if not len(V):
         raise ValueError("empty variety")
     p, n = V.field.p, V.dim
     table = _transform(p, V.array, f.values, inverse=True, cap=cap)
     table *= float(p) ** n / len(V)
-    return SpectralTable(table)
+    return table
 
 
 @lru_cache(maxsize=128)
@@ -235,7 +228,7 @@ def extension_ratio(f: SurfaceFunction, r_exp: float, cap: int | None = None) ->
         _check_power_cap(1, p, n, cap, "transform-table entries")
         num = (float(p) ** n * _antipodal_energy(f, *antipodes)) ** 0.25 / len(V)
     else:
-        g = np.abs(inverse_surface_transform(f, cap).flat)
+        g = np.abs(inverse_surface_transform(f, cap))
         top = g.max()  # scaled by the max, the sum neither underflows nor overflows at large r
         num = float(top * ((g / top) ** r_exp).sum() ** (1.0 / r_exp))
     return num / denom_sq**0.5
@@ -323,13 +316,15 @@ def degenerate_pairs_fourier(X: PointSet) -> float:
     p, n = X.field.p, X.dim
     table = fourier_indicator(X)
     s0 = zero_sphere_hat_table(X.field, n)
-    val = ((np.abs(table.flat) ** 2) * s0).sum() * float(p) ** (2 * n)
+    val = ((np.abs(table.values.ravel()) ** 2) * s0).sum() * float(p) ** (2 * n)
     return float(val.real)
 
 
 def verify_report(field: PrimeField, n: int, seed: int = 0, cap: int | None = None) -> dict:
     """One row of the fourier-verify table for a (n, p) pair; the work is
     O(p^n), so the cap bounds p^n before anything is built."""
+    if n < 1:
+        raise ValueError("sphere needs dimension >= 1")
     p = field.p
     _check_power_cap(1, p, n, cap, "transform-table entries")
     max_err = zero_sphere_max_error(field, n, cap)

@@ -271,7 +271,7 @@ def run_battery(seed: int = 0, instances: int = 20) -> list[OracleReport]:
                 lambda: {
                     m: complex(v)
                     for m, v in zip(
-                        itertools.product(range(p), repeat=2), fourier.fourier_indicator(X2).flat
+                        itertools.product(range(p), repeat=2), fourier.fourier_indicator(X2).values.flat
                     )
                 },
                 lambda: oracle_fourier(X2),

@@ -20,17 +20,18 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 from . import constructions, counting
 from .field import PrimeField, is_prime
-from .varieties import _check_power_cap, random_paraboloid_subset, random_space_subset
-
-# Default primes for product-ratio sweeps: ratios stabilize by here while
-# cells stay seconds-scale. All are 3 mod 4.
-DEFAULT_RATIO_SWEEP_PRIMES = (23, 31, 43, 47, 59, 67, 71, 79, 83, 103)
-
+from .varieties import (
+    DEFAULT_ENUM_CAP,
+    ResourceLimitError,
+    _check_power_cap,
+    random_paraboloid_subset,
+    random_space_subset,
+)
 
 MASK64 = (1 << 64) - 1
 
@@ -216,10 +217,6 @@ class SweepRow:
     seed: int = 0
     error: str = ""
 
-    def as_record(self) -> dict:
-        """Fields in column order, floats rounded to 9 significant digits."""
-        return {k: float(f"{v:.9g}") if isinstance(v, float) else v for k, v in asdict(self).items()}
-
 
 CSV_COLUMNS = [f.name for f in fields(SweepRow)]
 
@@ -238,10 +235,15 @@ def build_cell_set(field: PrimeField, d: int, family: Family, seed: int, cap: in
     p = field.p
     if family.kind == "random_paraboloid_subset":
         # the whole paraboloid from alpha = d - 1 on, a power checked against the
-        # cap before it is formed; below it ceil(p^alpha) <= p^(d-1)
+        # cap before it is formed; below it ceil(p^alpha) <= p^(d-1), formed only
+        # when alpha is at most the cap's bit length: past it p^alpha > 2^alpha
+        # exceeds the cap already
+        limit = DEFAULT_ENUM_CAP if cap is None else cap
         if family.alpha >= d - 1:
             _check_power_cap(1, p, d - 1, cap, "paraboloid points")
             size = p ** (d - 1)
+        elif family.alpha > limit.bit_length():
+            raise ResourceLimitError(f"paraboloid points: ceil({p}^{family.alpha:.9g}) exceeds cap {limit}")
         else:
             size = math.ceil(p**family.alpha)
         return random_paraboloid_subset(field, d, size, seed, cap)
@@ -284,19 +286,19 @@ def rows_to_csv_bytes(rows: list[SweepRow]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        values = (getattr(row, c) for c in CSV_COLUMNS)
-        writer.writerow([f"{v:.9g}" if isinstance(v, float) else str(v) for v in values])
+    writer.writerows([f"{v:.9g}" if isinstance(v, float) else v for v in astuple(row)] for row in rows)
     return buf.getvalue().encode("utf-8")
 
 
-def rows_to_json_bytes(rows: list[SweepRow]) -> bytes:
-    return (json.dumps([r.as_record() for r in rows], indent=2) + "\n").encode("utf-8")
-
-
 def emit_rows(rows: list[SweepRow], fmt: str, out=None) -> bytes:
-    """Serialize rows; write to the given path when one is provided."""
-    payload = rows_to_csv_bytes(rows) if fmt == "csv" else rows_to_json_bytes(rows)
+    """Serialize rows, floats to 9 significant digits, as CSV or as a JSON
+    list of records in column order; write to the given path when one is
+    provided."""
+    if fmt == "csv":
+        payload = rows_to_csv_bytes(rows)
+    else:
+        records = [{k: float(f"{v:.9g}") if isinstance(v, float) else v for k, v in asdict(r).items()} for r in rows]
+        payload = (json.dumps(records, indent=2) + "\n").encode("utf-8")
     if out:
         Path(out).write_bytes(payload)
     return payload

@@ -417,12 +417,18 @@ def test_profile_matches_oracles_across_the_float32_bound(monkeypatch, p):
     pts = np.vstack([rng.integers(0, p, (27, 2)), [[p - 1, 0], [0, p - 1], [p - 1, p - 1]]])
     E = PointSet.build(PrimeField(p), 2, pts)
     assert int(E.array.max()) == p - 1
-    factors = []
-    reduced = counting._reduced_blocks
-    monkeypatch.setattr(counting, "_reduced_blocks", lambda a, bt, p: factors.append(a.dtype) or reduced(a, bt, p))
+    products = []
+    gram = counting._gram_blocks
+
+    def observed(A, B, p):
+        blocks = list(gram(A, B, p))
+        products.append({block.dtype for _, block in blocks})
+        return iter(blocks)
+
+    monkeypatch.setattr(counting, "_gram_blocks", observed)
     assert_profile_matches_oracles(E)
     # one product for the profile's pass and one for product_set's histogram
-    assert factors == [np.float32 if p == 2897 else np.float64] * 2
+    assert products == [{np.dtype(np.int32 if p == 2897 else np.int64)}] * 2
 
 
 def test_zero_pair_byte_cap(monkeypatch):
@@ -669,6 +675,13 @@ def test_gram_blocks_refuse_int64_overflow():
             next(counting._gram_blocks(A, B, p))
 
 
+def test_gram_blocks_refuse_at_the_call():
+    # before a caller builds its p-sized tables, not at the first block
+    A = np.full((2, 3), 2**31 - 2)
+    with pytest.raises(ResourceLimitError, match="overflow int64"):
+        counting._gram_blocks(A, A, 2**31 - 1)
+
+
 @pytest.mark.parametrize("p", [3, 11, 1009, 2**31 - 1])
 def test_row_classes_match_sorted_rows(p):
     """Packed keys (one at p = 3 and 11, two or more from d = 7 at 1009 and
@@ -679,7 +692,8 @@ def test_row_classes_match_sorted_rows(p):
         pool[:4] = [0], [p - 1], [1], [p - 2]  # extreme digits in every position
         pool[4:8, -1] = pool[0, -1]  # rows that differ only before the last key
         u = pool[rng.integers(0, len(pool), 300)]
-        classes, cls = counting._row_classes(u, p)
+        first, cls = counting._distinct(counting._packed_keys(u, p))
+        classes = u[first]
         rows = sorted(set(map(tuple, u.tolist())))
         assert classes.tolist() == [list(r) for r in rows]
         index = {r: c for c, r in enumerate(rows)}

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from ffgeom import oracle
+from ffgeom.constructions import isotropic_lines_set
+from ffgeom.counting import profile
 from ffgeom.field import PrimeField
 from ffgeom.varieties import PointSet, enum_paraboloid, random_subset
 
@@ -84,3 +86,18 @@ def test_report_lines_render():
     reports = oracle.run_battery(seed=1, instances=1)
     for rep in reports:
         assert rep.line().startswith("OK")
+
+
+@pytest.mark.parametrize(
+    "E",
+    [
+        isotropic_lines_set(PrimeField(13), 2, 4),
+        random_subset(enum_paraboloid(PrimeField(5), 3), 12, seed=2),
+    ],
+    ids=["lines", "paraboloid"],
+)
+def test_oracle_degenerate_pairs_match_the_profile(E):
+    # sets with pairs of distinct points at distance zero
+    pairs = oracle.oracle_degenerate_pairs(E)
+    assert pairs > len(E)
+    assert pairs == profile(E).degenerate_pairs

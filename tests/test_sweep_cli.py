@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ffgeom
-from ffgeom import cli, counting, sweep, varieties
+from ffgeom import cli, constructions, counting, sweep, varieties
 from ffgeom.constructions import isotropic_lines_set
 from ffgeom.field import PrimeField, is_prime
 from ffgeom.varieties import PointSet, on_paraboloid, random_space_subset
@@ -92,7 +92,7 @@ def test_trials_get_distinct_seeds_and_rerun_identical():
     rows = sweep.run_sweep(cfg)
     assert rows[0].seed != rows[1].seed
     again = sweep.run_sweep(cfg)
-    assert [r.as_record() for r in rows] == [r.as_record() for r in again]
+    assert rows == again
 
 
 def test_csv_round_trip_and_determinism():
@@ -730,3 +730,92 @@ def test_all_matches_package_imports():
     namespace: dict = {}
     exec("from ffgeom import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(ffgeom.__all__)
+
+
+# -- commands and options that other tests leave unrun --------------------
+
+
+@pytest.mark.parametrize("n, r_exp", [(2, 4.0), (3, 10 / 3)])
+def test_cli_extension_ratio_prints_its_stats(capsys, n, r_exp):
+    # the default exponent is (2n + 4)/n
+    assert cli.main(["extension-ratio", "--p", "23", "--n", str(n), "--trials", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["p", "n", "r_exp", "trials", "max_ratio", "mean_ratio"]
+    assert (doc["p"], doc["n"], doc["trials"]) == (23, n, 5)
+    assert doc["r_exp"] == r_exp and doc["max_ratio"] >= doc["mean_ratio"] > 0
+
+
+def test_cli_oracle_diff_reports_every_check(capsys):
+    assert cli.main(["oracle-diff", "--instances", "2", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks matched"
+    assert all(line.startswith("OK ") for line in lines[:-1])
+
+
+def test_cli_count_out_writes_the_file_only(tmp_path, capsys):
+    src, out = tmp_path / "e.txt", tmp_path / "counts.json"
+    random_space_subset(PrimeField(13), 2, 20, seed=1).save(src)
+    assert cli.main(["count", "--in", str(src), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text()) == counting.counts_json(PointSet.load(src))
+
+
+def test_cli_construct_failed_verification_exits_1(capsys, monkeypatch):
+    def refuted(*args):
+        raise constructions.ConstructionError("subgroup has wrong size")
+
+    monkeypatch.setitem(constructions.BUILDERS, "odd3mod4", refuted)
+    assert cli.main(["construct", "--kind", "odd3mod4", "--p", "7", "--d", "3", "--k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "verification failed: subgroup has wrong size\n"
+
+
+def test_sweep_timing_fills_runtime_and_nothing_else():
+    # the second family fails at d = 3: its row is timed too
+    doc = {**MINIMAL, "trials": 2, "families": [*MINIMAL["families"], {"kind": "lines", "lines": 2, "per_line": 3}]}
+    timed = sweep.run_sweep(sweep.parse_config({**doc, "timing": True}))
+    untimed = sweep.run_sweep(sweep.parse_config(doc))
+    assert any(row.error for row in timed)
+    assert all(row.runtime_ms > 0 for row in timed)
+    assert [dataclasses.replace(row, runtime_ms=0.0) for row in timed] == untimed
+
+
+def test_random_cell_past_the_float_range_names_the_cap(tmp_path, capsys):
+    # ceil(23^300) overflows a float; the cell is refused without forming it
+    doc = {"primes": [23], "dims": [2, 400], "families": [{"kind": "random_paraboloid_subset", "alpha": 300}]}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["sweep", "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "1 cell(s) recorded errors\n"
+    plane, far = csv.DictReader(io.StringIO(captured.out))
+    assert far["error"] == "ResourceLimitError: paraboloid points: ceil(23^300) exceeds cap 100000000"
+    # the d = 2 cell takes the whole parabola, as before
+    whole = counting.counts_json(varieties.enum_paraboloid(PrimeField(23), 2))
+    assert plane["error"] == "" and plane["seed"] == str(sweep.derive_seed(0, 0))
+    assert all(plane[key] == str(whole[key]) for key in ("set_size", "prod_size", "D", "D_star", "M", "t_nde", "t_de"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fourier-verify", "--pairs", "0:7"], "error: sphere needs dimension >= 1\n"),
+        (
+            ["construct", "--kind", "lines", "--p", "13", "--lines", "2", "--per-line", "3", "--k", "4"],
+            "error: --kind lines does not take --k\n",
+        ),
+        (
+            ["construct", "--kind", "odd3mod4", "--p", "7", "--d", "3", "--k", "3", "--lines", "2", "--per-line", "9"],
+            "error: --kind odd3mod4 does not take --lines and --per-line\n",
+        ),
+        (
+            ["construct", "--kind", "even2mod4", "--p", "7", "--d", "6", "--k", "3", "--per-line", "9"],
+            "error: --kind even2mod4 does not take --per-line\n",
+        ),
+    ],
+    ids=["fourier-verify-n0", "lines-with-k", "odd3mod4-with-lines", "even2mod4-with-per-line"],
+)
+def test_cli_refuses_arguments_it_cannot_use(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
