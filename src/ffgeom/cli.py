@@ -115,15 +115,14 @@ def cmd_extension_ratio(args) -> int:
 
 
 # the optional flags each construct kind reads: it needs each of them and
-# takes none of the others (--d keeps its default of 3 under lines, where a
-# given 3 looks the same)
-CONSTRUCT_FLAGS = {"lines": ("lines", "per_line"), **dict.fromkeys(constructions.BUILDERS, ("k",))}
+# takes none of the others
+CONSTRUCT_FLAGS = {"lines": ("lines", "per_line"), **dict.fromkeys(constructions.BUILDERS, ("d", "k"))}
 
 
 def cmd_construct(args) -> int:
     reads = CONSTRUCT_FLAGS[args.kind]
     missing = [name for name in reads if getattr(args, name) is None]
-    ignored = [name for name in ("k", "lines", "per_line") if name not in reads and getattr(args, name) is not None]
+    ignored = [name for name in ("d", "k", "lines", "per_line") if name not in reads and getattr(args, name) is not None]
     for names, verb in ((missing, "needs"), (ignored, "does not take")):
         if names:
             flags = " and ".join(f"--{name.replace('_', '-')}" for name in names)
@@ -132,12 +131,9 @@ def cmd_construct(args) -> int:
     try:
         if args.kind == "lines":
             E = constructions.isotropic_lines_set(field, args.lines, args.per_line, args.seed, args.cap)
-            report = constructions.construction_report(
-                "lines", field, E, num_lines=args.lines, points_per_line=args.per_line
-            )
         else:
             E = constructions.BUILDERS[args.kind](field, args.d, args.k, args.seed, args.cap)
-            report = constructions.construction_report(args.kind, field, E, k=args.k)
+        report = constructions.construction_report(args.kind, field, E, args.k, args.lines, args.per_line)
     except constructions.ConstructionError as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 1
@@ -147,6 +143,10 @@ def cmd_construct(args) -> int:
             json.dumps(report, indent=2) + "\n", encoding="utf-8"
         )
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    failed = [key for key in ("products_contained", "on_paraboloid", "floor_ok") if not report.get(key, True)]
+    if failed:
+        print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -169,10 +169,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle_diff(args) -> int:
     reports = oracle.run_battery(seed=args.seed, instances=args.instances)
-    for rep in reports:
-        print(rep.line())
+    lines = [rep.line() for rep in reports]
     bad = [r for r in reports if not r.match]
-    print(f"{len(reports) - len(bad)}/{len(reports)} checks matched")
+    lines.append(f"{len(reports) - len(bad)}/{len(reports)} checks matched")
+    _emit("\n".join(lines) + "\n", args.out)
     return 1 if bad else 0
 
 
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", required=True, choices=[*constructions.BUILDERS, "lines"]
     )
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--d", type=int, default=3)
+    sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--lines", type=int, default=None)
     sp.add_argument("--per-line", dest="per_line", type=int, default=None)

@@ -7,8 +7,8 @@ with a splitmix-style derivation, computed independently, and merged in cell
 order. Cell runtimes are only measured when the config opts in (timing: true),
 because measured times would break the byte-determinism guarantee.
 
-Random cells draw their points from indices (`random_paraboloid_subset`),
-so no cell enumerates a paraboloid, and the cap bounds the sample size.
+A random cell from alpha = d - 1 on is the enumerated paraboloid; a smaller
+one draws its points from indices, and the cap bounds the sample size.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .field import PrimeField, is_prime
 from .varieties import (
     DEFAULT_ENUM_CAP,
     ResourceLimitError,
-    _check_power_cap,
+    enum_paraboloid,
     random_paraboloid_subset,
     random_space_subset,
 )
@@ -223,8 +223,6 @@ CSV_COLUMNS = [f.name for f in fields(SweepRow)]
 
 def _resolve_k(family: Family, p: int) -> int:
     if family.k is not None:
-        if (p - 1) % family.k:
-            raise ValueError(f"k={family.k} does not divide p-1={p - 1}")
         return family.k
     if family.k_rule == "max_leq_sqrt":
         return next(k for k in range(math.isqrt(p - 1), 0, -1) if (p - 1) % k == 0)
@@ -234,22 +232,17 @@ def _resolve_k(family: Family, p: int) -> int:
 def build_cell_set(field: PrimeField, d: int, family: Family, seed: int, cap: int | None):
     p = field.p
     if family.kind == "random_paraboloid_subset":
-        # the whole paraboloid from alpha = d - 1 on, a power checked against the
-        # cap before it is formed; below it ceil(p^alpha) <= p^(d-1), formed only
-        # when alpha is at most the cap's bit length: past it p^alpha > 2^alpha
-        # exceeds the cap already
-        limit = DEFAULT_ENUM_CAP if cap is None else cap
         if family.alpha >= d - 1:
-            _check_power_cap(1, p, d - 1, cap, "paraboloid points")
-            size = p ** (d - 1)
-        elif family.alpha > limit.bit_length():
+            return enum_paraboloid(field, d, cap)
+        # ceil(p^alpha) is formed below 2^63 only; past it, it exceeds a cap of fewer
+        # bits, and the sampler refuses the p^(d-1) > p^alpha base points at any size
+        bits = family.alpha * math.log2(p)
+        limit = DEFAULT_ENUM_CAP if cap is None else cap
+        if bits >= 63 and bits > limit.bit_length():
             raise ResourceLimitError(f"paraboloid points: ceil({p}^{family.alpha:.9g}) exceeds cap {limit}")
-        else:
-            size = math.ceil(p**family.alpha)
-        return random_paraboloid_subset(field, d, size, seed, cap)
+        return random_paraboloid_subset(field, d, math.ceil(p**family.alpha) if bits < 63 else 0, seed, cap)
     if family.kind == "construction":
-        k = _resolve_k(family, p)
-        return constructions.BUILDERS[family.construction](field, d, k, seed, cap)
+        return constructions.BUILDERS[family.construction](field, d, _resolve_k(family, p), seed, cap)
     if d != 2:
         raise ValueError("lines family applies only to d = 2 cells")
     return constructions.isotropic_lines_set(field, family.num_lines, family.points_per_line, seed, cap)
@@ -347,7 +340,7 @@ def planar_triangle_sweep(
         raise ValueError("trials must be >= 1")
     reports = []
     for idx, p in enumerate(primes):
-        field, size = PrimeField(p), min(math.ceil(p**exponent), p * p)
+        field, size = PrimeField(p), math.ceil(p**exponent)
         for trial in range(trials):
             X = random_space_subset(field, 2, size, derive_seed(seed, idx * 1000 + trial))
             reports.append(planar_triangle_check(X))

@@ -189,6 +189,16 @@ def test_odd_3mod4_preconditions():
         cn.construct_odd_3mod4(PrimeField(7), 5, 3)  # d = 1 mod 4
 
 
+@pytest.mark.parametrize(
+    "build, p, d, residue",
+    [(cn.construct_even_2mod4, 7, 3, "d = 2 mod 4"), (cn.construct_even_0mod4, 13, 6, "d = 0 mod 4")],
+    ids=["even2mod4-d3", "even0mod4-d6"],
+)
+def test_even_lifts_refuse_the_other_dimensions(build, p, d, residue):
+    with pytest.raises(ValueError, match=f"construction requires {residue}"):
+        build(PrimeField(p), d, 3)
+
+
 def test_even_0mod4_example():
     f13 = PrimeField(13)
     E = cn.construct_even_0mod4(f13, 4, 3, seed=0)

@@ -138,6 +138,8 @@ def test_d_star_oracle_and_diagonal():
 def test_d_star_requires_paraboloid():
     X = rand_plane_subset(13, 10, seed=2)
     assert counting.profile(X).D_star == oracle.oracle_D_star(X, allow_ambient_base=True)
+    with pytest.raises(ValueError, match="requires a paraboloid set"):
+        oracle.oracle_D_star(X)
 
 
 def test_apex_example():
@@ -145,6 +147,8 @@ def test_apex_example():
     assert oracle.apex(f, (1, 2, 5)) == (2, 4)
     with pytest.raises(ValueError):
         oracle.apex(f, (0, 0, 0))
+    with pytest.raises(ValueError, match="base norm is zero"):
+        counting.apex_set(PointSet.build(f, 3, [(1, 2, 5), (0, 0, 0)]))
 
 
 def test_apex_unit_base():

@@ -310,6 +310,10 @@ def test_extension_ratio_cap_and_empty_variety_on_both_routes():
     empty = PointSet.build(PrimeField(7), 2, [])
     with pytest.raises(ValueError, match="empty variety"):
         fourier.extension_ratio(fourier.SurfaceFunction(empty, np.zeros(0)), 4.0)
+    with pytest.raises(ValueError, match="empty variety"):
+        fourier.inverse_surface_transform(fourier.SurfaceFunction(empty, np.zeros(0)))
+    with pytest.raises(ValueError, match="one value per variety point"):
+        fourier.SurfaceFunction(S, np.ones(len(S) - 1))
 
 
 # p = 3, 7, 23 are 3 mod 4 and 5, 13, 17 are 1 mod 4: circles of p + 1 and
@@ -525,6 +529,8 @@ def test_extension_stats_reject_no_trials():
     for trials in (0, -3):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             fourier.extension_ratio_stats(PrimeField(7), trials=trials)
+    with pytest.raises(ValueError, match="sphere needs dimension >= 1"):
+        fourier.extension_ratio_stats(PrimeField(7), n=0, trials=2)
 
 
 def test_spectral_apex_bound_cases():

@@ -18,6 +18,11 @@ def test_caps_enforced():
     huge = random_subset(enum_paraboloid(PrimeField(11), 3), 61, seed=0)
     with pytest.raises(oracle.OracleCapError):
         oracle.oracle_D(huge)
+    # 101^3 frequencies times 2 points: past CAP_FOURIER_WORK before any sum
+    pair = PointSet.build(PrimeField(101), 3, [(0, 0, 0), (1, 1, 1)])
+    assert 101**3 * 2 > oracle.CAP_FOURIER_WORK
+    with pytest.raises(oracle.OracleCapError, match="fourier oracle work cap"):
+        oracle.oracle_fourier(pair)
 
 
 def test_oracle_trivial_values():

@@ -180,8 +180,8 @@ def test_k_rule_resolution():
     assert sweep._resolve_k(fam, 10_000_019) == 3046  # no O(p) divisor scan
     assert sweep._resolve_k(fam2, 10_000_019) == 5_000_009
     fam3 = sweep.Family("construction", construction="odd3mod4", k=5)
-    with pytest.raises(ValueError):
-        sweep._resolve_k(fam3, 7)
+    with pytest.raises(ValueError, match="subgroup order 5 does not divide p-1 = 6"):
+        sweep.build_cell_set(PrimeField(7), 3, fam3, 0, None)
 
 
 def test_mean_prod_ratio_monotone_in_alpha():
@@ -211,6 +211,8 @@ def test_planar_triangle_check_hypotheses():
     big = random_space_subset(PrimeField(11), 2, 30, seed=0)  # 30^3 > 11^4
     with pytest.raises(ValueError, match="hypothesis"):
         sweep.planar_triangle_check(big)
+    with pytest.raises(ValueError, match="subset of F_p\\^2"):
+        sweep.planar_triangle_check(random_space_subset(PrimeField(11), 3, 5, seed=0))
 
 
 def test_planar_triangle_two_points():
@@ -448,10 +450,14 @@ def test_cli_samples_a_few_points_of_a_huge_variety(capsys, argv, size):
     assert (doc[0]["size"] if argv[0] == "mpprp-check" else doc["set_size"]) == size
 
 
-def test_cli_sweep_config_error(tmp_path):
+def test_cli_sweep_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text('{"prims": [7]}')
     assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+    cfg_path.write_text("[]")
+    capsys.readouterr()
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "config error: a config must be a JSON object\n"
 
 
 def test_cli_mpprp(capsys):
@@ -496,6 +502,16 @@ def _never_run(config):
         ({"families": [{"kind": "construction", "construction": "even2mod4", "k": -1}]}, []),
         ({"families": [{"kind": "lines", "lines": 0, "per_line": 2}]}, []),
         ({"families": [{"kind": "lines", "lines": 2, "per_line": 0}]}, []),
+        # families and dims that no cell could use
+        ({"families": [5]}, []),
+        ({"families": [{"alpha": 1}]}, []),
+        ({"families": [{"kind": "random_paraboloid_subset"}]}, []),
+        ({"families": [{"kind": "construction", "construction": "odd1mod4", "k": 3}]}, []),
+        ({"families": [{"kind": "construction", "construction": "odd3mod4", "k": 3, "k_rule": "max_proper"}]}, []),
+        ({"families": [{"kind": "construction", "construction": "odd3mod4"}]}, []),
+        ({"families": [{"kind": "construction", "construction": "odd3mod4", "k_rule": "min"}]}, []),
+        ({"families": [{"kind": "lines", "lines": 2}]}, []),
+        ({"dims": [1, 3]}, []),
     ],
 )
 def test_cli_sweep_bad_values_exit_2_before_running(tmp_path, capsys, monkeypatch, doc, flags):
@@ -533,6 +549,7 @@ def test_cli_sweep_bad_values_exit_2_before_running(tmp_path, capsys, monkeypatc
         # the zero sphere, which the statistics promise never to sample
         (["extension-ratio", "--p", "7", "--radius", "0", "--trials", "2"], "radius must be nonzero mod p"),
         (["extension-ratio", "--p", "7", "--radius", "14", "--trials", "2"], "radius must be nonzero mod p"),
+        (["construct", "--kind", "lines", "--p", "13", "--lines", "0", "--per-line", "3"], "at least one line"),
     ],
 )
 def test_cli_unusable_arguments_exit_2(capsys, argv, missing):
@@ -812,10 +829,71 @@ def test_random_cell_past_the_float_range_names_the_cap(tmp_path, capsys):
             ["construct", "--kind", "even2mod4", "--p", "7", "--d", "6", "--k", "3", "--per-line", "9"],
             "error: --kind even2mod4 does not take --per-line\n",
         ),
+        (["construct", "--kind", "odd3mod4", "--p", "11", "--k", "5"], "error: --kind odd3mod4 needs --d\n"),
+        (
+            ["construct", "--kind", "lines", "--p", "13", "--lines", "2", "--per-line", "3", "--d", "7"],
+            "error: --kind lines does not take --d\n",
+        ),
     ],
-    ids=["fourier-verify-n0", "lines-with-k", "odd3mod4-with-lines", "even2mod4-with-per-line"],
+    ids=[
+        "fourier-verify-n0",
+        "lines-with-k",
+        "odd3mod4-with-lines",
+        "even2mod4-with-per-line",
+        "odd3mod4-without-d",
+        "lines-with-d",
+    ],
 )
 def test_cli_refuses_arguments_it_cannot_use(capsys, argv, message):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == message
+
+
+@pytest.mark.parametrize(
+    "p, d, alpha, cap, error",
+    [
+        # past 2^63 points and past the cap's bit length: refused unformed
+        (10**18 + 3, 30, 20.0, None, "ResourceLimitError: paraboloid points: ceil(1000000000000000003^20) exceeds cap 100000000"),
+        (23, 400, 250.0, 10**330, f"ResourceLimitError: paraboloid points: ceil(23^250) exceeds cap {10**330}"),
+        # past 2^63 points within the cap's bit length: more than the sampler takes
+        (23, 400, 230.0, 10**330, "ValueError: F_23^399 has 23^399 points, too many to sample by index"),
+    ],
+    ids=["huge-p", "huge-cap", "past-the-sampler"],
+)
+def test_random_cell_size_never_overflows_a_float(p, d, alpha, cap, error):
+    family = sweep.Family("random_paraboloid_subset", alpha=alpha)
+    assert sweep.run_cell(p, d, family, 0, 1, cap, False).error == error
+
+
+def test_cli_oracle_diff_out_writes_the_file_only(tmp_path, capsys):
+    out = tmp_path / "oracle.txt"
+    assert cli.main(["oracle-diff", "--instances", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    lines = out.read_text().splitlines()
+    assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks matched" and len(lines) > 1
+
+
+@pytest.mark.parametrize(
+    "argv, module_name, fake, failed",
+    [
+        # a product outside {a + a^2}
+        (["--kind", "odd3mod4", "--p", "7", "--d", "3", "--k", "3"], "product_set", lambda E: {0, 2}, "products_contained"),
+        # fewer zero triples than the lines promise
+        (
+            ["--kind", "lines", "--p", "13", "--lines", "2", "--per-line", "3"],
+            "profile",
+            lambda E: dataclasses.replace(counting.profile(E), t_zero_triples=0),
+            "floor_ok",
+        ),
+    ],
+    ids=["lift", "lines"],
+)
+def test_cli_construct_report_with_a_failed_check_exits_1(tmp_path, capsys, monkeypatch, argv, module_name, fake, failed):
+    monkeypatch.setattr(constructions, module_name, fake)
+    out = tmp_path / "e.txt"
+    assert cli.main(["construct", *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report[failed] is False and json.loads((tmp_path / "e.txt.json").read_text()) == report
+    assert out.exists() and captured.err == f"verification failed: {failed}\n"

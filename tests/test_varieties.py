@@ -321,3 +321,23 @@ def test_from_text_rejects_malformed():
     with pytest.raises(ValueError, match="expected 1 points, found 2"):
         PointSet.from_text("7 2 1\n1 2\n3 4\n")
     assert len(PointSet.from_text("7 2 2\n1 2\n3 4\n\n")) == 2
+
+
+F7 = PrimeField(7)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: PointSet.build(F7, 0, []), "dimension must be at least 1"),
+        (lambda: PointSet.build(F7, 2, [(1, 2)]).union(PointSet.build(PrimeField(11), 2, [(1, 2)])), "matching field"),
+        (lambda: PointSet.from_text("7 2 2\n1 2\n1 2\n"), "duplicate points"),
+        (lambda: enum_paraboloid(F7, 1), "paraboloid needs dimension >= 2"),
+        (lambda: enum_sphere(F7, 0, 1), "sphere needs dimension >= 1"),
+        (lambda: bar_projection(PointSet.build(F7, 1, [(3,)])), "projection needs dimension >= 2"),
+    ],
+    ids=["build-dim-0", "union-across-fields", "repeated-point", "paraboloid-d-1", "sphere-n-0", "project-a-line"],
+)
+def test_requests_without_a_set_are_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
