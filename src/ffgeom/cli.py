@@ -21,8 +21,8 @@ DEFAULT_VERIFY_PAIRS = "2:3,2:7,2:11,2:19,6:3"
 
 
 def _emit(payload: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(payload, encoding="utf-8")
+    if out:  # newline="": the file holds the payload's bytes on every platform
+        Path(out).write_text(payload, encoding="utf-8", newline="")
     else:
         sys.stdout.write(payload)
 
@@ -128,15 +128,11 @@ def cmd_construct(args) -> int:
             flags = " and ".join(f"--{name.replace('_', '-')}" for name in names)
             raise ValueError(f"--kind {args.kind} {verb} {flags}")
     field = PrimeField(args.p)
-    try:
-        if args.kind == "lines":
-            E = constructions.isotropic_lines_set(field, args.lines, args.per_line, args.seed, args.cap)
-        else:
-            E = constructions.BUILDERS[args.kind](field, args.d, args.k, args.seed, args.cap)
-        report = constructions.construction_report(args.kind, field, E, args.k, args.lines, args.per_line)
-    except constructions.ConstructionError as e:
-        print(f"verification failed: {e}", file=sys.stderr)
-        return 1
+    if args.kind == "lines":
+        E = constructions.isotropic_lines_set(field, args.lines, args.per_line, args.seed, args.cap)
+    else:
+        E = constructions.BUILDERS[args.kind](field, args.d, args.k, args.seed, args.cap)
+    report = constructions.construction_report(args.kind, field, E, args.k, args.lines, args.per_line)
     if args.out:
         E.save(args.out)
         Path(args.out).with_suffix(Path(args.out).suffix + ".json").write_text(
@@ -145,22 +141,15 @@ def cmd_construct(args) -> int:
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
     failed = [key for key in ("products_contained", "on_paraboloid", "floor_ok") if not report.get(key, True)]
     if failed:
-        print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
+        raise constructions.ConstructionError(", ".join(failed))
     return 0
 
 
 def cmd_sweep(args) -> int:
-    try:
-        # each global flag names a config key; a flag given on the command line wins
-        config = dataclasses.replace(sweep.parse_config(args.config), **args.given)
-    except sweep.ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+    # each global flag names a config key; a flag given on the command line wins
+    config = dataclasses.replace(sweep.parse_config(args.config), **args.given)
     rows = sweep.run_sweep(config)
-    payload = sweep.emit_rows(rows, config.format, config.out)
-    if not config.out:
-        sys.stdout.write(payload.decode("utf-8"))
+    _emit(sweep.emit_rows(rows, config.format), config.out)
     failures = sum(1 for r in rows if r.error)
     if failures:
         print(f"{failures} cell(s) recorded errors", file=sys.stderr)
@@ -183,16 +172,21 @@ def cmd_mpprp(args) -> int:
         if args.p is not None or args.size is not None:
             raise ValueError("mpprp-check takes --primes, or --p and --size, not both")
         primes = [int(x) for x in args.primes.split(",")]
-        reports = sweep.planar_triangle_sweep(primes, seed=args.seed, **given)
+        reports = sweep.planar_triangle_sweep(primes, seed=args.seed, cap=args.cap, **given)
     elif args.p is None or args.size is None:
         raise ValueError("mpprp-check needs --primes, or --p and --size")
     elif given:
         raise ValueError(f"{' and '.join('--' + k for k in given)} apply only with --primes")
     else:
-        X = varieties.random_space_subset(PrimeField(args.p), 2, args.size, args.seed)
+        X = varieties.random_space_subset(PrimeField(args.p), 2, args.size, args.seed, args.cap)
         reports = [sweep.planar_triangle_check(X)]
     _emit(json.dumps(reports, indent=2) + "\n", args.out)
     return 0 if all(r["ok"] for r in reports) else 1
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error leaves through main as one `error:` line
+        raise ValueError(f"{self.prog}: {message}")
 
 
 GLOBAL_DEFAULTS = {"seed": 0, "threads": None, "out": None, "format": None, "cap": None}
@@ -201,7 +195,7 @@ GLOBAL_DEFAULTS = {"seed": 0, "threads": None, "out": None, "format": None, "cap
 def _global_flags() -> argparse.ArgumentParser:
     # SUPPRESS keeps a subparser from clobbering a value parsed before the
     # subcommand; unset attributes are filled from GLOBAL_DEFAULTS in main().
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS, help="output path (default stdout)")
@@ -214,7 +208,7 @@ def _global_flags() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _global_flags()
-    parser = argparse.ArgumentParser(prog="ffgeom", description=__doc__, parents=[common])
+    parser = _Parser(prog="ffgeom", description=__doc__, parents=[common])
     subs = parser.add_subparsers(dest="command", required=True)
 
     def add(name, **kw):
@@ -276,13 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args.given = {key: getattr(args, key) for key in GLOBAL_DEFAULTS if hasattr(args, key)}
-    for key, value in GLOBAL_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
     try:
+        args = build_parser().parse_args(argv)
+        args.given = {key: getattr(args, key) for key in GLOBAL_DEFAULTS if hasattr(args, key)}
+        for key, value in GLOBAL_DEFAULTS.items():
+            if not hasattr(args, key):
+                setattr(args, key, value)
         return args.fn(args)
+    except sweep.ConfigError as e:  # before ValueError, its base
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except constructions.ConstructionError as e:
+        print(f"verification failed: {e}", file=sys.stderr)
+        return 1
     except (ValueError, OSError, ResourceLimitError, MemoryError) as e:
         # a MemoryError raised by Python itself carries no message
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)

@@ -328,6 +328,6 @@ def verify_report(field: PrimeField, n: int, seed: int = 0, cap: int | None = No
     p = field.p
     _check_power_cap(1, p, n, cap, "transform-table entries")
     max_err = zero_sphere_max_error(field, n, cap)
-    X = random_space_subset(field, n, min(p**n, 4 * p), random.Random(seed).randrange(2**32))
+    X = random_space_subset(field, n, min(p**n, 4 * p), random.Random(seed).randrange(2**32), cap)
     perr = plancherel_error(fourier_indicator(X, cap), X)
     return {"n": n, "p": p, "max_abs_err": max_err, "plancherel_err": perr}

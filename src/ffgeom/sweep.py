@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
@@ -267,34 +268,27 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         (p, d, fam, trial, derive_seed(config.seed, idx), config.cap, config.timing)
         for idx, (p, d, fam, trial) in enumerate(cells)
     ]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+    # the pool starts a thread per cell submitted until it has max_workers
+    workers = min(config.threads, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda a: run_cell(*a), args))
     else:
         rows = [run_cell(*a) for a in args]
     return rows
 
 
-def rows_to_csv_bytes(rows: list[SweepRow]) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows([f"{v:.9g}" if isinstance(v, float) else v for v in astuple(row)] for row in rows)
-    return buf.getvalue().encode("utf-8")
-
-
-def emit_rows(rows: list[SweepRow], fmt: str, out=None) -> bytes:
-    """Serialize rows, floats to 9 significant digits, as CSV or as a JSON
-    list of records in column order; write to the given path when one is
-    provided."""
+def emit_rows(rows: list[SweepRow], fmt: str) -> str:
+    """Render rows, floats to 9 significant digits, as LF-terminated CSV or
+    as a JSON list of records in column order."""
     if fmt == "csv":
-        payload = rows_to_csv_bytes(rows)
-    else:
-        records = [{k: float(f"{v:.9g}") if isinstance(v, float) else v for k, v in asdict(r).items()} for r in rows]
-        payload = (json.dumps(records, indent=2) + "\n").encode("utf-8")
-    if out:
-        Path(out).write_bytes(payload)
-    return payload
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([f"{v:.9g}" if isinstance(v, float) else v for v in astuple(row)] for row in rows)
+        return buf.getvalue()
+    records = [{k: float(f"{v:.9g}") if isinstance(v, float) else v for k, v in asdict(r).items()} for r in rows]
+    return json.dumps(records, indent=2) + "\n"
 
 
 # -- planar non-degenerate triangle bound ----------------------------------
@@ -331,9 +325,10 @@ def planar_triangle_check(X) -> dict:
 
 
 def planar_triangle_sweep(
-    primes, exponent: float = 1.25, trials: int = 1, seed: int = 0
+    primes, exponent: float = 1.25, trials: int = 1, seed: int = 0, cap: int | None = None
 ) -> list[dict]:
-    """Random subsets of F_p^2 of size ceil(p^exponent) across a prime list."""
+    """Random subsets of F_p^2 of size ceil(p^exponent) across a prime list;
+    the cap bounds each size."""
     if not 0 < exponent <= 4 / 3:
         raise ValueError(f"exponent {exponent} outside (0, 4/3]: the check needs |X| <= p^(4/3)")
     if trials < 1:
@@ -342,6 +337,6 @@ def planar_triangle_sweep(
     for idx, p in enumerate(primes):
         field, size = PrimeField(p), math.ceil(p**exponent)
         for trial in range(trials):
-            X = random_space_subset(field, 2, size, derive_seed(seed, idx * 1000 + trial))
+            X = random_space_subset(field, 2, size, derive_seed(seed, idx * 1000 + trial), cap)
             reports.append(planar_triangle_check(X))
     return reports

@@ -206,8 +206,9 @@ def _space_sample(p: int, n: int, size: int, seed: int) -> np.ndarray:
     return np.array(np.unravel_index(_sample(p**n, size, seed), (p,) * n)).T
 
 
-def random_space_subset(field: PrimeField, n: int, size: int, seed: int) -> PointSet:
-    """`random_subset` of all of F_p^n without building F_p^n."""
+def random_space_subset(field: PrimeField, n: int, size: int, seed: int, cap: int | None = None) -> PointSet:
+    """`random_subset` of all of F_p^n without building F_p^n. The cap bounds size."""
+    _check_cap(size, cap, "space points")
     return PointSet.build(field, n, _space_sample(field.p, n, size, seed))
 
 

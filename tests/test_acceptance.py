@@ -221,9 +221,9 @@ def test_11_sweep_determinism(tmp_path):
         "seed": 123,
     }
     cfg = sweep.parse_config(doc)
-    first = sweep.rows_to_csv_bytes(sweep.run_sweep(cfg))
-    second = sweep.rows_to_csv_bytes(sweep.run_sweep(cfg))
-    threaded = sweep.rows_to_csv_bytes(sweep.run_sweep(dataclasses.replace(cfg, threads=8)))
+    first = sweep.emit_rows(sweep.run_sweep(cfg), "csv").encode()
+    second = sweep.emit_rows(sweep.run_sweep(cfg), "csv").encode()
+    threaded = sweep.emit_rows(sweep.run_sweep(dataclasses.replace(cfg, threads=8)), "csv").encode()
     # and through the CLI, config file in, bytes out
     from ffgeom import cli
 

@@ -76,7 +76,7 @@ def _sha256(payload: bytes) -> str:
 
 def test_sweep_csv_golden():
     rows = sweep.run_sweep(sweep.parse_config(GOLDEN_SWEEP))
-    assert _sha256(sweep.rows_to_csv_bytes(rows)) == GOLDEN_SWEEP_CSV_SHA256
+    assert _sha256(sweep.emit_rows(rows, "csv").encode()) == GOLDEN_SWEEP_CSV_SHA256
 
 
 def _construction(kind, p, d, k, seed):

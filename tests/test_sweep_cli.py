@@ -109,13 +109,13 @@ def test_csv_round_trip_and_determinism():
         }
     )
     rows = sweep.run_sweep(cfg)
-    payload = sweep.rows_to_csv_bytes(rows)
-    assert payload == sweep.rows_to_csv_bytes(sweep.run_sweep(cfg))
+    payload = sweep.emit_rows(rows, "csv").encode()
+    assert payload == sweep.emit_rows(sweep.run_sweep(cfg), "csv").encode()
     # thread count must not affect bytes
     import dataclasses
 
     cfg8 = dataclasses.replace(cfg, threads=8)
-    assert payload == sweep.rows_to_csv_bytes(sweep.run_sweep(cfg8))
+    assert payload == sweep.emit_rows(sweep.run_sweep(cfg8), "csv").encode()
     # LF endings, header, parse-back
     text = payload.decode("utf-8")
     assert "\r" not in text
@@ -127,11 +127,38 @@ def test_csv_round_trip_and_determinism():
         assert int(rec["set_size"]) == row.set_size
 
 
+@pytest.mark.parametrize("cpus, workers", [(4, 4), (1, None), (None, None)])
+def test_sweep_threads_are_bounded_by_the_cpu_count(monkeypatch, cpus, workers):
+    # a fake pool that records its size and maps in the calling thread: no
+    # thread starts, whatever the config asks for
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    cfg = sweep.parse_config({**MINIMAL, "trials": 3})
+    serial = sweep.run_sweep(cfg)
+    monkeypatch.setattr(sweep, "ThreadPoolExecutor", FakePool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    assert sweep.run_sweep(dataclasses.replace(cfg, threads=1_000_000)) == serial
+    assert sizes == ([] if workers is None else [workers])
+
+
 def test_json_emission(tmp_path):
     cfg = sweep.parse_config(MINIMAL)
     rows = sweep.run_sweep(cfg)
     out = tmp_path / "rows.json"
-    sweep.emit_rows(rows, "json", out)
+    out.write_text(sweep.emit_rows(rows, "json"))
     loaded = json.loads(out.read_text())
     assert loaded[0]["set_size"] == rows[0].set_size
 
@@ -390,7 +417,7 @@ def test_cli_sweep_seed_and_cap_flags_win(tmp_path, capsys):
     run = ["sweep", "--config", str(cfg_path)]
     assert cli.main(run) == 0
     plain = capsys.readouterr().out
-    reseeded = sweep.rows_to_csv_bytes(sweep.run_sweep(sweep.parse_config({**doc, "seed": 99}))).decode()
+    reseeded = sweep.emit_rows(sweep.run_sweep(sweep.parse_config({**doc, "seed": 99})), "csv")
     assert reseeded != plain
     for argv in (["--seed", "99", *run], [*run, "--seed", "99"]):  # before or after the subcommand
         assert cli.main(argv) == 0
@@ -458,6 +485,20 @@ def test_cli_sweep_config_error(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == "config error: a config must be a JSON object\n"
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [(["--p", "7", "--size", "15"], 15), (["--primes", "7"], 12)],  # ceil(7^1.25) = 12
+    ids=["single", "primes"],
+)
+def test_cli_mpprp_refuses_a_sample_past_the_cap_before_drawing(capsys, monkeypatch, argv, size):
+    def never_drawn(*args):
+        raise AssertionError("drew a sample past the cap")
+
+    monkeypatch.setattr(varieties, "_sample", never_drawn)
+    assert cli.main(["--cap", "10", "mpprp-check", *argv]) == 2
+    assert capsys.readouterr().err == f"error: space points: {size} exceeds cap 10\n"
 
 
 def test_cli_mpprp(capsys):
@@ -620,19 +661,33 @@ def test_cli_p_sized_tables_exit_2(tmp_path, capsys, command, what):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, fragment",
     [
-        ["count", "--random-paraboloid", "7", "3", "3", "--full-paraboloid", "7", "3"],
-        ["triangles", "--in", "E.txt", "--full-paraboloid", "7", "3"],
-        ["product"],
+        (["count", "--random-paraboloid", "7", "3", "3", "--full-paraboloid", "7", "3"], "--full-paraboloid"),
+        (["triangles", "--in", "E.txt", "--full-paraboloid", "7", "3"], "--full-paraboloid"),
+        (["product"], "--full-paraboloid"),
+        # every other usage error takes the same one-line path
+        ([], "ffgeom: the following arguments are required: command"),
+        (["bogus"], "ffgeom: argument command: invalid choice: 'bogus'"),
+        (["count", "--in", "x", "--seed", "y"], "ffgeom count: argument --seed: invalid int value: 'y'"),
+        (["--format", "xml", "count", "--in", "x"], "ffgeom: argument --format: invalid choice: 'xml'"),
+        (["sweep"], "ffgeom sweep: the following arguments are required: --config"),
     ],
-    ids=["two-generated", "file-and-generated", "none"],
+    ids=["two-generated", "file-and-generated", "none", "no-command", "unknown-command", "bad-int", "bad-choice", "sweep-without-config"],
 )
-def test_cli_takes_exactly_one_set_source(capsys, argv):
+def test_cli_takes_exactly_one_set_source(capsys, argv, fragment):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ffgeom")
+    assert fragment in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["count", "-h"]])
+def test_cli_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
-    assert exc.value.code == 2
-    assert "--full-paraboloid" in capsys.readouterr().err
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ffgeom")
 
 
 def test_cli_memory_error_exits_2_with_one_line():
