@@ -273,6 +273,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.given = {key: getattr(args, key) for key in GLOBAL_DEFAULTS if hasattr(args, key)}
+        unread = [f"--{key}" for key in ("threads", "format") if key in args.given]
+        if unread and args.command != "sweep":
+            raise ValueError(f"ffgeom {args.command}: only sweep reads {' and '.join(unread)}")
         for key, value in GLOBAL_DEFAULTS.items():
             if not hasattr(args, key):
                 setattr(args, key, value)

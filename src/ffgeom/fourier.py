@@ -44,18 +44,17 @@ the last two sums over the x in V with -x in V: the pairs at xi = 0.
 `extension_ratio` takes one of two routes:
 
 - r = 4 on one sphere of nonzero radius in n <= 2 (circles, their subsets,
-  the two-point spheres of n = 1): the identity above, from the antipodal
-  pairs that `_antipodes` caches per PointSet;
+  the two-point spheres of n = 1): the identity above, from the sphere's
+  antipodal pairs, which `extension_ratio_stats` finds once per sphere;
 - every other exponent and variety: the dense transform.
 
-Each route checks the cap on the transform table's p^n entries first.
+Both check the cap on the transform table's p^n entries first.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -176,7 +175,6 @@ def inverse_surface_transform(f: SurfaceFunction, cap: int | None = None) -> np.
     return table
 
 
-@lru_cache(maxsize=128)
 def _antipodes(V: PointSet) -> tuple[np.ndarray, np.ndarray] | None:
     """For V on one sphere ||x|| = r != 0 in dimension n <= 2: the rows x of
     V whose antipode -x is in V, and the row of -x for each. None for every
@@ -192,16 +190,13 @@ def _antipodes(V: PointSet) -> tuple[np.ndarray, np.ndarray] | None:
     neg = (-V.array % p) @ place
     at = np.minimum(np.searchsorted(flat, neg), len(V) - 1)
     rows = np.flatnonzero(flat[at] == neg)
-    partners = at[rows]
-    rows.setflags(write=False)
-    partners.setflags(write=False)
-    return rows, partners
+    return rows, at[rows]
 
 
-def _antipodal_energy(f: SurfaceFunction, rows: np.ndarray, partners: np.ndarray) -> float:
-    """sum_xi |h(xi)|^2 on a sphere of nonzero radius in dimension n <= 2,
-    from the antipodal pairs of `_antipodes` in O(|V|) (module docstring)."""
-    vals = f.values
+def _antipodal_energy(vals: np.ndarray, rows: np.ndarray, partners: np.ndarray) -> float:
+    """sum_xi |h(xi)|^2 of the values on a sphere of nonzero radius in
+    dimension n <= 2, from the antipodal pairs of `_antipodes` in O(|V|)
+    (module docstring)."""
     a = vals.real**2 + vals.imag**2
     h0 = vals[rows] @ vals[partners]
     return float(2 * a.sum() ** 2 - a @ a - 2 * (a[rows] @ a[partners]) + (h0.real**2 + h0.imag**2))
@@ -217,18 +212,19 @@ def extension_ratio(f: SurfaceFunction, r_exp: float, cap: int | None = None) ->
     V = f.variety
     if not len(V):
         raise ValueError("empty variety")
-    denom_sq = float((np.abs(f.values) ** 2).sum()) / len(V)
+    _check_power_cap(1, V.field.p, V.dim, cap, "transform-table entries")
+    return _ratio(V, f.values, r_exp, _antipodes(V) if r_exp == 4 else None, cap)
+
+
+def _ratio(V: PointSet, vals: np.ndarray, r_exp: float, antipodes: tuple | None, cap: int | None) -> float:
+    """`extension_ratio` of vals on a nonempty V whose r_exp and cap are checked."""
+    denom_sq = float((np.abs(vals) ** 2).sum()) / len(V)
     if denom_sq == 0.0:
         raise ValueError("extension ratio undefined for the zero function")
-    p, n = V.field.p, V.dim
-    # a sphere of nonzero radius in n <= 2 has at most p + 1 points: larger
-    # sets stay out of the cache
-    antipodes = _antipodes(V) if r_exp == 4 and len(V) <= p + 1 else None
     if antipodes is not None:
-        _check_power_cap(1, p, n, cap, "transform-table entries")
-        num = (float(p) ** n * _antipodal_energy(f, *antipodes)) ** 0.25 / len(V)
+        num = (float(V.field.p) ** V.dim * _antipodal_energy(vals, *antipodes)) ** 0.25 / len(V)
     else:
-        g = np.abs(inverse_surface_transform(f, cap))
+        g = np.abs(inverse_surface_transform(SurfaceFunction(V, vals), cap))
         top = g.max()  # scaled by the max, the sum neither underflows nor overflows at large r
         num = float(top * ((g / top) ** r_exp).sum() ** (1.0 / r_exp))
     return num / denom_sq**0.5
@@ -257,24 +253,27 @@ def extension_ratio_stats(
         raise ValueError(f"radius must be nonzero mod p = {p}, got {radius}")
     _check_power_cap(2, p, n - 1, cap, "sphere points")
     _check_power_cap(1, p, n, cap, "transform-table entries")
+    if not 0 < r_exp < np.inf:
+        raise ValueError(f"r_exp must be finite and > 0, got {r_exp}")
+    _check_power_cap(2 * trials, p, n - 1, cap, "drawn values")  # 2 |V| a trial
     norms = _freq_norms(p, n)
     # the same stable order from the narrowest unsigned type that holds p - 1
     order = np.argsort(norms.astype(np.min_scalar_type(p - 1)), kind="stable")
     starts = np.concatenate([[0], np.cumsum(np.bincount(norms, minlength=p))])
     rng = np.random.default_rng(seed)
     ratios = []
-    spheres: dict[int, PointSet] = {}
+    spheres: dict[int, tuple] = {}  # radius -> (sphere, its antipodal pairs at r = 4)
     for _ in range(trials):
         r = radius % p if radius is not None else int(rng.integers(1, p))
-        V = spheres.get(r)
-        if V is None:
+        if r not in spheres:
             flat = order[starts[r] : starts[r + 1]]
             V = PointSet.build(field, n, np.column_stack(np.unravel_index(flat, (p,) * n)))
-            spheres[r] = V
+            spheres[r] = V, _antipodes(V) if r_exp == 4 and len(V) else None
+        V, antipodes = spheres[r]
         if not len(V):
             continue
         vals = rng.standard_normal(len(V)) + 1j * rng.standard_normal(len(V))
-        ratios.append(extension_ratio(SurfaceFunction(V, vals), r_exp, cap))
+        ratios.append(_ratio(V, vals, r_exp, antipodes, cap))
     if not ratios:
         raise ValueError(f"every sampled sphere in F_{p}^{n} is empty")
     return {

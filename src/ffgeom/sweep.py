@@ -29,6 +29,7 @@ from .field import PrimeField, is_prime
 from .varieties import (
     DEFAULT_ENUM_CAP,
     ResourceLimitError,
+    _check_cap,
     enum_paraboloid,
     random_paraboloid_subset,
     random_space_subset,
@@ -327,16 +328,18 @@ def planar_triangle_check(X) -> dict:
 def planar_triangle_sweep(
     primes, exponent: float = 1.25, trials: int = 1, seed: int = 0, cap: int | None = None
 ) -> list[dict]:
-    """Random subsets of F_p^2 of size ceil(p^exponent) across a prime list;
-    the cap bounds each size."""
+    """Random subsets of F_p^2 of size ceil(p^exponent) across a prime list,
+    each seeded from its flat (prime, trial) index, as `run_sweep` seeds its
+    cells; the cap bounds the points the whole run draws."""
     if not 0 < exponent <= 4 / 3:
         raise ValueError(f"exponent {exponent} outside (0, 4/3]: the check needs |X| <= p^(4/3)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    reports = []
-    for idx, p in enumerate(primes):
-        field, size = PrimeField(p), math.ceil(p**exponent)
-        for trial in range(trials):
-            X = random_space_subset(field, 2, size, derive_seed(seed, idx * 1000 + trial), cap)
-            reports.append(planar_triangle_check(X))
-    return reports
+    fields = [PrimeField(p) for p in primes]
+    sizes = [math.ceil(p**exponent) for p in primes]
+    _check_cap(trials * sum(sizes), cap, "space points")
+    cells = itertools.product(zip(fields, sizes), range(trials))
+    return [
+        planar_triangle_check(random_space_subset(field, 2, size, derive_seed(seed, idx), cap))
+        for idx, ((field, size), _) in enumerate(cells)
+    ]

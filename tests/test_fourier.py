@@ -1,6 +1,8 @@
 import ast
 import cmath
+import importlib
 import itertools
+import pkgutil
 import random
 import tracemalloc
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ffgeom
 from ffgeom import counting, fourier, oracle
 from ffgeom.field import PrimeField
 from ffgeom.varieties import (
@@ -350,7 +353,7 @@ def assert_antipodal_identity(f):
     number of points of V whose antipode is in V."""
     pairs = fourier._antipodes(f.variety)
     assert pairs is not None
-    energy = fourier._antipodal_energy(f, *pairs)
+    energy = fourier._antipodal_energy(f.values, *pairs)
     assert energy == pytest.approx(pair_sum_energy_in_one_block(f), rel=1e-12)
     assert fourier.extension_ratio(f, 4.0) == pytest.approx(transform_l4_ratio(f), rel=1e-12)
     return len(pairs[0])
@@ -436,16 +439,6 @@ def test_antipodal_route_takes_only_r4(monkeypatch):
     assert calls == {"antipodal": 1, "transform": 3}
 
 
-def test_antipodal_cache_keeps_no_set_above_p_plus_1_points():
-    # no sphere of nonzero radius in n <= 2 has more than p + 1 points, so a
-    # larger set is not looked up, and the cache does not keep it alive
-    fourier._antipodes.cache_clear()
-    for size in (12, 40):  # p + 1 and above, in F_11^2
-        V = rand_plane_subset(11, size, seed=size)
-        fourier.extension_ratio(gaussian_function(V, seed=size), 4.0)
-    assert fourier._antipodes.cache_info().currsize == 1
-
-
 @pytest.mark.parametrize("n,p", [(1, 13), (2, 23), (2, 29)])
 def test_extension_stats_on_circles_build_no_table(monkeypatch, n, p):
     calls = count_routes(monkeypatch)
@@ -490,7 +483,7 @@ def test_extension_stats_match_the_enumerated_loop(p, seed, radius):
 def test_extension_stats_spheres_are_the_enumerated_spheres(monkeypatch, n, p):
     field = PrimeField(p)
     seen = []
-    monkeypatch.setattr(fourier, "extension_ratio", lambda f, r_exp, cap=None: seen.append(f.variety) or 1.0)
+    monkeypatch.setattr(fourier, "_ratio", lambda V, vals, r_exp, antipodes, cap: seen.append(V) or 1.0)
     # the statistics promise spheres of nonzero radius: the zero sphere is refused
     with pytest.raises(ValueError, match="radius must be nonzero mod p"):
         fourier.extension_ratio_stats(field, n, trials=1, radius=0)
@@ -505,24 +498,40 @@ def test_extension_stats_spheres_are_the_enumerated_spheres(monkeypatch, n, p):
                 fourier.extension_ratio_stats(field, n, trials=1, radius=r)
 
 
-def test_extension_stats_call_extension_ratio_once_per_nonempty_trial(monkeypatch):
-    """Each nonempty trial calls fourier.extension_ratio through the module
-    attribute (which a wrapper can see); the draws are the radius, then two
-    standard_normal(|V|), and an empty sphere draws nothing more."""
-    field, seed, trials = PrimeField(13), 4, 30
-    ratios = []
-    original = fourier.extension_ratio
-    monkeypatch.setattr(fourier, "extension_ratio", lambda *a: ratios.append(original(*a)) or ratios[-1])
-    stats = fourier.extension_ratio_stats(field, n=1, trials=trials, seed=seed)
-    rng, nonempty = np.random.default_rng(seed), 0
+@pytest.mark.parametrize(
+    "p,n,r_exp,seed",
+    [(13, 1, 4.0, 4), (23, 2, 4.0, 1), (7, 2, 3.0, 2)],
+    ids=["energy-n1", "energy-n2", "dense"],
+)
+def test_extension_stats_replay_the_public_ratio(monkeypatch, p, n, r_exp, seed):
+    """The statistics are the max and mean of the public extension_ratio over
+    the same draws: the radius, then two standard_normal(|V|), and nothing
+    more for an empty sphere. Each nonempty trial calls fourier._ratio once,
+    through the module attribute (which a wrapper can see)."""
+    field, trials, calls = PrimeField(p), 30, []
+    original = fourier._ratio
+    monkeypatch.setattr(fourier, "_ratio", lambda *a: calls.append(a[3]) or original(*a))
+    stats = fourier.extension_ratio_stats(field, n, r_exp, trials=trials, seed=seed)
+    monkeypatch.undo()
+    rng, ratios = np.random.default_rng(seed), []
     for _ in range(trials):
-        size = len(enum_sphere(field, 1, int(rng.integers(1, 13))))
-        if size:
-            nonempty += 1
-            rng.standard_normal(size), rng.standard_normal(size)
-    assert 0 < nonempty < trials
-    assert len(ratios) == stats["trials"] == nonempty
+        V = enum_sphere(field, n, int(rng.integers(1, p)))
+        if len(V):
+            vals = rng.standard_normal(len(V)) + 1j * rng.standard_normal(len(V))
+            ratios.append(fourier.extension_ratio(fourier.SurfaceFunction(V, vals), r_exp))
+    assert 0 < len(ratios) == len(calls) == stats["trials"]
+    assert n > 1 or len(ratios) < trials  # half the one-dimensional spheres are empty
+    assert all((pairs is None) == (r_exp != 4) for pairs in calls)
     assert stats["max_ratio"] == max(ratios)
+    assert stats["mean_ratio"] == sum(ratios) / len(ratios)
+
+
+def test_extension_stats_refuse_a_bad_exponent_before_any_trial(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew before checking r_exp"))
+    # 3 is a nonsquare mod 7, so every sphere is empty: no trial would reach a ratio
+    for r_exp in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="r_exp must be finite and > 0"):
+            fourier.extension_ratio_stats(PrimeField(7), n=1, r_exp=r_exp, trials=3, radius=3)
 
 
 def test_extension_stats_reject_no_trials():
@@ -708,6 +717,20 @@ def _fft_uses(tree):
             yield node
         elif isinstance(node, ast.Import) and any("fft" in a.name for a in node.names):
             yield node
+
+
+def test_no_module_keeps_a_cache():
+    """No ffgeom module holds a functools cache: each result is found where
+    it is used, and no call hashes its arguments to look one up."""
+    names = [info.name for info in pkgutil.iter_modules(ffgeom.__path__)]
+    assert "fourier" in names
+    cached = [
+        f"{module.__name__}.{name}"
+        for module in [ffgeom, *(importlib.import_module(f"ffgeom.{name}") for name in names)]
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_clear")
+    ]
+    assert not cached
 
 
 def test_every_fft_is_in_the_one_transform_routine():

@@ -275,6 +275,52 @@ def test_cli_mpprp_refuses_flags_it_would_ignore(capsys, argv, message):
     assert err.startswith("error:") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--threads", "5", "--format", "csv", "count", "--full-paraboloid", "7", "3"], "count: only sweep reads --threads and --format"),
+        (["count", "--full-paraboloid", "7", "3", "--threads", "5", "--format", "csv"], "count: only sweep reads --threads and --format"),
+        (["--threads", "2", "extension-ratio", "--p", "7"], "extension-ratio: only sweep reads --threads"),
+        (["mpprp-check", "--p", "11", "--size", "15", "--format", "json"], "mpprp-check: only sweep reads --format"),
+    ],
+    ids=["before-command", "after-command", "threads-alone", "format-alone"],
+)
+def test_cli_refuses_the_sweep_flags_elsewhere(capsys, monkeypatch, argv, message):
+    for name in ("cmd_count", "cmd_extension_ratio", "cmd_mpprp"):
+        monkeypatch.setattr(cli, name, lambda args: pytest.fail("ran a command given a flag it ignores"))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: ffgeom {message}\n"
+
+
+def test_mpprp_sweep_seeds_each_cell_from_its_flat_index(monkeypatch):
+    # at 1 001 trials a prime, `prime index * 1000 + trial` gave two cells one seed
+    seeds = []
+    monkeypatch.setattr(sweep, "random_space_subset", lambda field, n, size, seed, cap: seeds.append(seed))
+    monkeypatch.setattr(sweep, "planar_triangle_check", lambda X: {})
+    assert len(sweep.planar_triangle_sweep([7, 11], exponent=1.0, trials=1001, seed=3)) == 2002
+    assert seeds == [sweep.derive_seed(3, idx) for idx in range(2002)]
+    assert len(set(seeds)) == 2002
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mpprp-check", "--primes", "3", "--exponent", "1", "--trials", "2147483647"], "space points: 6442450941"),
+        (["extension-ratio", "--p", "3", "--trials", "2147483647"], "drawn values: 12884901882"),
+    ],
+    ids=["mpprp-check", "extension-ratio"],
+)
+def test_cli_cap_bounds_the_values_a_run_draws(capsys, monkeypatch, argv, message):
+    # each sample is small; their number is not, and the run is refused
+    # before it builds its first set
+    def never_built(*args):
+        raise AssertionError("built a set before the run was checked against the cap")
+
+    monkeypatch.setattr(varieties.PointSet, "build", never_built)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message} exceeds cap {varieties.DEFAULT_ENUM_CAP}\n"
+
+
 def test_cli_triangles_prints_the_triangle_keys_in_order(capsys):
     assert cli.main(["triangles", "--random-paraboloid", "13", "3", "20"]) == 0
     doc = json.loads(capsys.readouterr().out)
