@@ -157,7 +157,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle_diff(args) -> int:
-    reports = oracle.run_battery(seed=args.seed, instances=args.instances)
+    reports = oracle.run_battery(seed=args.seed, instances=args.instances, cap=args.cap)
     lines = [rep.line() for rep in reports]
     bad = [r for r in reports if not r.match]
     lines.append(f"{len(reports) - len(bad)}/{len(reports)} checks matched")

@@ -38,6 +38,33 @@ m = 2 and p = 1 mod 4 (Chevalley-Warning; -1 is a square). So over
 p = 3 mod 4 there is no base scan on a paraboloid in F_p^3 and no scan at
 all in the plane.
 
+Over p = 1 mod 4 those two scans are not needed either: the plane's two null
+lines give the pairs. With c = +-i (c^2 = -1), the null coordinates
+L_c(x) = x_1 + c x_2 factor the norm, ||x|| = L_i(x) L_-i(x), and together
+determine x. So two distinct points are at zero distance iff they share one
+of L_i, L_-i (never both), and then y - z = t (1, c). A planar set's
+distance-zero pairs, and the base-zero pairs of a set on the paraboloid in
+F_p^3, are the pairs inside the groups of a p-bin histogram of each L_c,
+and every sum over them is a sum over the groups (`_planar_null_counts`,
+`_base_null_counts`). For the group L_c(y) = lambda of s points:
+
+* in the plane, u = (1, c) gives x.u = L_c(x), and ||y|| - ||z|| =
+  lambda L_-c(y - z) = 2 t lambda, so a pair's agreeing apexes are the s
+  points of its own group: binom(s, 2) s for c_base. Three points pairwise
+  at zero distance share one group, so T sums binom(s, 3). D* off a
+  paraboloid reads L_c(x) = 0, the group of lambda = 0;
+* on the paraboloid in F_p^3, y_3 = ||ybar|| = lambda L_-c(ybar) gives
+  y - z = t (1, c, 2 lambda), so x.u = L_c(xbar) + 2 lambda x_3 for D*: a
+  histogram of -L_c(xbar) / (2 x_3) over the points with x_3 != 0, read at
+  lambda, plus the points with x_3 = L_c(xbar) = 0. The classes
+  (1, c, 2 lambda) meet those of the distance-zero pairs, which the scan
+  still finds, only at lambda = 0.
+
+That costs O(n + p) time and memory in place of two O(n^2) scans, and forms
+no pair. Such a set is still refused where the class-table rows of its zero
+pairs would pass ZERO_PAIR_BYTE_CAP, so the sets `profile` refuses do not
+depend on the route.
+
 What remains are sums over those zero pairs (y, z), i < j, each counted
 twice for (y, z) and (z, y), plus the n diagonal pairs. With w = y - z:
 
@@ -50,8 +77,9 @@ twice for (y, z) and (z, y), plus the n diagonal pairs. With w = y - z:
 * So one histogram of x.u per distinct class u answers every pair. Both
   pair lists share one class table (grouped by a sort of packed keys), and
   the histograms are built in the same byte-sized blocks of classes. In the
-  plane there are at most 2 classes, the slope +-i lines; in high dimension
-  the class count can approach the pair count and takes the same path.
+  plane there are at most 2 classes, the slope +-i lines, which the null
+  groups above answer; in high dimension the class count can approach the
+  pair count and takes the same path.
 * Pairs that share a difference y - z share u and t. Beyond a block of
   pairs, each point is packed once into keys of base-2p digits, so the
   difference of two points' keys has digits y_c - z_c in (-p, p) and
@@ -111,7 +139,8 @@ from .varieties import (
 
 # Byte budget for the zero-pair lists, their per-pair class arrays
 # (`_pair_bytes` each) and the zero-distance adjacency, which reach |X|^2 / 2
-# pairs on a fully degenerate set; the rest is held in blocks.
+# pairs on a fully degenerate set; the rest is held in blocks. The null-line
+# route holds none of these but refuses at the same pair counts.
 ZERO_PAIR_BYTE_CAP = 800_000_000
 _BLOCK_BYTES = 1 << 19  # bytes of a block; a pass holds about four, which stay in cache
 # The factor by which the triangle-bound checks let a count exceed its
@@ -267,7 +296,8 @@ def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _class_agreements(arr, nrm, p, pairs, k, base_from):
-    """(off_base, off_star, classes) over zero pairs (y, z) = pairs[:, e].
+    """(off_base, off_star, classes) over zero pairs (y, z) = pairs[:, e],
+    with classes the distinct classes u as rows, in lexicographic order.
 
     off_base sums, over the distance-zero pairs e < k, the apexes x with
     x.u = (||y|| - ||z||) / (2t); off_star sums, over the base-zero pairs
@@ -313,7 +343,7 @@ def _class_agreements(arr, nrm, p, pairs, k, base_from):
         a, b = np.searchsorted(flat, [c0 * p, (c0 + len(hist)) * p])
         off_base += int(hist.ravel()[flat[a:b] - c0 * p].sum())
         off_star += int(hist[:, 0] @ base_counts[c0 : c0 + len(hist)])
-    return off_base, off_star, len(classes)
+    return off_base, off_star, classes
 
 
 def _adjacency_width(n: int) -> int:
@@ -335,6 +365,65 @@ def _triangles(i: np.ndarray, j: np.ndarray, n: int) -> int:
     return sum(int(np.bitwise_count(words[i[c]] & words[j[c]]).sum()) for c in chunks)
 
 
+def _check_zero_pair_bytes(n: int, dim: int, m: int, m_base: int) -> None:
+    """Refuse n points with m distance-zero and m_base base-zero pairs i < j
+    when their class-table rows and adjacency would pass ZERO_PAIR_BYTE_CAP."""
+    held = (m + m_base) * _pair_bytes(dim) + (n * _adjacency_width(n) if m else 0)
+    if held > ZERO_PAIR_BYTE_CAP:
+        raise ResourceLimitError(f"zero pairs of {n} points exceed {ZERO_PAIR_BYTE_CAP} bytes")
+
+
+def _null_groups(xy: np.ndarray, p: int, i: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For c = i, then c = -i: (L, size, pairs), with L each row's null
+    coordinate x_1 + c x_2, size the p-bin histogram of L, whose bin lambda
+    is a group of points pairwise at zero distance along the null line
+    (1, c) (module docstring), and pairs = size (size - 1) / 2, the pairs
+    i < j of each group. The Gram bound keeps p below 2^31, so c x_2 does
+    not wrap int64."""
+    groups = []
+    for c in (i, p - i):
+        L = (xy[:, 0] + c * xy[:, 1]) % p
+        size = np.bincount(L, minlength=p)
+        groups.append((L, size, size * (size - 1) // 2))
+    return groups
+
+
+def _planar_null_counts(xy: np.ndarray, p: int, i: int, paraboloid: bool) -> tuple[int, int, int, int, int]:
+    """(m, off_base, off_star, triangles, classes) of a planar set over
+    p = 1 mod 4, from its null groups (module docstring): no pair is formed,
+    but a set is refused where the pairs' class-table rows would be."""
+    lines = _null_groups(xy, p, i)
+    m = sum(int(pairs.sum()) for _, _, pairs in lines)
+    _check_zero_pair_bytes(len(xy), 2, m, 0)
+    off_base = off_star = triangles = classes = 0
+    for _, size, pairs in lines:
+        off_base += int(pairs @ size)  # a pair agrees with the apexes of its own group
+        triangles += int(pairs @ (size - 2)) // 3  # binom(s, 3) = binom(s, 2) (s - 2) / 3
+        if not paraboloid:  # D*: the apexes x of L(x) = 0
+            off_star += int(pairs.sum()) * int(size[0])
+        classes += bool(pairs.any())
+    return m, off_base, off_star, triangles, classes
+
+
+def _base_null_counts(arr: np.ndarray, p: int, i: int) -> tuple[int, int, int]:
+    """(m_base, off_star, classes) of a set on the paraboloid in F_p^3 over
+    p = 1 mod 4, from the null groups of its base (module docstring)."""
+    lines = _null_groups(arr, p, i)
+    m_base = sum(int(pairs.sum()) for _, _, pairs in lines)
+    _check_zero_pair_bytes(len(arr), 3, 0, m_base)
+    last = arr[:, 2]
+    flat = last != 0
+    half = _inverses(2 * last[flat] % p, p)  # 1 / (2 x_3)
+    off_star = classes = 0
+    for L, _, pairs in lines:
+        # x.u = L(xbar) + 2 lambda x_3 vanishes at lambda = -L(xbar) / (2 x_3),
+        # and at every lambda where x_3 = L(xbar) = 0
+        apexes = np.bincount((p - L[flat]) * half % p, minlength=p)
+        off_star += int(pairs @ apexes) + int(pairs.sum()) * int(np.count_nonzero(L[~flat] == 0))
+        classes += int(np.count_nonzero(pairs))
+    return m_base, off_star, classes
+
+
 def profile(E: PointSet) -> Profile:
     """prod, M, D, D* and every triangle count of E in O(|E|^2) time.
 
@@ -343,16 +432,24 @@ def profile(E: PointSet) -> Profile:
     """
     p, n, arr = E.field.p, len(E), E.array
     last = arr[:, -1] if on_paraboloid(E) else None
+    # over p = 1 mod 4 the null lines give a planar set's distance-zero pairs
+    # and a paraboloid's base-zero pairs in F_p^3 without a scan
+    i = E.field.sqrt_minus_one() if E.dim == 2 or (E.dim == 3 and last is not None) else None
     # off an isotropic form no two distinct points are at zero (base) distance
-    scan_dist = E.field.isotropic(E.dim)
-    scan_base = last is not None and E.field.isotropic(E.dim - 1)
+    scan_dist = E.field.isotropic(E.dim) and (i is None or E.dim != 2)
+    scan_base = last is not None and E.field.isotropic(E.dim - 1) and i is None
     blocks = _gram_blocks(arr, arr, p)  # may raise: before the p-sized tables
     nrm = _norms(arr, p)
     _check_cap(2 * p, None, "square-table entries")  # square, the largest of them, whatever n
-    # square[k + p] = k^2 = ||y - z|| - ||ybar - zbar|| at k = y_d - z_d
-    square = np.arange(2 * p) ** 2 % p
+    m = m_base = off_base = off_star = zero_triangles = classes = 0
+    if i is not None and E.dim == 2:
+        m, off_base, off_star, zero_triangles, classes = _planar_null_counts(arr, p, i, last is not None)
+    elif i is not None:
+        m_base, off_star, classes = _base_null_counts(arr, p, i)
+    if scan_base:  # square[k + p] = k^2 = ||y - z|| - ||ybar - zbar|| at k = y_d - z_d
+        square = np.arange(2 * p) ** 2 % p
     dots = np.zeros(p, dtype=np.int64)
-    d_total = total_iso = eq_zero_sides = degenerate = m = m_base = 0
+    d_total = total_iso = eq_zero_sides = degenerate = 0
     empty = np.zeros((2, 0), dtype=np.intp)
     dist_found, base_found = [empty], [empty]
     for lo, gram in blocks:
@@ -370,9 +467,7 @@ def profile(E: PointSet) -> Profile:
         if scan_base:
             base_found.append(_upper_zeros(lo, dist, square[last[lo : lo + len(dist), None] + p - last[lo:]]))
             m_base += base_found[-1].shape[1]
-        held = (m + m_base) * _pair_bytes(E.dim) + (n * _adjacency_width(n) if m else 0)
-        if held > ZERO_PAIR_BYTE_CAP:
-            raise ResourceLimitError(f"zero pairs of {n} points exceed {ZERO_PAIR_BYTE_CAP} bytes")
+        _check_zero_pair_bytes(n, E.dim, m, m_base)
         hist = _row_histograms(gram, p)
         dots += hist.sum(axis=0)
         d_total += int(np.vdot(hist, hist))
@@ -387,9 +482,14 @@ def profile(E: PointSet) -> Profile:
     pairs = np.concatenate(dist_found + base_found, axis=1)
     del dist_found, base_found
     base_from = 0 if last is None else m
-    off_base = off_star = classes = zero_triangles = 0
-    if pairs.size:
-        off_base, off_star, classes = _class_agreements(arr, nrm, p, pairs, m, base_from)
+    if pairs.size:  # scanned pairs: the null groups of a planar set form none
+        agree_base, agree_star, rows = _class_agreements(arr, nrm, p, pairs, m, base_from)
+        off_base += agree_base
+        off_star += agree_star
+        classes += len(rows)
+        if i is not None:
+            # a distance class (1, c, 0) is also a base class, of lambda = 0
+            classes -= sum(bool((rows == (1, c, 0)).all(axis=1).any()) for c in (i, p - i))
         zero_triangles = _triangles(*pairs[:, :m], n) if m else 0
 
     c_base = n * n + 2 * off_base

@@ -224,7 +224,9 @@ def _ratio(V: PointSet, vals: np.ndarray, r_exp: float, antipodes: tuple | None,
     if antipodes is not None:
         num = (float(V.field.p) ** V.dim * _antipodal_energy(vals, *antipodes)) ** 0.25 / len(V)
     else:
-        g = np.abs(inverse_surface_transform(SurfaceFunction(V, vals), cap))
+        table = _transform(V.field.p, V.array, vals, inverse=True, cap=cap)
+        table *= float(V.field.p) ** V.dim / len(V)  # (f dsigma)^vee
+        g = np.abs(table)
         top = g.max()  # scaled by the max, the sum neither underflows nor overflows at large r
         num = float(top * ((g / top) ** r_exp).sum() ** (1.0 / r_exp))
     return num / denom_sq**0.5

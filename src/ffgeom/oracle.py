@@ -228,16 +228,18 @@ def _values_match(fast, slow, tol: float = 1e-6) -> bool:
     return abs(fa - sa) <= tol * scale
 
 
-def run_battery(seed: int = 0, instances: int = 20) -> list[OracleReport]:
-    """Cross-validate every fast count against its oracle on random sets."""
+def run_battery(seed: int = 0, instances: int = 20, cap: int | None = None) -> list[OracleReport]:
+    """Cross-validate every fast count against its oracle on random sets;
+    the cap bounds the instances, each of at most 40 points."""
     import random
 
     from . import counting, fourier
     from .field import PrimeField
-    from .varieties import enum_paraboloid, random_subset
+    from .varieties import _check_cap, enum_paraboloid, random_subset
 
     if instances < 1:
         raise ValueError("instances must be >= 1")
+    _check_cap(instances, cap, "oracle instances")
 
     rng = random.Random(seed)
     reports: list[OracleReport] = []

@@ -264,6 +264,9 @@ def run_cell(p: int, d: int, family: Family, trial: int, seed: int, cap, timing:
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
+    """One row per cell, in cell order; the cap bounds the cells, checked
+    before the first one is formed."""
+    _check_cap(len(config.primes) * len(config.dims) * len(config.families) * config.trials, config.cap, "sweep cells")
     cells = itertools.product(config.primes, config.dims, config.families, range(config.trials))
     args = [
         (p, d, fam, trial, derive_seed(config.seed, idx), config.cap, config.timing)

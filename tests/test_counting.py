@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffgeom import counting, oracle
 from ffgeom.constructions import (
@@ -715,7 +717,7 @@ def test_upper_zeros_matches_full_scan():
 
 
 @pytest.mark.parametrize(
-    "make, scans",
+    "make, isotropic",
     [
         (lambda: rand_plane_subset(103, 1100, seed=1), 0),
         (lambda: rand_plane_subset(101, 1100, seed=1), 1),
@@ -724,17 +726,21 @@ def test_upper_zeros_matches_full_scan():
         (lambda: construct_odd_3mod4(PrimeField(11), 7, 5, seed=0), 2),
     ],
 )
-def test_zero_scans_only_where_isotropic(monkeypatch, make, scans):
+def test_zero_scans_only_where_isotropic(monkeypatch, make, isotropic):
     """profile scans each row block for distance-zero pairs where the sum
     of d squares is isotropic and, on a paraboloid, for base-zero pairs where
-    the sum of d - 1 squares is."""
+    the sum of d - 1 squares is: `isotropic` forms. Over p = 1 mod 4 the two
+    null lines of the plane replace one of those scans, for a planar set
+    (1 -> 0 scans a block at p = 101) and for the base of a paraboloid set in
+    F_p^3 (2 -> 1)."""
     E = make()
+    null_lines = E.field.p % 4 == 1 and (E.dim == 2 or (E.dim == 3 and on_paraboloid(E)))
     blocks = -(-len(E) // counting._block_rows(8 * max(len(E), E.field.p)))
     calls = []
     scan = counting._upper_zeros
     monkeypatch.setattr(counting, "_upper_zeros", lambda lo, *args: calls.append(lo) or scan(lo, *args))
     counting.profile(E)
-    assert len(calls) == scans * blocks
+    assert len(calls) == (isotropic - null_lines) * blocks
 
 
 def test_planar_isotropic_classes():
@@ -746,6 +752,37 @@ def test_planar_isotropic_classes():
     assert pr.base_zero_pairs == pr.zero_pairs
     pr = counting.profile(rand_plane_subset(103, 1500, seed=6))
     assert pr.zero_pairs == pr.base_zero_pairs == pr.isotropic_classes == 0
+
+
+@st.composite
+def null_line_sets(draw):
+    """A planar set, or its lift to the paraboloid in F_p^3, over p = 1 mod 4,
+    whose base points lie mostly on a few null lines x_1 + c x_2 = lambda
+    (c = +-i, lambda = 0 often: those points have x_3 = ||xbar|| = 0), and
+    the rest anywhere; 1 to 40 points."""
+    p = draw(st.sampled_from([5, 13, 17, 29, 101]))
+    i = PrimeField(p).sqrt_minus_one()
+    line = st.tuples(st.sampled_from([i, p - i]), st.sampled_from([0, 0, 1, p - 1, p // 2]))  # (c, lambda)
+    lines = draw(st.lists(line, min_size=1, max_size=3))
+    coords = st.integers(0, p - 1)
+    on_line = st.tuples(st.sampled_from(lines), coords).map(lambda lt: ((lt[0][1] - lt[0][0] * lt[1]) % p, lt[1]))
+    base = draw(st.lists(st.one_of(on_line, on_line, st.tuples(coords, coords)), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        return PointSet.build(PrimeField(p), 2, base)
+    return PointSet.build(PrimeField(p), 3, [(a, b, (a * a + b * b) % p) for a, b in base])
+
+
+@settings(max_examples=150, deadline=None)
+@given(null_line_sets())
+def test_null_line_route_matches_the_scans(E):
+    """Every Profile field, work counters included, is the same whether the
+    null lines give the zero pairs (planar sets) and the base-zero pairs
+    (paraboloid sets in F_p^3), or the row-block scans find them."""
+    assert E.dim == 2 or on_paraboloid(E)
+    fast = counting.profile(E)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PrimeField, "sqrt_minus_one", lambda self: None)
+        assert counting.profile(E) == fast
 
 
 def _translate(E, shift):

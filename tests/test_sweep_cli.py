@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ffgeom
-from ffgeom import cli, constructions, counting, sweep, varieties
+from ffgeom import cli, constructions, counting, oracle, sweep, varieties
 from ffgeom.constructions import isotropic_lines_set
 from ffgeom.field import PrimeField, is_prime
 from ffgeom.varieties import PointSet, on_paraboloid, random_space_subset
@@ -307,8 +307,11 @@ def test_mpprp_sweep_seeds_each_cell_from_its_flat_index(monkeypatch):
     [
         (["mpprp-check", "--primes", "3", "--exponent", "1", "--trials", "2147483647"], "space points: 6442450941"),
         (["extension-ratio", "--p", "3", "--trials", "2147483647"], "drawn values: 12884901882"),
+        (["oracle-diff", "--instances", "1000000000000"], "oracle instances: 1000000000000"),
+        (["sweep", "--config", json.dumps({"primes": [7, 11], "dims": [3], "families": [
+            {"kind": "random_paraboloid_subset", "alpha": 1}], "trials": 10**12})], "sweep cells: 2000000000000"),
     ],
-    ids=["mpprp-check", "extension-ratio"],
+    ids=["mpprp-check", "extension-ratio", "oracle-diff", "sweep"],
 )
 def test_cli_cap_bounds_the_values_a_run_draws(capsys, monkeypatch, argv, message):
     # each sample is small; their number is not, and the run is refused
@@ -319,6 +322,28 @@ def test_cli_cap_bounds_the_values_a_run_draws(capsys, monkeypatch, argv, messag
     monkeypatch.setattr(varieties.PointSet, "build", never_built)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: {message} exceeds cap {varieties.DEFAULT_ENUM_CAP}\n"
+
+
+@pytest.mark.parametrize(
+    "over, at, message",
+    [
+        (["oracle-diff", "--instances", "2"], ["oracle-diff", "--instances", "1"], "oracle instances: 2"),
+        (
+            ["sweep", "--config", json.dumps({**MINIMAL, "trials": 2})],
+            ["sweep", "--config", json.dumps(MINIMAL)],
+            "sweep cells: 2",
+        ),
+    ],
+    ids=["oracle-diff", "sweep"],
+)
+def test_cli_cap_bounds_the_cells_and_instances(capsys, monkeypatch, over, at, message):
+    # past the cap the run is refused before its first cell or instance
+    with monkeypatch.context() as mp:
+        mp.setattr(sweep, "run_cell", lambda *args: pytest.fail("ran a cell past the cap"))
+        mp.setattr(oracle, "oracle_product", lambda E: pytest.fail("ran an instance past the cap"))
+        assert cli.main(["--cap", "1", *over]) == 2
+    assert capsys.readouterr().err == f"error: {message} exceeds cap 1\n"
+    assert cli.main(["--cap", "1", *at]) == 0
 
 
 def test_cli_triangles_prints_the_triangle_keys_in_order(capsys):
@@ -453,7 +478,7 @@ def test_cli_sweep_seed_and_cap_flags_win(tmp_path, capsys):
         "dims": [3],
         "families": [
             {"kind": "random_paraboloid_subset", "alpha": 1.2},
-            {"kind": "construction", "construction": "odd3mod4", "k": 3},
+            {"kind": "construction", "construction": "odd3mod4", "k": 6},
         ],
         "trials": 2,
         "seed": 5,
@@ -483,8 +508,9 @@ def test_cli_sweep_seed_and_cap_flags_win(tmp_path, capsys):
         return [r["error"] for r in rows]
 
     assert errors() == [""] * 5  # every cell builds without a cap
+    # four cells fit a cap of 4; their 11, 6 and 6 points do not
     what = ["paraboloid points"] * 2 + ["lifted span points"] * 2 + ["line points"]
-    assert all(e.startswith(f"ResourceLimitError: {w}") for e, w in zip(errors("--cap", "1"), what, strict=True))
+    assert all(e.startswith(f"ResourceLimitError: {w}") for e, w in zip(errors("--cap", "4"), what, strict=True))
 
 
 def test_random_cell_cap_bounds_the_sample():
