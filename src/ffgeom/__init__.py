@@ -24,7 +24,6 @@ from .constructions import (
 from .field import PrimeField, is_prime
 from .fourier import (
     SpectralTable,
-    SurfaceFunction,
     degenerate_pairs_fourier,
     extension_ratio,
     extension_ratio_stats,
@@ -52,7 +51,6 @@ __all__ = [
     "PointSet",
     "PrimeField",
     "SpectralTable",
-    "SurfaceFunction",
     "apex",
     "apex_set",
     "bar_projection",

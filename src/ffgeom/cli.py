@@ -87,7 +87,10 @@ def cmd_fourier_verify(args) -> int:
     lines = [f"{'n':>3} {'p':>5} {'max_abs_err':>14} {'plancherel_err':>16}"]
     worst = 0.0
     for item in args.pairs.split(","):
-        n, p = (int(x) for x in item.split(":"))
+        try:
+            n, p = (int(x) for x in item.split(":"))
+        except ValueError:  # a wrong count of fields, or one that is not an integer
+            raise ValueError(f"--pairs item {item!r} is not n:p") from None
         rep = fourier.verify_report(PrimeField(p), n, seed=args.seed, cap=args.cap)
         worst = max(worst, rep["max_abs_err"], rep["plancherel_err"])
         lines.append(

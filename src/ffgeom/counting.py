@@ -56,14 +56,14 @@ and every sum over them is a sum over the groups (`_planar_null_counts`,
 * on the paraboloid in F_p^3, y_3 = ||ybar|| = lambda L_-c(ybar) gives
   y - z = t (1, c, 2 lambda), so x.u = L_c(xbar) + 2 lambda x_3 for D*: a
   histogram of -L_c(xbar) / (2 x_3) over the points with x_3 != 0, read at
-  lambda, plus the points with x_3 = L_c(xbar) = 0. The classes
-  (1, c, 2 lambda) meet those of the distance-zero pairs, which the scan
-  still finds, only at lambda = 0.
+  lambda, plus the points with x_3 = L_c(xbar) = 0. At lambda = 0, and only
+  there, y_3 = z_3 = 0 makes y - z = t (1, c, 0) isotropic, so the pair is
+  also at distance zero: the distance scan, which still runs, counts the
+  classes of lambda = 0 and the null groups those of lambda != 0.
 
 That costs O(n + p) time and memory in place of two O(n^2) scans, and forms
-no pair. Such a set is still refused where the class-table rows of its zero
-pairs would pass ZERO_PAIR_BYTE_CAP, so the sets `profile` refuses do not
-depend on the route.
+no pair, so ZERO_PAIR_BYTE_CAP, which bounds the pairs the scans hold, never
+refuses a set for the pairs these groups count.
 
 What remains are sums over those zero pairs (y, z), i < j, each counted
 twice for (y, z) and (z, y), plus the n diagonal pairs. With w = y - z:
@@ -137,10 +137,10 @@ from .varieties import (
     restrict_nonzero_base,
 )
 
-# Byte budget for the zero-pair lists, their per-pair class arrays
-# (`_pair_bytes` each) and the zero-distance adjacency, which reach |X|^2 / 2
-# pairs on a fully degenerate set; the rest is held in blocks. The null-line
-# route holds none of these but refuses at the same pair counts.
+# Byte budget for the zero-pair lists that the scans hold, their per-pair
+# class arrays (`_pair_bytes` each) and the zero-distance adjacency, which
+# reach |X|^2 / 2 pairs on a fully degenerate set; the rest is held in
+# blocks. The null-line groups hold no pair and are not charged.
 ZERO_PAIR_BYTE_CAP = 800_000_000
 _BLOCK_BYTES = 1 << 19  # bytes of a block; a pass holds about four, which stay in cache
 # The factor by which the triangle-bound checks let a count exceed its
@@ -297,7 +297,7 @@ def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 def _class_agreements(arr, nrm, p, pairs, k, base_from):
     """(off_base, off_star, classes) over zero pairs (y, z) = pairs[:, e],
-    with classes the distinct classes u as rows, in lexicographic order.
+    with classes the number of distinct classes u.
 
     off_base sums, over the distance-zero pairs e < k, the apexes x with
     x.u = (||y|| - ||z||) / (2t); off_star sums, over the base-zero pairs
@@ -343,7 +343,7 @@ def _class_agreements(arr, nrm, p, pairs, k, base_from):
         a, b = np.searchsorted(flat, [c0 * p, (c0 + len(hist)) * p])
         off_base += int(hist.ravel()[flat[a:b] - c0 * p].sum())
         off_star += int(hist[:, 0] @ base_counts[c0 : c0 + len(hist)])
-    return off_base, off_star, classes
+    return off_base, off_star, len(classes)
 
 
 def _adjacency_width(n: int) -> int:
@@ -365,14 +365,6 @@ def _triangles(i: np.ndarray, j: np.ndarray, n: int) -> int:
     return sum(int(np.bitwise_count(words[i[c]] & words[j[c]]).sum()) for c in chunks)
 
 
-def _check_zero_pair_bytes(n: int, dim: int, m: int, m_base: int) -> None:
-    """Refuse n points with m distance-zero and m_base base-zero pairs i < j
-    when their class-table rows and adjacency would pass ZERO_PAIR_BYTE_CAP."""
-    held = (m + m_base) * _pair_bytes(dim) + (n * _adjacency_width(n) if m else 0)
-    if held > ZERO_PAIR_BYTE_CAP:
-        raise ResourceLimitError(f"zero pairs of {n} points exceed {ZERO_PAIR_BYTE_CAP} bytes")
-
-
 def _null_groups(xy: np.ndarray, p: int, i: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """For c = i, then c = -i: (L, size, pairs), with L each row's null
     coordinate x_1 + c x_2, size the p-bin histogram of L, whose bin lambda
@@ -391,10 +383,9 @@ def _null_groups(xy: np.ndarray, p: int, i: int) -> list[tuple[np.ndarray, np.nd
 def _planar_null_counts(xy: np.ndarray, p: int, i: int, paraboloid: bool) -> tuple[int, int, int, int, int]:
     """(m, off_base, off_star, triangles, classes) of a planar set over
     p = 1 mod 4, from its null groups (module docstring): no pair is formed,
-    but a set is refused where the pairs' class-table rows would be."""
+    so no byte cap applies."""
     lines = _null_groups(xy, p, i)
     m = sum(int(pairs.sum()) for _, _, pairs in lines)
-    _check_zero_pair_bytes(len(xy), 2, m, 0)
     off_base = off_star = triangles = classes = 0
     for _, size, pairs in lines:
         off_base += int(pairs @ size)  # a pair agrees with the apexes of its own group
@@ -407,10 +398,10 @@ def _planar_null_counts(xy: np.ndarray, p: int, i: int, paraboloid: bool) -> tup
 
 def _base_null_counts(arr: np.ndarray, p: int, i: int) -> tuple[int, int, int]:
     """(m_base, off_star, classes) of a set on the paraboloid in F_p^3 over
-    p = 1 mod 4, from the null groups of its base (module docstring)."""
+    p = 1 mod 4, from the null groups of its base (module docstring), with
+    classes those of lambda != 0: the distance scan counts the rest."""
     lines = _null_groups(arr, p, i)
     m_base = sum(int(pairs.sum()) for _, _, pairs in lines)
-    _check_zero_pair_bytes(len(arr), 3, 0, m_base)
     last = arr[:, 2]
     flat = last != 0
     half = _inverses(2 * last[flat] % p, p)  # 1 / (2 x_3)
@@ -420,7 +411,7 @@ def _base_null_counts(arr: np.ndarray, p: int, i: int) -> tuple[int, int, int]:
         # and at every lambda where x_3 = L(xbar) = 0
         apexes = np.bincount((p - L[flat]) * half % p, minlength=p)
         off_star += int(pairs @ apexes) + int(pairs.sum()) * int(np.count_nonzero(L[~flat] == 0))
-        classes += int(np.count_nonzero(pairs))
+        classes += int(np.count_nonzero(pairs[1:]))
     return m_base, off_star, classes
 
 
@@ -442,10 +433,6 @@ def profile(E: PointSet) -> Profile:
     nrm = _norms(arr, p)
     _check_cap(2 * p, None, "square-table entries")  # square, the largest of them, whatever n
     m = m_base = off_base = off_star = zero_triangles = classes = 0
-    if i is not None and E.dim == 2:
-        m, off_base, off_star, zero_triangles, classes = _planar_null_counts(arr, p, i, last is not None)
-    elif i is not None:
-        m_base, off_star, classes = _base_null_counts(arr, p, i)
     if scan_base:  # square[k + p] = k^2 = ||y - z|| - ||ybar - zbar|| at k = y_d - z_d
         square = np.arange(2 * p) ** 2 % p
     dots = np.zeros(p, dtype=np.int64)
@@ -467,7 +454,9 @@ def profile(E: PointSet) -> Profile:
         if scan_base:
             base_found.append(_upper_zeros(lo, dist, square[last[lo : lo + len(dist), None] + p - last[lo:]]))
             m_base += base_found[-1].shape[1]
-        _check_zero_pair_bytes(n, E.dim, m, m_base)
+        # the scanned pairs' class-table rows, and their adjacency
+        if (m + m_base) * _pair_bytes(E.dim) + (n * _adjacency_width(n) if m else 0) > ZERO_PAIR_BYTE_CAP:
+            raise ResourceLimitError(f"zero pairs of {n} points exceed {ZERO_PAIR_BYTE_CAP} bytes")
         hist = _row_histograms(gram, p)
         dots += hist.sum(axis=0)
         d_total += int(np.vdot(hist, hist))
@@ -476,6 +465,10 @@ def profile(E: PointSet) -> Profile:
         zeros = hist[:, 0]
         eq_zero_sides += int(np.vdot(zeros, zeros))
         degenerate += int(zeros.sum())
+    if i is not None and E.dim == 2:
+        m, off_base, off_star, zero_triangles, classes = _planar_null_counts(arr, p, i, last is not None)
+    elif i is not None:
+        m_base, off_star, classes = _base_null_counts(arr, p, i)
 
     # distance-zero pairs first, then base-zero pairs (the same pairs off a
     # paraboloid, where the base is all coordinates)
@@ -483,13 +476,10 @@ def profile(E: PointSet) -> Profile:
     del dist_found, base_found
     base_from = 0 if last is None else m
     if pairs.size:  # scanned pairs: the null groups of a planar set form none
-        agree_base, agree_star, rows = _class_agreements(arr, nrm, p, pairs, m, base_from)
+        agree_base, agree_star, scanned = _class_agreements(arr, nrm, p, pairs, m, base_from)
         off_base += agree_base
         off_star += agree_star
-        classes += len(rows)
-        if i is not None:
-            # a distance class (1, c, 0) is also a base class, of lambda = 0
-            classes -= sum(bool((rows == (1, c, 0)).all(axis=1).any()) for c in (i, p - i))
+        classes += scanned
         zero_triangles = _triangles(*pairs[:, :m], n) if m else 0
 
     c_base = n * n + 2 * off_base

@@ -90,18 +90,6 @@ class SpectralTable:
     values: np.ndarray  # shape (p,)*n, complex128
 
 
-@dataclass(frozen=True)
-class SurfaceFunction:
-    """A complex-valued function living on the points of a variety."""
-
-    variety: PointSet
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.values) != len(self.variety):
-            raise ValueError("one value per variety point required")
-
-
 def fourier_indicator(X: PointSet, cap: int | None = None) -> SpectralTable:
     """Xhat(m) = p^(-n) sum_{x in X} chi(-m.x) over all p^n frequencies."""
     p, n = X.field.p, X.dim
@@ -163,14 +151,21 @@ def zero_sphere_max_error(field: PrimeField, n: int, cap: int | None = None) -> 
 # -- surface measures and extension ratios --------------------------------
 
 
-def inverse_surface_transform(f: SurfaceFunction, cap: int | None = None) -> np.ndarray:
-    """(f dsigma)^vee (c) = |V|^(-1) sum_{x in V} chi(c.x) f(x), dense in c:
-    a complex array of shape (p,)*n."""
-    V = f.variety
+def _check_surface(V: PointSet, values: np.ndarray) -> None:
+    """Refuse values that are not one per point of a nonempty V."""
+    if len(values) != len(V):
+        raise ValueError("one value per variety point required")
     if not len(V):
         raise ValueError("empty variety")
+
+
+def inverse_surface_transform(V: PointSet, values: np.ndarray, cap: int | None = None) -> np.ndarray:
+    """(f dsigma)^vee (c) = |V|^(-1) sum_{x in V} chi(c.x) f(x), dense in c,
+    for f(x) the values in the order of V's points: a complex array of shape
+    (p,)*n."""
+    _check_surface(V, values)
     p, n = V.field.p, V.dim
-    table = _transform(p, V.array, f.values, inverse=True, cap=cap)
+    table = _transform(p, V.array, values, inverse=True, cap=cap)
     table *= float(p) ** n / len(V)
     return table
 
@@ -202,18 +197,17 @@ def _antipodal_energy(vals: np.ndarray, rows: np.ndarray, partners: np.ndarray) 
     return float(2 * a.sum() ** 2 - a @ a - 2 * (a[rows] @ a[partners]) + (h0.real**2 + h0.imag**2))
 
 
-def extension_ratio(f: SurfaceFunction, r_exp: float, cap: int | None = None) -> float:
+def extension_ratio(V: PointSet, values: np.ndarray, r_exp: float, cap: int | None = None) -> float:
     """L^r norm (counting measure) of (f dsigma)^vee over the L^2 norm of f
-    under the normalized surface measure. At r = 4 the L^4 norm is the
-    additive energy of f, taken from the antipodal pairs on a sphere of
-    nonzero radius in dimension n <= 2 (module docstring)."""
+    under the normalized surface measure, for f(x) the values in the order
+    of V's points. At r = 4 the L^4 norm is the additive energy of f, taken
+    from the antipodal pairs on a sphere of nonzero radius in dimension
+    n <= 2 (module docstring)."""
     if not 0 < r_exp < np.inf:  # also rejects nan
         raise ValueError(f"r_exp must be finite and > 0, got {r_exp}")
-    V = f.variety
-    if not len(V):
-        raise ValueError("empty variety")
+    _check_surface(V, values)
     _check_power_cap(1, V.field.p, V.dim, cap, "transform-table entries")
-    return _ratio(V, f.values, r_exp, _antipodes(V) if r_exp == 4 else None, cap)
+    return _ratio(V, values, r_exp, _antipodes(V) if r_exp == 4 else None, cap)
 
 
 def _ratio(V: PointSet, vals: np.ndarray, r_exp: float, antipodes: tuple | None, cap: int | None) -> float:

@@ -99,12 +99,13 @@ def oracle_D(E: PointSet) -> int:
     _cap(E, CAP_TRIPLE, "triple")
     p = E.field.p
     pts = E.points
+    # x.y for every (x, y), row x, computed once rather than once per z
+    xy = [[dot(x, y, p) for y in pts] for x in pts]
     count = 0
-    for x in pts:
-        for y in pts:
-            t = dot(x, y, p)
-            for z in pts:
-                if dot(x, z, p) == t:
+    for x_row in xy:
+        for t in x_row:
+            for s in x_row:
+                if s == t:
                     count += 1
     return count
 
@@ -112,18 +113,21 @@ def oracle_D(E: PointSet) -> int:
 def oracle_D_star(E: PointSet, allow_ambient_base: bool = False) -> int:
     _cap(E, CAP_TRIPLE, "triple")
     p = E.field.p
-    if all(pt[-1] == norm(pt[:-1], p) for pt in E.points):
-        base = {pt: pt[:-1] for pt in E.points}
+    pts = E.points
+    if all(pt[-1] == norm(pt[:-1], p) for pt in pts):
+        base = [pt[:-1] for pt in pts]
     elif allow_ambient_base:
-        base = {pt: pt for pt in E.points}
+        base = list(pts)
     else:
         raise ValueError("oracle_D_star requires a paraboloid set")
+    # x.y and the base distance ||ybar - zbar||, each computed once
+    xy = [[dot(x, y, p) for y in pts] for x in pts]
+    yz = [[_dist(y, z, p) for z in base] for y in base]
     count = 0
-    for x in E.points:
-        for y in E.points:
-            t = dot(x, y, p)
-            for z in E.points:
-                if dot(x, z, p) == t and _dist(base[y], base[z], p) != 0:
+    for x_row in xy:
+        for t, y_row in zip(x_row, yz):
+            for s, base_dist in zip(x_row, y_row):
+                if s == t and base_dist != 0:
                     count += 1
     return count
 
@@ -142,17 +146,17 @@ def oracle_triangles(X: PointSet) -> dict[str, int]:
         "t_zero_triples": 0,
         "isosceles_total": 0,
     }
-    for x in pts:
-        for y in pts:
-            if _dist(x, y, p) == 0:
+    # ||x - y|| for every (x, y), row x, computed once rather than once per triple
+    dist = [[_dist(x, y, p) for y in pts] for x in pts]
+    for x_row in dist:
+        for s in x_row:
+            if s == 0:
                 out["degenerate_pairs"] += 1
-    for x in pts:
-        for y in pts:
-            s = _dist(x, y, p)
-            for z in pts:
-                if _dist(x, z, p) != s:
+    for x_row in dist:
+        for s, y_row in zip(x_row, dist):
+            for side, base in zip(x_row, y_row):
+                if side != s:
                     continue
-                base = _dist(y, z, p)
                 out["isosceles_total"] += 1
                 if s != 0:
                     out["t_nde_raw"] += 1

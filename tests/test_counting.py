@@ -438,16 +438,38 @@ def test_profile_matches_oracles_across_the_float32_bound(monkeypatch, p):
 
 
 def test_zero_pair_byte_cap(monkeypatch):
-    X = isotropic_lines_set(PrimeField(13), 2, 5, seed=0)  # 20 pairs at distance zero
-    budget = 20 * counting._pair_bytes(2) + 10 * 8  # and the adjacency: 10 rows of one 8-byte word
+    # the paraboloid in F_3^3: 12 pairs at distance zero, which the scan finds
+    X = enum_paraboloid(PrimeField(3), 3)
+    budget = 12 * counting._pair_bytes(3) + 9 * 8  # and the adjacency: 9 rows of one 8-byte word
+    uncapped = counting.profile(X)
+    assert uncapped.zero_pairs == 12
     # the index lists alone (16 bytes a pair) no longer fit: the class rows,
     # targets and sort arrays count too
-    for cap in (16 * 20, budget - 1):
+    for cap in (16 * 12, budget - 1):
         monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", cap)
         with pytest.raises(ResourceLimitError, match="bytes"):
             counting.profile(X)
     monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", budget)
-    assert counting.profile(X).t_zero_triples >= 2 * 5**3
+    assert counting.profile(X) == uncapped
+
+
+@pytest.mark.parametrize("kind", ["plane", "paraboloid"])
+def test_null_groups_are_not_charged(monkeypatch, kind):
+    """The null groups form no pair, so the byte cap charges only the pairs
+    the scans hold: past a cap that the null groups' pairs would pass, a
+    planar set over p = 1 mod 4 (no scan at all) and the paraboloid in
+    F_5^3 (whose distance scan still runs) are counted as without it."""
+    if kind == "plane":
+        E = isotropic_lines_set(PrimeField(13), 2, 5, seed=0)  # 20 pairs at distance zero
+    else:
+        E = enum_paraboloid(PrimeField(5), 3)
+    n, uncapped = len(E), counting.profile(E)
+    scanned = 0 if kind == "plane" else uncapped.zero_pairs
+    null_pairs = uncapped.zero_pairs if kind == "plane" else uncapped.base_zero_pairs
+    budget = scanned * counting._pair_bytes(E.dim) + (n * counting._adjacency_width(n) if scanned else 0)
+    assert null_pairs > 0 and (kind == "plane" or scanned > 0)
+    monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", budget)
+    assert counting.profile(E) == uncapped
 
 
 @pytest.mark.parametrize("kind", ["lines", "odd3mod4", "paraboloid"])
@@ -459,7 +481,9 @@ def test_zero_pair_budget_bounds_traced_peak(monkeypatch, kind):
     budget would show. The zero pairs go through the grouping by packed
     difference keys; on the random paraboloid subset about four in five have
     a difference y - z of their own, which is the grouping's worst case:
-    a class row for nearly every pair.
+    a class row for nearly every pair. The null groups of the lines hold no
+    pair, so their peak stays within the four blocks and O(n) words of
+    `test_profile_memory_is_blocks`, under a tenth of the rows' budget.
     """
     if kind == "lines":
         E = isotropic_lines_set(PrimeField(149), 2, 149, seed=0)  # 22 201 pairs
@@ -482,23 +506,26 @@ def test_zero_pair_budget_bounds_traced_peak(monkeypatch, kind):
     # over p = 13, with many more rows a point most pairs would share their
     # difference with others, and the grouping's worst case would not show
     assert rows > (20 if kind == "paraboloid" else 50) * len(E)
-    assert peak <= rows * counting._pair_bytes(E.dim)
+    if kind == "lines":  # the bound of test_profile_memory_is_blocks, at blocks of 8 rows of n words
+        assert peak <= 4 * (8 * 8 * len(E)) + 32 * 8 * len(E)
+    else:
+        assert peak <= rows * counting._pair_bytes(E.dim)
 
 
 def test_zero_pair_byte_cap_counts_the_adjacency(monkeypatch):
-    # 101 points on the line y = 2x of F_101^2, anisotropic, and (1, 10) with
-    # 10^2 = -1: two pairs at distance zero, with (0, 0) and with (69, 37),
-    # whose two class-table rows take less than the adjacency: 102 rows of
-    # 102 bits, padded to two 8-byte words
-    X = PointSet.build(PrimeField(101), 2, [(x, 2 * x) for x in range(101)] + [(1, 10)])
-    rows, bitmap = 2 * counting._pair_bytes(2), 102 * 16
+    # the 103 points (x, 2x, 0) of F_103^3, anisotropic, and (0, 0, 1): two
+    # pairs at distance zero, 1 + 5 x^2 = 0 at x = 12 and x = 91, whose two
+    # class-table rows take less than the adjacency: 104 rows of 104 bits,
+    # padded to two 8-byte words
+    X = PointSet.build(PrimeField(103), 3, [(x, 2 * x % 103, 0) for x in range(103)] + [(0, 0, 1)])
+    rows, bitmap = 2 * counting._pair_bytes(3), 104 * 16
     assert counting.profile(X).zero_pairs == 2 and rows < bitmap
     for cap in (bitmap - 1, rows + bitmap - 1):
         monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", cap)
         with pytest.raises(ResourceLimitError, match="bytes"):
             counting.profile(X)
     monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", rows + bitmap)
-    assert counting.profile(X).t_zero_triples == 102 + 6 * 2
+    assert counting.profile(X).t_zero_triples == 104 + 6 * 2
 
 
 @pytest.mark.parametrize("block_bytes", [1 << 18, None])

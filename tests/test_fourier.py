@@ -39,9 +39,10 @@ def rand_plane_subset(p, size, seed):
 
 
 def delta(S, index):
+    """(S, values): 1 at the point of the given index, 0 elsewhere."""
     vals = np.zeros(len(S), dtype=np.complex128)
     vals[index] = 1.0
-    return fourier.SurfaceFunction(S, vals)
+    return S, vals
 
 
 def test_origin_indicator_table():
@@ -142,16 +143,14 @@ def test_zero_sphere_formula_hypotheses():
 def test_surface_transform_constants():
     f = PrimeField(7)
     S = enum_sphere(f, 2, 1)
-    ones = fourier.SurfaceFunction(S, np.ones(len(S), dtype=complex))
-    table = fourier.inverse_surface_transform(ones)
+    table = fourier.inverse_surface_transform(S, np.ones(len(S), dtype=complex))
     assert table[0, 0] == pytest.approx(1.0)
-    pm = delta(S, 2)
-    tp = fourier.inverse_surface_transform(pm)
+    tp = fourier.inverse_surface_transform(*delta(S, 2))
     assert np.allclose(np.abs(tp), 1 / len(S))
     # the zero sphere at p = 3 is the origin alone: transform is identically 1
     f3 = PrimeField(3)
     S0 = enum_sphere(f3, 2, 0)
-    t0 = fourier.inverse_surface_transform(fourier.SurfaceFunction(S0, np.ones(len(S0), dtype=complex)))
+    t0 = fourier.inverse_surface_transform(S0, np.ones(len(S0), dtype=complex))
     assert np.allclose(t0, 1.0)
 
 
@@ -161,7 +160,7 @@ def test_surface_transform_sign_and_scale_against_definition():
     V = enum_sphere(f, 2, 5)
     rng = np.random.default_rng(11)
     vals = rng.standard_normal(len(V)) + 1j * rng.standard_normal(len(V))
-    table = fourier.inverse_surface_transform(fourier.SurfaceFunction(V, vals))
+    table = fourier.inverse_surface_transform(V, vals)
     asymmetric = False
     for _ in range(16):
         c = tuple(int(v) for v in rng.integers(0, p, 2))
@@ -174,15 +173,13 @@ def test_surface_transform_sign_and_scale_against_definition():
 def test_extension_ratio_delta_closed_form():
     f = PrimeField(3)
     S = enum_sphere(f, 2, 1)
-    pm = delta(S, 0)
-    assert fourier.extension_ratio(pm, 4.0) == pytest.approx((3 / 4) ** 0.5)
+    assert fourier.extension_ratio(*delta(S, 0), 4.0) == pytest.approx((3 / 4) ** 0.5)
 
 
 def test_extension_ratio_against_direct_norms():
     f = PrimeField(3)
     S = enum_sphere(f, 2, 1)
-    ones = fourier.SurfaceFunction(S, np.ones(len(S), dtype=complex))
-    ratio = fourier.extension_ratio(ones, 4.0)
+    ratio = fourier.extension_ratio(S, np.ones(len(S), dtype=complex), 4.0)
     # direct norm computation, no library reuse
     num = 0.0
     for c0 in range(3):
@@ -200,10 +197,9 @@ def test_extension_ratio_decreases_to_the_max():
     S = enum_sphere(PrimeField(23), 2, 1)
     rng = np.random.default_rng(5)
     vals = rng.standard_normal(len(S)) + 1j * rng.standard_normal(len(S))
-    f = fourier.SurfaceFunction(S, vals)
-    ratios = [fourier.extension_ratio(f, r) for r in (1, 2, 4, 10, 100, 1000, 2000, 1e5, 1e308)]
+    ratios = [fourier.extension_ratio(S, vals, r) for r in (1, 2, 4, 10, 100, 1000, 2000, 1e5, 1e308)]
     assert all(a >= b for a, b in zip(ratios, ratios[1:]))
-    top = np.abs(fourier.inverse_surface_transform(f)).max()
+    top = np.abs(fourier.inverse_surface_transform(S, vals)).max()
     assert ratios[-1] == pytest.approx(top / np.mean(np.abs(vals) ** 2) ** 0.5, rel=1e-12)
 
 
@@ -212,26 +208,25 @@ def test_extension_ratio_scale_invariant_and_zero_rejected():
     S = enum_sphere(f, 2, 3)
     rng = np.random.default_rng(5)
     vals = rng.standard_normal(len(S)) + 1j * rng.standard_normal(len(S))
-    g = fourier.SurfaceFunction(S, vals)
-    scaled = fourier.SurfaceFunction(S, vals * (2.5 - 1.25j))
-    assert fourier.extension_ratio(g, 4.0) == pytest.approx(
-        fourier.extension_ratio(scaled, 4.0)
+    assert fourier.extension_ratio(S, vals, 4.0) == pytest.approx(
+        fourier.extension_ratio(S, vals * (2.5 - 1.25j), 4.0)
     )
     with pytest.raises(ValueError):
-        fourier.extension_ratio(fourier.SurfaceFunction(S, np.zeros(len(S), dtype=complex)), 4.0)
+        fourier.extension_ratio(S, np.zeros(len(S), dtype=complex), 4.0)
 
 
-def transform_l4_ratio(f):
+def transform_l4_ratio(V, vals):
     """The r = 4 extension ratio from the dense surface transform, as the
     transform route computes it: (sum_c |ext(c)|^4)^(1/4) / ||f||_L2(sigma)."""
-    ext = fourier.inverse_surface_transform(f)
+    ext = fourier.inverse_surface_transform(V, vals)
     num = float((np.abs(ext) ** 4).sum()) ** 0.25
-    return num / (float((np.abs(f.values) ** 2).sum()) / len(f.variety)) ** 0.5
+    return num / (float((np.abs(vals) ** 2).sum()) / len(V)) ** 0.5
 
 
 def gaussian_function(V, seed):
+    """(V, values): complex-gaussian values on the points of V."""
     rng = np.random.default_rng(seed)
-    return fourier.SurfaceFunction(V, rng.standard_normal(len(V)) + 1j * rng.standard_normal(len(V)))
+    return V, rng.standard_normal(len(V)) + 1j * rng.standard_normal(len(V))
 
 
 def energy_route_runs(V):
@@ -241,16 +236,17 @@ def energy_route_runs(V):
 
 
 def assert_identity(monkeypatch, f):
-    """extension_ratio(f, 4) equals the transform's L^4 ratio to 1e-12
-    relative, and takes the transform only off the energy route."""
-    expect = transform_l4_ratio(f)
+    """extension_ratio(*f, 4) equals the transform's L^4 ratio to 1e-12
+    relative, and takes the transform only off the energy route; f is a
+    pair (V, values)."""
+    expect = transform_l4_ratio(*f)
     calls = []
     transform = fourier._transform
     monkeypatch.setattr(fourier, "_transform", lambda *a, **kw: calls.append(1) or transform(*a, **kw))
-    got = fourier.extension_ratio(f, 4.0)
+    got = fourier.extension_ratio(*f, 4.0)
     monkeypatch.undo()
     assert got == pytest.approx(expect, rel=1e-12)
-    assert len(calls) == (0 if energy_route_runs(f.variety) else 1)
+    assert len(calls) == (0 if energy_route_runs(f[0]) else 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -301,22 +297,24 @@ def test_extension_l4_identity_property(p, n, data):
     if not np.abs(vals).max() > 1e-3:
         return
     V = PointSet.build(PrimeField(p), n, np.array(np.unravel_index(sorted(idx), (p,) * n)).T)
-    f = fourier.SurfaceFunction(V, vals)
-    assert fourier.extension_ratio(f, 4.0) == pytest.approx(transform_l4_ratio(f), rel=1e-12)
+    assert fourier.extension_ratio(V, vals, 4.0) == pytest.approx(transform_l4_ratio(V, vals), rel=1e-12)
 
 
 def test_extension_ratio_cap_and_empty_variety_on_both_routes():
     S = enum_sphere(PrimeField(7), 2, 1)  # a circle: the antipodal route
     for r_exp in (4.0, 3.0):
         with pytest.raises(ResourceLimitError, match="transform-table entries: 49"):
-            fourier.extension_ratio(fourier.SurfaceFunction(S, np.ones(len(S), dtype=complex)), r_exp, cap=48)
+            fourier.extension_ratio(S, np.ones(len(S), dtype=complex), r_exp, cap=48)
     empty = PointSet.build(PrimeField(7), 2, [])
     with pytest.raises(ValueError, match="empty variety"):
-        fourier.extension_ratio(fourier.SurfaceFunction(empty, np.zeros(0)), 4.0)
+        fourier.extension_ratio(empty, np.zeros(0), 4.0)
     with pytest.raises(ValueError, match="empty variety"):
-        fourier.inverse_surface_transform(fourier.SurfaceFunction(empty, np.zeros(0)))
-    with pytest.raises(ValueError, match="one value per variety point"):
-        fourier.SurfaceFunction(S, np.ones(len(S) - 1))
+        fourier.inverse_surface_transform(empty, np.zeros(0))
+    for values in (np.ones(len(S) - 1), np.ones(len(S) + 1)):
+        with pytest.raises(ValueError, match="one value per variety point"):
+            fourier.extension_ratio(S, values, 4.0)
+        with pytest.raises(ValueError, match="one value per variety point"):
+            fourier.inverse_surface_transform(S, values)
 
 
 # p = 3, 7, 23 are 3 mod 4 and 5, 13, 17 are 1 mod 4: circles of p + 1 and
@@ -330,10 +328,9 @@ def nonzero_spheres(p, n):
     return [V for V in spheres if len(V)]
 
 
-def pair_sum_energy_in_one_block(f):
+def pair_sum_energy_in_one_block(V, vals):
     """The additive energy sum_xi |h(xi)|^2 by definition: every pair's sum
     index and complex weight f(x) f(y) at once, binned over the p^n sums."""
-    V = f.variety
     p = V.field.p
     wrap = np.arange(2 * p - 1) % p
     idx = np.zeros((len(V), len(V)), dtype=np.int64)
@@ -341,21 +338,21 @@ def pair_sum_energy_in_one_block(f):
         idx *= p
         idx += wrap[np.add.outer(col, col)]
     idx = idx.reshape(-1)
-    w = np.multiply.outer(f.values, f.values).reshape(-1)
+    w = np.multiply.outer(vals, vals).reshape(-1)
     h_re = np.bincount(idx, weights=w.real, minlength=p**V.dim)
     h_im = np.bincount(idx, weights=w.imag, minlength=p**V.dim)
     return float(h_re @ h_re + h_im @ h_im)
 
 
-def assert_antipodal_identity(f):
+def assert_antipodal_identity(V, vals):
     """The antipodal energy equals the energy by definition, and the r = 4
     ratio the transform's L^4 ratio, each to 1e-12 relative. Returns the
     number of points of V whose antipode is in V."""
-    pairs = fourier._antipodes(f.variety)
+    pairs = fourier._antipodes(V)
     assert pairs is not None
-    energy = fourier._antipodal_energy(f.values, *pairs)
-    assert energy == pytest.approx(pair_sum_energy_in_one_block(f), rel=1e-12)
-    assert fourier.extension_ratio(f, 4.0) == pytest.approx(transform_l4_ratio(f), rel=1e-12)
+    energy = fourier._antipodal_energy(vals, *pairs)
+    assert energy == pytest.approx(pair_sum_energy_in_one_block(V, vals), rel=1e-12)
+    assert fourier.extension_ratio(V, vals, 4.0) == pytest.approx(transform_l4_ratio(V, vals), rel=1e-12)
     return len(pairs[0])
 
 
@@ -366,10 +363,10 @@ def test_antipodal_identity_on_every_nonzero_sphere(n, p):
     assert len(spheres) == (p - 1 if n == 2 else (p - 1) // 2)
     missed = 0
     for i, V in enumerate(spheres):
-        assert assert_antipodal_identity(gaussian_function(V, seed=i)) == len(V)
+        assert assert_antipodal_identity(*gaussian_function(V, seed=i)) == len(V)
         for size in sorted({1, len(V) // 2, len(V) - 1} - {0}):
             sub = random_subset(V, size, seed=100 * i + size)
-            missed += len(sub) - assert_antipodal_identity(gaussian_function(sub, seed=size))
+            missed += len(sub) - assert_antipodal_identity(*gaussian_function(sub, seed=size))
     assert missed > 0  # some subsets hold a point without its antipode
 
 
@@ -384,7 +381,7 @@ def test_antipodal_identity_property(p, n, data):
     if not np.abs(vals).max() > 1e-3:
         return
     sub = PointSet.build(V.field, n, V.array[sorted(idx)])
-    assert_antipodal_identity(fourier.SurfaceFunction(sub, vals))
+    assert_antipodal_identity(sub, vals)
 
 
 def count_routes(monkeypatch):
@@ -423,9 +420,9 @@ def test_antipodal_route_declines(monkeypatch, make):
     V = make()
     assert fourier._antipodes(V) is None
     f = gaussian_function(V, seed=len(V))
-    expect = transform_l4_ratio(f)
+    expect = transform_l4_ratio(*f)
     calls = count_routes(monkeypatch)
-    assert fourier.extension_ratio(f, 4.0) == pytest.approx(expect, rel=1e-12)
+    assert fourier.extension_ratio(*f, 4.0) == pytest.approx(expect, rel=1e-12)
     assert calls == {"antipodal": 0, "transform": 1}
 
 
@@ -433,9 +430,9 @@ def test_antipodal_route_takes_only_r4(monkeypatch):
     f = gaussian_function(enum_sphere(PrimeField(13), 2, 3), seed=2)
     calls = count_routes(monkeypatch)
     for r_exp in (2.0, 3.0, 4.5):
-        fourier.extension_ratio(f, r_exp)
+        fourier.extension_ratio(*f, r_exp)
     assert calls == {"antipodal": 0, "transform": 3}
-    fourier.extension_ratio(f, 4.0)
+    fourier.extension_ratio(*f, 4.0)
     assert calls == {"antipodal": 1, "transform": 3}
 
 
@@ -460,7 +457,7 @@ def stats_by_enumeration(field, n, trials, seed, radius=None):
         if not len(V):
             continue
         vals = rng.standard_normal(len(V)) + 1j * rng.standard_normal(len(V))
-        ratios.append(transform_l4_ratio(fourier.SurfaceFunction(V, vals)))
+        ratios.append(transform_l4_ratio(V, vals))
     return {"p": field.p, "n": n, "r_exp": 4.0, "trials": len(ratios),
             "max_ratio": max(ratios), "mean_ratio": sum(ratios) / len(ratios)}
 
@@ -518,7 +515,7 @@ def test_extension_stats_replay_the_public_ratio(monkeypatch, p, n, r_exp, seed)
         V = enum_sphere(field, n, int(rng.integers(1, p)))
         if len(V):
             vals = rng.standard_normal(len(V)) + 1j * rng.standard_normal(len(V))
-            ratios.append(fourier.extension_ratio(fourier.SurfaceFunction(V, vals), r_exp))
+            ratios.append(fourier.extension_ratio(V, vals, r_exp))
     assert 0 < len(ratios) == len(calls) == stats["trials"]
     assert n > 1 or len(ratios) < trials  # half the one-dimensional spheres are empty
     assert all((pairs is None) == (r_exp != 4) for pairs in calls)
@@ -613,7 +610,7 @@ def test_work_cap():
         fourier.fourier_indicator(X, cap=100)
     S = enum_sphere(PrimeField(7), 2, 1)
     with pytest.raises(ResourceLimitError):
-        fourier.inverse_surface_transform(fourier.SurfaceFunction(S, np.ones(len(S), dtype=complex)), cap=48)
+        fourier.inverse_surface_transform(S, np.ones(len(S), dtype=complex), cap=48)
     # the cap bounds the p^n table entries, not p^n * |X| (here 1.59e8 > 1e8)
     Y = random_subset(space(43, 3), 2000, seed=4)
     assert fourier.plancherel_error(fourier.fourier_indicator(Y), Y) < 1e-9
@@ -703,7 +700,7 @@ def test_surface_transform_holds_one_table():
     p = 1019
     V = enum_sphere(PrimeField(p), 2, 5)
     vals = np.random.default_rng(3).standard_normal(len(V)) + 0j
-    t, peak = _traced_peak(fourier.inverse_surface_transform, fourier.SurfaceFunction(V, vals))
+    t, peak = _traced_peak(fourier.inverse_surface_transform, V, vals)
     assert t.shape == (p, p) and t[0, 0] == pytest.approx(vals.sum() / len(V))
     assert peak < 1.25 * p**2 * 16
 

@@ -14,7 +14,6 @@ import pytest
 
 import ffgeom
 from ffgeom import cli, constructions, counting, oracle, sweep, varieties
-from ffgeom.constructions import isotropic_lines_set
 from ffgeom.field import PrimeField, is_prime
 from ffgeom.varieties import PointSet, on_paraboloid, random_space_subset
 
@@ -663,6 +662,9 @@ def test_cli_sweep_bad_values_exit_2_before_running(tmp_path, capsys, monkeypatc
         (["extension-ratio", "--p", "7", "--radius", "0", "--trials", "2"], "radius must be nonzero mod p"),
         (["extension-ratio", "--p", "7", "--radius", "14", "--trials", "2"], "radius must be nonzero mod p"),
         (["construct", "--kind", "lines", "--p", "13", "--lines", "0", "--per-line", "3"], "at least one line"),
+        (["fourier-verify", "--pairs", "2"], "--pairs item '2' is not n:p"),
+        (["fourier-verify", "--pairs", "2:7:1"], "--pairs item '2:7:1' is not n:p"),
+        (["fourier-verify", "--pairs", ""], "--pairs item '' is not n:p"),
     ],
 )
 def test_cli_unusable_arguments_exit_2(capsys, argv, missing):
@@ -694,8 +696,8 @@ def test_cli_cap_exceeded_exit_2(capsys, argv, what):
 
 
 def test_cli_zero_pair_byte_cap_exit_2(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "lines.txt"
-    isotropic_lines_set(PrimeField(13), 2, 5, seed=0).save(path)
+    path = tmp_path / "paraboloid.txt"
+    varieties.enum_paraboloid(PrimeField(3), 3).save(path)  # 12 scanned pairs at distance zero
     monkeypatch.setattr(counting, "ZERO_PAIR_BYTE_CAP", 100)
     assert cli.main(["count", "--in", str(path)]) == 2
     err = capsys.readouterr().err
