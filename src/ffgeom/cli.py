@@ -174,7 +174,12 @@ def cmd_mpprp(args) -> int:
     if args.primes:
         if args.p is not None or args.size is not None:
             raise ValueError("mpprp-check takes --primes, or --p and --size, not both")
-        primes = [int(x) for x in args.primes.split(",")]
+        primes = []
+        for item in args.primes.split(","):
+            try:
+                primes.append(int(item))
+            except ValueError:
+                raise ValueError(f"--primes item {item!r} is not an integer") from None
         reports = sweep.planar_triangle_sweep(primes, seed=args.seed, cap=args.cap, **given)
     elif args.p is None or args.size is None:
         raise ValueError("mpprp-check needs --primes, or --p and --size")

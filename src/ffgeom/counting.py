@@ -33,20 +33,21 @@ the product histogram (prod and M), per-apex dot histograms (D), per-apex
 distance histograms (isosceles total, zero equal sides, degenerate pairs)
 and the pairs i < j at distance zero and at base distance zero, which on a
 paraboloid is ||y - z|| = (y_d - z_d)^2, a lookup in a table of squares.
-Each scan runs only where its sum of m squares is isotropic: m >= 3, or
-m = 2 and p = 1 mod 4 (Chevalley-Warning; -1 is a square). So over
-p = 3 mod 4 there is no base scan on a paraboloid in F_p^3 and no scan at
-all in the plane.
-
-Over p = 1 mod 4 those two scans are not needed either: the plane's two null
-lines give the pairs. With c = +-i (c^2 = -1), the null coordinates
-L_c(x) = x_1 + c x_2 factor the norm, ||x|| = L_i(x) L_-i(x), and together
-determine x. So two distinct points are at zero distance iff they share one
-of L_i, L_-i (never both), and then y - z = t (1, c). A planar set's
-distance-zero pairs, and the base-zero pairs of a set on the paraboloid in
-F_p^3, are the pairs inside the groups of a p-bin histogram of each L_c,
-and every sum over them is a sum over the groups (`_planar_null_counts`,
-`_base_null_counts`). For the group L_c(y) = lambda of s points:
+The dimension and the paraboloid check alone route each kind of zero pair,
+by the number m of squares its norm sums (d, or d - 1 for a paraboloid's
+base): at m = 1 there is none; from m = 3 on, where the form is isotropic
+over every p, the row blocks are scanned, so the distance scan runs from
+d = 3 on and a paraboloid's base scan from d = 4 on; at m = 2, the plane
+and the base of a paraboloid in F_p^3, there is none over p = 3 mod 4 (-1
+is not a square), and over p = 1 mod 4 the two null lines give the pairs.
+With c = +-i (c^2 = -1), the null coordinates L_c(x) = x_1 + c x_2 factor
+the norm, ||x|| = L_i(x) L_-i(x), and together determine x. So two distinct
+points are at zero distance iff they share one of L_i, L_-i (never both),
+and then y - z = t (1, c). A planar set's distance-zero pairs, and the
+base-zero pairs of a set on the paraboloid in F_p^3, are the pairs inside
+the groups of a p-bin histogram of each L_c, and every sum over them is a
+sum over the groups (`_planar_null_counts`, `_base_null_counts`). For the
+group L_c(y) = lambda of s points:
 
 * in the plane, u = (1, c) gives x.u = L_c(x), and ||y|| - ||z|| =
   lambda L_-c(y - z) = 2 t lambda, so a pair's agreeing apexes are the s
@@ -61,9 +62,8 @@ and every sum over them is a sum over the groups (`_planar_null_counts`,
   also at distance zero: the distance scan, which still runs, counts the
   classes of lambda = 0 and the null groups those of lambda != 0.
 
-That costs O(n + p) time and memory in place of two O(n^2) scans, and forms
-no pair, so ZERO_PAIR_BYTE_CAP, which bounds the pairs the scans hold, never
-refuses a set for the pairs these groups count.
+That costs O(n + p) time and memory and forms no pair, so
+ZERO_PAIR_BYTE_CAP, which bounds the pairs the scans hold, does not apply.
 
 What remains are sums over those zero pairs (y, z), i < j, each counted
 twice for (y, z) and (z, y), plus the n diagonal pairs. With w = y - z:
@@ -76,10 +76,8 @@ twice for (y, z) and (z, y), plus the n diagonal pairs. With w = y - z:
   x.u = 0: the same lookup with target 0, u the class of the full y - z.
 * So one histogram of x.u per distinct class u answers every pair. Both
   pair lists share one class table (grouped by a sort of packed keys), and
-  the histograms are built in the same byte-sized blocks of classes. In the
-  plane there are at most 2 classes, the slope +-i lines, which the null
-  groups above answer; in high dimension the class count can approach the
-  pair count and takes the same path.
+  the histograms are built in the same byte-sized blocks of classes. In
+  high dimension the class count can approach the pair count.
 * Pairs that share a difference y - z share u and t. Beyond a block of
   pairs, each point is packed once into keys of base-2p digits, so the
   difference of two points' keys has digits y_c - z_c in (-p, p) and
@@ -370,8 +368,8 @@ def _null_groups(xy: np.ndarray, p: int, i: int) -> list[tuple[np.ndarray, np.nd
     coordinate x_1 + c x_2, size the p-bin histogram of L, whose bin lambda
     is a group of points pairwise at zero distance along the null line
     (1, c) (module docstring), and pairs = size (size - 1) / 2, the pairs
-    i < j of each group. The Gram bound keeps p below 2^31, so c x_2 does
-    not wrap int64."""
+    i < j of each group. `profile`'s 2p-entry table check refuses p > 5 * 10^7
+    before any null route runs, so c x_2 < p^2 does not wrap int64."""
     groups = []
     for c in (i, p - i):
         L = (xy[:, 0] + c * xy[:, 1]) % p
@@ -423,12 +421,9 @@ def profile(E: PointSet) -> Profile:
     """
     p, n, arr = E.field.p, len(E), E.array
     last = arr[:, -1] if on_paraboloid(E) else None
-    # over p = 1 mod 4 the null lines give a planar set's distance-zero pairs
-    # and a paraboloid's base-zero pairs in F_p^3 without a scan
+    # the module docstring's routes: null lines for two squares, a scan from three
     i = E.field.sqrt_minus_one() if E.dim == 2 or (E.dim == 3 and last is not None) else None
-    # off an isotropic form no two distinct points are at zero (base) distance
-    scan_dist = E.field.isotropic(E.dim) and (i is None or E.dim != 2)
-    scan_base = last is not None and E.field.isotropic(E.dim - 1) and i is None
+    scan_dist, scan_base = E.dim >= 3, last is not None and E.dim >= 4
     blocks = _gram_blocks(arr, arr, p)  # may raise: before the p-sized tables
     nrm = _norms(arr, p)
     _check_cap(2 * p, None, "square-table entries")  # square, the largest of them, whatever n

@@ -73,10 +73,6 @@ class PrimeField:
 
     # -- quadratic residues --------------------------------------------------
 
-    def isotropic(self, m: int) -> bool:
-        """Whether a sum of m squares vanishes at a nonzero vector of F_p^m."""
-        return m >= 3 or (m == 2 and self.p % 4 == 1)
-
     def sqrt_minus_one(self) -> int | None:
         """The smaller square root of -1, or None when p = 3 mod 4."""
         if self.p % 4 != 1:

@@ -194,6 +194,8 @@ def random_subset(source: PointSet, size: int, seed: int) -> PointSet:
 
 def _sample(count: int, size: int, seed: int) -> np.ndarray:
     """The sorted indices of the `size` of `count` rows that seed draws."""
+    if size < 0:
+        raise ValueError(f"sample size {size} is negative")
     if size > count:
         raise ValueError(f"sample size {size} exceeds population {count}")
     return np.array(sorted(random.Random(seed).sample(range(count), size)), dtype=np.int64)

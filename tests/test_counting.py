@@ -653,17 +653,28 @@ def test_profile_matches_dense_reference(dense_case, monkeypatch):
         assert counting.profile(E) == ref
 
 
-@pytest.mark.parametrize("p, d, size", [(13, 3, 120), (37, 3, 400), (101, 3, 500), (29, 4, 300)])
+@pytest.mark.parametrize("p, d, size", [(13, 4, 150), (23, 4, 200), (29, 4, 300), (7, 5, 150)])
 def test_base_scan_by_square_table(monkeypatch, p, d, size):
-    """On a paraboloid over p = 1 mod 4 the base-zero pairs are those with
-    ||y - z|| = (y_d - z_d)^2; at 1-row and 7-row blocks every Profile field,
-    the base-zero pair count and D* included, matches the dense reference."""
+    """On a paraboloid from d = 4 on, over p = 1 and 3 mod 4, the row blocks
+    are scanned for the base-zero pairs, those with ||y - z|| = (y_d - z_d)^2
+    (an array target of `_upper_zeros` read from the table of squares); at
+    1-row and 7-row blocks every Profile field, the base-zero pair count and
+    D* included, matches the dense reference."""
     E = rand_paraboloid_subset(p, d, size, seed=p)
     ref = _dense_profile(E)
     assert ref.base_zero_pairs > 0
+    scan, square_scans = counting._upper_zeros, []
+
+    def spy(lo, block, target=0):
+        square_scans.append(isinstance(target, np.ndarray))
+        return scan(lo, block, target)
+
+    monkeypatch.setattr(counting, "_upper_zeros", spy)
     for rows in (1, 7):
         monkeypatch.setattr(counting, "_block_rows", lambda row_bytes: rows)
+        square_scans.clear()
         assert counting.profile(E) == ref
+        assert any(square_scans)
 
 
 def _python_gram_mod(A, B, p):
@@ -801,15 +812,13 @@ def null_line_sets(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(null_line_sets())
-def test_null_line_route_matches_the_scans(E):
-    """Every Profile field, work counters included, is the same whether the
-    null lines give the zero pairs (planar sets) and the base-zero pairs
-    (paraboloid sets in F_p^3), or the row-block scans find them."""
+def test_null_line_route_matches_the_oracles(E):
+    """The null lines give a planar set's zero pairs and a paraboloid set's
+    base-zero pairs in F_p^3 without a scan; every Profile field, work
+    counters included, matches the dense reference, and every count the
+    triple- and quadruple-loop oracles, which share no step with profile."""
     assert E.dim == 2 or on_paraboloid(E)
-    fast = counting.profile(E)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PrimeField, "sqrt_minus_one", lambda self: None)
-        assert counting.profile(E) == fast
+    assert assert_profile_matches_oracles(E) == _dense_profile(E)
 
 
 def _translate(E, shift):

@@ -72,7 +72,8 @@ def test_isotropy_rule_matches_brute_force(p, m):
     nonzero_zero = any(
         sum(c * c for c in v) % p == 0 for v in itertools.product(range(p), repeat=m) if any(v)
     )
-    assert f.isotropic(m) == nonzero_zero
+    # the rule `counting.profile` routes by: a null-line route at m = 2, a scan from m = 3
+    assert (m >= 3 or (m == 2 and f.sqrt_minus_one() is not None)) == nonzero_zero
 
 
 @settings(max_examples=50)

@@ -1,4 +1,6 @@
+import argparse
 import ast
+import contextlib
 import csv
 import dataclasses
 import io
@@ -7,15 +9,18 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ffgeom
 from ffgeom import cli, constructions, counting, oracle, sweep, varieties
 from ffgeom.field import PrimeField, is_prime
-from ffgeom.varieties import PointSet, on_paraboloid, random_space_subset
+from ffgeom.varieties import PointSet, enum_paraboloid, on_paraboloid, random_space_subset
 
 MINIMAL = {
     "primes": [7],
@@ -665,6 +670,10 @@ def test_cli_sweep_bad_values_exit_2_before_running(tmp_path, capsys, monkeypatc
         (["fourier-verify", "--pairs", "2"], "--pairs item '2' is not n:p"),
         (["fourier-verify", "--pairs", "2:7:1"], "--pairs item '2:7:1' is not n:p"),
         (["fourier-verify", "--pairs", ""], "--pairs item '' is not n:p"),
+        (["mpprp-check", "--primes", "x"], "--primes item 'x' is not an integer"),
+        (["mpprp-check", "--primes", "7,,11"], "--primes item '' is not an integer"),
+        (["count", "--random-paraboloid", "7", "3", "-1"], "sample size -1 is negative"),
+        (["mpprp-check", "--p", "7", "--size", "-1"], "sample size -1 is negative"),
     ],
 )
 def test_cli_unusable_arguments_exit_2(capsys, argv, missing):
@@ -1026,3 +1035,87 @@ def test_cli_construct_report_with_a_failed_check_exits_1(tmp_path, capsys, monk
     report = json.loads(captured.out)
     assert report[failed] is False and json.loads((tmp_path / "e.txt.json").read_text()) == report
     assert out.exists() and captured.err == f"verification failed: {failed}\n"
+
+
+# -- the exit contract as a property ------------------------------------------
+
+# the commands whose exit 1 reports a failed verification
+VERIFYING = {"fourier-verify", "construct", "oracle-diff", "mpprp-check"}
+# one argv per subcommand that exits 0 at --cap 100, in a directory that
+# `_main_in_scratch` fills
+GOOD_ARGVS = {
+    "product": ["product", "--in", "points.txt", "--with", "points.txt"],
+    "count": ["count", "--full-paraboloid", "7", "3"],
+    "triangles": ["triangles", "--random-paraboloid", "7", "3", "13"],
+    "fourier-verify": ["fourier-verify", "--pairs", "2:7"],
+    "extension-ratio": ["extension-ratio", "--p", "7", "--trials", "3"],
+    "construct": ["construct", "--kind", "lines", "--p", "13", "--lines", "2", "--per-line", "3"],
+    "sweep": ["sweep", "--config", "config.json"],
+    "oracle-diff": ["oracle-diff", "--instances", "2"],
+    "mpprp-check": ["mpprp-check", "--p", "7", "--size", "10"],
+}
+INT_POOL = ["-1", "0", "1", "2", "3", "7", "13", str(2**63), str(10**30)]
+FLOAT_POOL = ["nan", "inf", "-inf", "-1", "0", "0.5", "2"]
+# the files `_main_in_scratch` writes (a point set, a malformed one, a sweep
+# config), a missing path, and strings in and out of the list flags' forms
+STRING_POOL = ["points.txt", "malformed.txt", "config.json", "missing/none.txt", "2:7", "7,11", "x", ""]
+SUBCOMMANDS = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _main_in_scratch(argv) -> tuple[int, str]:
+    """(exit code, stderr) of cli.main(argv), run in a fresh directory that
+    holds the files of STRING_POOL, so relative --out paths land there."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        enum_paraboloid(PrimeField(7), 3).save("points.txt")
+        Path("malformed.txt").write_text("7 3 2\n1 2\n")
+        Path("config.json").write_text(json.dumps(MINIMAL))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def _values(action) -> st.SearchStrategy:
+    """The value tokens of one flag, from the pool its type or choices pick."""
+    if action.dest == "threads":
+        pool = ["-1", "0", "1", "2"]
+    elif action.choices is not None:
+        pool = [*action.choices, "bogus"]
+    else:
+        pool = {int: INT_POOL, float: FLOAT_POOL}.get(action.type, STRING_POOL)
+    count = action.nargs if isinstance(action.nargs, int) else 1
+    return st.lists(st.sampled_from(pool), min_size=count, max_size=count)
+
+
+@st.composite
+def cli_argvs(draw):
+    """(subcommand, argv) with flags drawn from the subparser's own actions,
+    half of them added to its known-good argv, and a --cap of at most 100
+    before or after the subcommand."""
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    flags = [a for a in SUBCOMMANDS[name]._actions if a.option_strings and a.dest not in ("help", "cap")]
+    good = draw(st.booleans())
+    argv = list(GOOD_ARGVS[name]) if good else [name]
+    for action in draw(st.lists(st.sampled_from(flags), max_size=2 if good else 5)):
+        argv += [draw(st.sampled_from(action.option_strings)), *draw(_values(action))]
+    cap = ["--cap", str(draw(st.one_of(st.just(100), st.integers(-1, 100))))]
+    return name, cap + argv if draw(st.booleans()) else argv + cap
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_cli_known_good_argv_exits_0(name):
+    code, err = _main_in_scratch(["--cap", "100", *GOOD_ARGVS[name]])
+    assert code == 0, err
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argvs())
+def test_cli_exit_contract(named_argv):
+    """Whatever the flags: exit 0, 1 or 2, exit 1 only from a verifying
+    command, exit 2 with one stderr line, and never a traceback."""
+    name, argv = named_argv
+    code, err = _main_in_scratch(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert code != 1 or name in VERIFYING
+    assert code != 2 or err.count("\n") == 1

@@ -91,6 +91,8 @@ def test_random_subset_contracts():
     assert random_subset(P, 17, seed=100).points != a.points
     with pytest.raises(ValueError):
         random_subset(P, len(P) + 1, seed=0)
+    with pytest.raises(ValueError, match="sample size -1 is negative"):
+        random_subset(P, -1, seed=0)
 
 
 def test_restrict_nonzero_base():
